@@ -5,10 +5,9 @@
 //! the retained naive reference implementations at the paper's
 //! operating point (ISOLET: `D_iv = 617`, `D_hv = 10 000`,
 //! `ℓ_iv = 100`, 26 classes), single-threaded, and writes the results
-//! to `BENCH_kernels.json`. The `plan_compile_*` rows gate the
-//! publish-time fusions of `privehd_core::plan` (fused encode∘obfuscate
-//! and the one-time kernel-selected predict dispatch) against the
-//! generic compositions they replace.
+//! to `BENCH_kernels.json`. The `plan_compile_encode_obfuscate` row
+//! gates the fused encode∘obfuscate pass of `privehd_core::plan`
+//! against the generic composition it replaces.
 //!
 //! `--serve` mode instead measures the wire front-end over a real
 //! loopback TCP socket — synchronous round-trip p50/p99 latency,
@@ -40,8 +39,8 @@ use std::time::{Duration, Instant};
 use privehd_bench::print_table;
 use privehd_core::telemetry::TelemetryConfig;
 use privehd_core::{
-    BipolarHv, EncodePlan, Encoder, EncoderConfig, HdModel, Hypervector, LevelEncoder, ModelPlan,
-    ObfuscateConfig, Obfuscator, QuantScheme, ScalarEncoder,
+    BipolarHv, EncodePlan, Encoder, EncoderConfig, HdModel, Hypervector, LevelEncoder,
+    ObfuscateConfig, Obfuscator, PlanKernel, QuantScheme, ScalarEncoder,
 };
 use privehd_serve::wire::{WireClient, WireClientError, WireConfig, WireServer};
 use privehd_serve::{ClientEdge, ModelId, ServeConfig, ServeEngine, ShardedRegistry};
@@ -752,7 +751,10 @@ fn main() {
     packed_model.quantize_classes(QuantScheme::Bipolar);
     packed_model.refresh_norms();
     assert!(
-        packed_model.packed_class_matrix().is_some(),
+        matches!(
+            packed_model.plan().kernel(),
+            PlanKernel::PackedPopcount { .. }
+        ),
         "bipolar class quantization must yield a packable model"
     );
     let packed: Vec<BipolarHv> = (0..batch.min(64))
@@ -809,33 +811,6 @@ fn main() {
         reference,
         kernel,
         threshold: Some(1.5),
-    });
-
-    // --- Compiled plan, predict dispatch: the plan's pinned snapshot +
-    //     publish-time kernel selection must dispatch at least as fast
-    //     as the generic `HdModel::predict` entry it replaces in the
-    //     serving engine (which re-resolves lazy state and notes a
-    //     kernel probe on every call). Scoring work is identical by
-    //     construction — this row is a dispatch-overhead guard, not a
-    //     kernel speedup, so it carries no floor. ----------------------
-    let model_plan = ModelPlan::compile(&packed_model);
-    let dense_bipolar: Vec<Hypervector> = packed.iter().map(BipolarHv::to_dense).collect();
-    let kernel = time_per_item(samples, dense_bipolar.len(), || {
-        for q in &dense_bipolar {
-            std::hint::black_box(model_plan.predict_dense(q).expect("predict"));
-        }
-    });
-    let reference = time_per_item(samples, dense_bipolar.len(), || {
-        for q in &dense_bipolar {
-            std::hint::black_box(packed_model.predict(q).expect("predict"));
-        }
-    });
-    results.push(Comparison {
-        name: "plan_compile_predict",
-        unit: "query",
-        reference,
-        kernel,
-        threshold: None,
     });
 
     // --- Report -------------------------------------------------------

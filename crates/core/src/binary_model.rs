@@ -121,12 +121,11 @@ impl BinaryHdModel {
     /// Returns [`HdError::EmptyInput`] for a model with no classes (not
     /// constructible through the public API, but checked for safety).
     pub fn from_model(model: &HdModel) -> Result<Self, HdError> {
-        // The model's scoring snapshot already packs each class's sign
-        // bits with the same `value ≥ 0 ↔ +1` convention; adopt its rows
-        // instead of re-walking the dense values.
-        let matrix = model.class_matrix();
-        let classes: Vec<BipolarHv> = (0..matrix.num_classes())
-            .map(|l| BipolarHv::from_words(matrix.dim(), matrix.sign_row(l).to_vec()))
+        // `BipolarHv::from_signs` maps 0 to −1, so the raw class values
+        // go through `sign_vector` (0 → +1) first.
+        let classes: Vec<BipolarHv> = model
+            .classes()
+            .map(|class| BipolarHv::from_signs(&sign_vector(class)))
             .collect();
         if classes.is_empty() {
             return Err(HdError::EmptyInput("class hypervectors"));
@@ -306,6 +305,26 @@ mod tests {
             let dense = binary.predict(h).unwrap();
             let packed = BipolarHv::from_signs(&sign_vector(h));
             assert_eq!(dense, binary.predict_bipolar(&packed).unwrap());
+        }
+    }
+
+    #[test]
+    fn zero_class_dimensions_binarize_to_plus_one() {
+        let mut model = HdModel::new(2, 70).unwrap();
+        let row: Vec<f64> = (0..70)
+            .map(|j| match j % 3 {
+                0 => 0.0,
+                1 => 2.5,
+                _ => -1.5,
+            })
+            .collect();
+        model.bundle(0, &Hypervector::from_vec(row)).unwrap();
+        let binary = BinaryHdModel::from_model(&model).unwrap();
+        for j in 0..70 {
+            let expected = if j % 3 == 2 { -1.0 } else { 1.0 };
+            assert_eq!(binary.classes()[0].sign(j), expected, "dim {j}");
+            // Class 1 was never trained: every dimension is exactly 0.
+            assert_eq!(binary.classes()[1].sign(j), 1.0, "dim {j}");
         }
     }
 

@@ -41,6 +41,10 @@ pub enum HdError {
     ZeroNorm,
     /// An operation needed a non-empty collection (e.g. training data).
     EmptyInput(&'static str),
+    /// A NaN (or, where finiteness is required, an infinity) where a
+    /// number was needed — e.g. a NaN query feature poisons every
+    /// similarity score. The payload names the values affected.
+    NonFinite(&'static str),
 }
 
 impl fmt::Display for HdError {
@@ -62,6 +66,7 @@ impl fmt::Display for HdError {
             HdError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             HdError::ZeroNorm => write!(f, "operation undefined on an all-zero hypervector"),
             HdError::EmptyInput(what) => write!(f, "empty input: {what}"),
+            HdError::NonFinite(what) => write!(f, "non-finite value in {what}"),
         }
     }
 }
@@ -91,6 +96,7 @@ mod tests {
             HdError::InvalidConfig("levels must be >= 2".to_owned()),
             HdError::ZeroNorm,
             HdError::EmptyInput("training set"),
+            HdError::NonFinite("similarity scores"),
         ];
         for v in variants {
             let s = v.to_string();

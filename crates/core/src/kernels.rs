@@ -436,10 +436,9 @@ pub fn scalar_encode_bipolar_masked(
 }
 
 /// True when the dot/popcount kernels of this module will dispatch to
-/// their AVX2 arms on this host — the probe
-/// [`crate::plan::ModelPlan::compile`] runs *once* per published model
-/// instead of (implicitly, inside each kernel call) per batch. Always
-/// false off x86-64.
+/// their AVX2 arms on this host — the probe a [`crate::ModelPlan`]
+/// runs *once* when it is built instead of (implicitly, inside each
+/// kernel call) per batch. Always false off x86-64.
 pub fn avx2_dispatch() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -753,17 +752,14 @@ unsafe fn xor_popcount_avx2(a: &[u64], b: &[u64]) -> u64 {
 /// hypervectors.
 ///
 /// Holds the dense values row-major (`classes × dim`, so one class is
-/// one cache-friendly streak), the packed sign bit of every value
-/// (`value ≥ 0 ↔ 1`, the binarization convention of
-/// [`crate::BinaryHdModel`]) and the cached ℓ2 norms. Built lazily by
-/// [`crate::HdModel`] and rebuilt only after mutation.
+/// one cache-friendly streak) and the cached ℓ2 norms. Owned by the
+/// model's compiled [`crate::ModelPlan`] and rebuilt only after
+/// mutation.
 #[derive(Debug, Clone)]
 pub struct ClassMatrix {
     num_classes: usize,
     dim: usize,
-    hv_words: usize,
     dense: Vec<f64>,
-    sign_rows: Vec<u64>,
     norms: Vec<f64>,
 }
 
@@ -779,27 +775,18 @@ impl ClassMatrix {
     /// they do not).
     pub fn from_classes(classes: &[Hypervector]) -> Self {
         let dim = classes.first().map_or(0, Hypervector::dim);
-        let hv_words = dim.div_ceil(WORD_BITS);
         let num_classes = classes.len();
         let mut dense = Vec::with_capacity(num_classes * dim);
-        let mut sign_rows = vec![0u64; num_classes * hv_words];
         let mut norms = Vec::with_capacity(num_classes);
-        for (l, class) in classes.iter().enumerate() {
+        for class in classes {
             assert_eq!(class.dim(), dim, "class dimension mismatch");
             dense.extend_from_slice(class.as_slice());
-            for (j, &v) in class.as_slice().iter().enumerate() {
-                if v >= 0.0 {
-                    sign_rows[l * hv_words + j / WORD_BITS] |= 1 << (j % WORD_BITS);
-                }
-            }
             norms.push(class.l2_norm());
         }
         Self {
             num_classes,
             dim,
-            hv_words,
             dense,
-            sign_rows,
             norms,
         }
     }
@@ -823,16 +810,6 @@ impl ClassMatrix {
         &self.dense[l * self.dim..(l + 1) * self.dim]
     }
 
-    /// The packed sign bits of class `l` (`value ≥ 0 ↔ 1`; tail bits
-    /// zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l >= self.num_classes()`.
-    pub fn sign_row(&self, l: usize) -> &[u64] {
-        &self.sign_rows[l * self.hv_words..(l + 1) * self.hv_words]
-    }
-
     /// Cached ℓ2 norms, index = class label.
     pub fn norms(&self) -> &[f64] {
         &self.norms
@@ -844,9 +821,9 @@ impl ClassMatrix {
         self.norms.iter().all(|&n| n == 0.0)
     }
 
-    /// Re-snapshots a single class row in place (dense values, sign
-    /// bits, norm) after a targeted mutation such as a retraining
-    /// update, avoiding a full matrix rebuild.
+    /// Re-snapshots a single class row in place (dense values, norm)
+    /// after a targeted mutation such as a retraining update, avoiding
+    /// a full matrix rebuild.
     ///
     /// # Panics
     ///
@@ -854,15 +831,7 @@ impl ClassMatrix {
     /// dimensionality (the model guarantees both).
     pub fn update_class(&mut self, l: usize, class: &Hypervector) {
         assert_eq!(class.dim(), self.dim, "class dimension mismatch");
-        let values = class.as_slice();
-        self.dense[l * self.dim..(l + 1) * self.dim].copy_from_slice(values);
-        let signs = &mut self.sign_rows[l * self.hv_words..(l + 1) * self.hv_words];
-        signs.fill(0);
-        for (j, &v) in values.iter().enumerate() {
-            if v >= 0.0 {
-                signs[j / WORD_BITS] |= 1 << (j % WORD_BITS);
-            }
-        }
+        self.dense[l * self.dim..(l + 1) * self.dim].copy_from_slice(class.as_slice());
         self.norms[l] = class.l2_norm();
     }
 
@@ -937,13 +906,11 @@ impl ClassMatrix {
         }
     }
 
-    /// Heap footprint of this snapshot in bytes (dense values, packed
-    /// sign rows, cached norms) — the dense side of the per-model
-    /// `memory_bytes` serving metric.
+    /// Heap footprint of this snapshot in bytes (dense values, cached
+    /// norms) — the dense side of the per-model `memory_bytes` serving
+    /// metric.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of_val(self.dense.as_slice())
-            + std::mem::size_of_val(self.sign_rows.as_slice())
-            + std::mem::size_of_val(self.norms.as_slice())
+        std::mem::size_of_val(self.dense.as_slice()) + std::mem::size_of_val(self.norms.as_slice())
     }
 }
 
@@ -951,7 +918,7 @@ impl ClassMatrix {
 /// hypervectors — the packed-native counterpart of [`ClassMatrix`].
 ///
 /// Each class is stored as its packed sign row (bit 1 ⇔ `value ≥ 0`,
-/// the same convention as [`ClassMatrix::sign_row`]) plus one `f64`
+/// the binarization convention of [`crate::BinaryHdModel`]) plus one `f64`
 /// magnitude scale per 64-dimension word block. Construction succeeds
 /// only when that factorization is *exact* — every block holds values
 /// of one shared magnitude (signs free) or is entirely zero (scale 0) —
@@ -997,47 +964,16 @@ impl PackedClassMatrix {
         let dim = classes.first().map_or(0, Hypervector::dim);
         let hv_words = dim.div_ceil(WORD_BITS);
         let num_classes = classes.len();
-        let mut sign_rows = vec![0u64; num_classes * hv_words];
+        let mut sign_rows = Vec::with_capacity(num_classes * hv_words);
         let mut word_scales = Vec::with_capacity(num_classes * hv_words);
         let mut uniform = Vec::with_capacity(num_classes);
         let mut norms = Vec::with_capacity(num_classes);
-        for (l, class) in classes.iter().enumerate() {
+        for class in classes {
             assert_eq!(class.dim(), dim, "class dimension mismatch");
-            let values = class.as_slice();
-            let mut row_scale: Option<f64> = None;
-            let mut row_uniform = true;
-            for (w, block) in values.chunks(WORD_BITS).enumerate() {
-                let mut scale = 0.0f64;
-                let mut zeros = false;
-                for (b, &v) in block.iter().enumerate() {
-                    if v >= 0.0 {
-                        sign_rows[l * hv_words + w] |= 1 << b;
-                    }
-                    let mag = v.abs();
-                    if !mag.is_finite() {
-                        return None;
-                    }
-                    if mag == 0.0 {
-                        zeros = true;
-                    } else if scale == 0.0 {
-                        scale = mag;
-                    } else if mag != scale {
-                        return None;
-                    }
-                }
-                // A block mixing zeros and non-zeros is not `sign×scale`:
-                // the factorization puts ±scale at every lane.
-                if zeros && scale != 0.0 {
-                    return None;
-                }
-                word_scales.push(scale);
-                match row_scale {
-                    None => row_scale = Some(scale),
-                    Some(s) if s == scale => {}
-                    Some(_) => row_uniform = false,
-                }
-            }
-            uniform.push(if row_uniform { row_scale } else { None });
+            let row = PackedRow::pack(class.as_slice())?;
+            sign_rows.extend_from_slice(&row.signs);
+            word_scales.extend_from_slice(&row.scales);
+            uniform.push(row.uniform);
             norms.push(class.l2_norm());
         }
         Some(Self {
@@ -1049,6 +985,35 @@ impl PackedClassMatrix {
             uniform,
             norms,
         })
+    }
+
+    /// True when `class` alone factors exactly into `sign × scale`
+    /// word blocks — the per-row condition of
+    /// [`PackedClassMatrix::try_from_classes`].
+    pub(crate) fn row_packs(class: &Hypervector) -> bool {
+        PackedRow::pack(class.as_slice()).is_some()
+    }
+
+    /// Re-packs class row `l` in place after a targeted mutation, in
+    /// O(dim). Returns `false`, leaving the matrix untouched, when the
+    /// new row no longer factors into `sign × scale` (so neither does
+    /// the model).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l` is out of range or `class` has the wrong
+    /// dimensionality (the model guarantees both).
+    pub(crate) fn update_class(&mut self, l: usize, class: &Hypervector) -> bool {
+        assert_eq!(class.dim(), self.dim, "class dimension mismatch");
+        let Some(row) = PackedRow::pack(class.as_slice()) else {
+            return false;
+        };
+        let words = l * self.hv_words..(l + 1) * self.hv_words;
+        self.sign_rows[words.clone()].copy_from_slice(&row.signs);
+        self.word_scales[words].copy_from_slice(&row.scales);
+        self.uniform[l] = row.uniform;
+        self.norms[l] = class.l2_norm();
+        true
     }
 
     /// Number of classes (rows).
@@ -1138,6 +1103,64 @@ impl PackedClassMatrix {
     }
 }
 
+/// One class row in the packed layout of [`PackedClassMatrix`].
+struct PackedRow {
+    /// Sign bits, `value ≥ 0 ↔ 1`, zero tail bits.
+    signs: Vec<u64>,
+    /// One magnitude per 64-dim word block.
+    scales: Vec<f64>,
+    /// The row-wide scale when every word block shares one.
+    uniform: Option<f64>,
+}
+
+impl PackedRow {
+    /// Packs `values`, or `None` unless every 64-dim block is exactly
+    /// `sign × scale` (one shared finite magnitude, or all zero).
+    fn pack(values: &[f64]) -> Option<Self> {
+        let hv_words = values.len().div_ceil(WORD_BITS);
+        let mut signs = vec![0u64; hv_words];
+        let mut scales = Vec::with_capacity(hv_words);
+        let mut row_scale: Option<f64> = None;
+        let mut row_uniform = true;
+        for (block, word) in values.chunks(WORD_BITS).zip(signs.iter_mut()) {
+            let mut scale = 0.0f64;
+            let mut zeros = false;
+            for (b, &v) in block.iter().enumerate() {
+                if v >= 0.0 {
+                    *word |= 1 << b;
+                }
+                let mag = v.abs();
+                if !mag.is_finite() {
+                    return None;
+                }
+                if mag == 0.0 {
+                    zeros = true;
+                } else if scale == 0.0 {
+                    scale = mag;
+                } else if mag != scale {
+                    return None;
+                }
+            }
+            // A block mixing zeros and non-zeros is not `sign×scale`:
+            // the factorization puts ±scale at every lane.
+            if zeros && scale != 0.0 {
+                return None;
+            }
+            scales.push(scale);
+            match row_scale {
+                None => row_scale = Some(scale),
+                Some(s) if s == scale => {}
+                Some(_) => row_uniform = false,
+            }
+        }
+        Some(Self {
+            signs,
+            scales,
+            uniform: if row_uniform { row_scale } else { None },
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1222,8 +1245,6 @@ mod tests {
         assert_eq!(m.class_row(0), classes[0].as_slice());
         assert_eq!(m.norms()[1], 0.0);
         assert!(!m.all_zero());
-        // Sign row: 1, -2, 0, 3, -1 → bits 1,0,1,1,0 (≥ 0 convention).
-        assert_eq!(m.sign_row(0)[0], 0b01101);
 
         let mut scores = Vec::new();
         m.scores_into(&[1.0, 1.0, 1.0, 1.0, 1.0], &mut scores);
@@ -1253,7 +1274,6 @@ mod tests {
         incremental.update_class(1, &classes[1]);
         let fresh = ClassMatrix::from_classes(&classes);
         assert_eq!(incremental.class_row(1), fresh.class_row(1));
-        assert_eq!(incremental.sign_row(1), fresh.sign_row(1));
         assert_eq!(incremental.norms(), fresh.norms());
     }
 

@@ -16,8 +16,7 @@
 //!   Eq. (2a) ([`ScalarEncoder`]) and the level-binding record encoding of
 //!   Eq. (2b) ([`LevelEncoder`]).
 //! * [`model`] — HD training (Eq. 3), retraining (Eq. 5) and inference
-//!   (Eq. 4) with a cached contiguous scoring snapshot
-//!   ([`kernels::ClassMatrix`]).
+//!   (Eq. 4) through the model's cached [`ModelPlan`].
 //! * [`kernels`] — the throughput layer: level-sliced popcount encode
 //!   over a bit-sliced transposed item memory (dense, packed, and
 //!   batch-packed forms), word-parallel (CSA) majority accumulation for
@@ -43,11 +42,10 @@
 //!   class hypervectors too, which Fig. 5(a) compares against.
 //! * [`online`] — similarity-weighted (OnlineHD-style) training, an
 //!   adaptive refinement of the Eq. (5) retraining rule.
-//! * [`plan`] — publish-time compilation: [`EncodePlan`] fuses
-//!   encode∘obfuscate into one table-driven pass, [`ModelPlan`] pins the
-//!   scoring snapshots behind a one-time kernel selection
-//!   ([`plan::PlanKernel`]), and [`plan::PlanTarget`] renders a plan for
-//!   software or hardware backends.
+//! * [`plan`] — compilation: [`EncodePlan`] fuses encode∘obfuscate
+//!   into one table-driven pass, and [`ModelPlan`], the only scorer,
+//!   holds the class snapshots behind a one-time kernel selection
+//!   ([`plan::PlanKernel`]).
 //! * [`telemetry`] — sampled, lock-free request tracing ([`Tracer`],
 //!   [`Stage`], [`SpanEvent`]): the capture spine the serving layer's
 //!   stage-level latency decomposition is built on.
@@ -104,9 +102,7 @@ pub use kernels::{ClassMatrix, PackedClassMatrix, TransposedItemMemory};
 pub use model::{HdModel, Prediction, RetrainConfig, RetrainReport};
 pub use obfuscate::{ObfuscateConfig, Obfuscator};
 pub use online::{online_step, train_online, OnlineConfig, OnlineReport};
-pub use plan::{
-    EncodePlan, ModelPlan, PlanArtifact, PlanKernel, PlanTarget, SimdPath, SoftwareTarget,
-};
+pub use plan::{EncodePlan, ModelPlan, PlanKernel, SimdPath};
 pub use pool::ThreadPool;
 pub use prune::{information_curve, InformationPoint, PruneMask, PruneStrategy};
 pub use quantize::{QuantScheme, ValueHistogram};
@@ -123,7 +119,7 @@ pub mod prelude {
     pub use crate::model::{HdModel, Prediction, RetrainConfig, RetrainReport};
     pub use crate::obfuscate::{ObfuscateConfig, Obfuscator};
     pub use crate::online::{online_step, train_online, OnlineConfig, OnlineReport};
-    pub use crate::plan::{EncodePlan, ModelPlan, PlanKernel, PlanTarget, SoftwareTarget};
+    pub use crate::plan::{EncodePlan, ModelPlan, PlanKernel};
     pub use crate::prune::{information_curve, PruneMask, PruneStrategy};
     pub use crate::quantize::{QuantScheme, ValueHistogram};
 }

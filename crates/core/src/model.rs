@@ -6,29 +6,23 @@
 //! classes and is discarded, while the class norms are computed once and
 //! cached.
 //!
-//! Scoring runs against a lazily built [`ClassMatrix`] snapshot — a
-//! contiguous row-major copy of the class hypervectors with cached norms
-//! and packed sign rows — invalidated on every mutation. The naive
+//! Scoring runs through the model's cached [`ModelPlan`], compiled
+//! lazily after each mutation and refreshed row by row in place during
+//! retraining; every `predict*` method delegates to it. The naive
 //! per-query path is retained as [`HdModel::predict_reference`], the
 //! arithmetic baseline the kernel parity tests (and the `perfsuite`
 //! speedup measurements) compare against.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::HdError;
 use crate::hypervector::{BipolarHv, Hypervector};
-use crate::kernels::{ClassMatrix, PackedClassMatrix};
+use crate::plan::{self, ModelPlan};
 use crate::pool;
 use crate::prune::PruneMask;
 use crate::quantize::QuantScheme;
-
-/// Queries scored together per cache tile of the batched predict path:
-/// one class row is streamed against this many queries while hot.
-/// `pub(crate)` so [`crate::plan::ModelPlan`] records the same tiling
-/// in its compiled kernel descriptor.
-pub(crate) const PREDICT_BLOCK: usize = 8;
 
 /// A trained (or in-training) HD classification model.
 ///
@@ -50,20 +44,14 @@ pub(crate) const PREDICT_BLOCK: usize = 8;
 pub struct HdModel {
     classes: Vec<Hypervector>,
     dim: usize,
-    /// Lazily built scoring snapshot (contiguous rows + packed signs +
-    /// norms); replaced with an empty cell on every mutation.
+    /// The compiled scorer, built on first use; refreshed in place or
+    /// reset on every mutation.
     #[serde(skip)]
-    cache: OnceLock<Arc<ClassMatrix>>,
-    /// Lazily built packed-native scoring snapshot: `Some` only when the
-    /// class rows factor exactly into `sign × per-word scale` (see
-    /// [`PackedClassMatrix::try_from_classes`]), `None` caches the
-    /// "not packable" answer so the probe runs once per mutation.
-    #[serde(skip)]
-    packed_cache: OnceLock<Option<Arc<PackedClassMatrix>>>,
+    plan: OnceLock<ModelPlan>,
 }
 
 impl PartialEq for HdModel {
-    /// Models compare by class hypervectors alone; the scoring cache is
+    /// Models compare by class hypervectors alone; the compiled plan is
     /// derived state.
     fn eq(&self, other: &Self) -> bool {
         self.dim == other.dim && self.classes == other.classes
@@ -164,8 +152,7 @@ impl HdModel {
         Ok(Self {
             classes,
             dim,
-            cache: OnceLock::new(),
-            packed_cache: OnceLock::new(),
+            plan: OnceLock::new(),
         })
     }
 
@@ -192,8 +179,7 @@ impl HdModel {
         Ok(Self {
             classes,
             dim: first_dim,
-            cache: OnceLock::new(),
-            packed_cache: OnceLock::new(),
+            plan: OnceLock::new(),
         })
     }
 
@@ -266,92 +252,67 @@ impl HdModel {
         Ok(model)
     }
 
-    /// Classifies a query using the normalized dot product of Eq. (4).
-    ///
-    /// Only the class norms enter the normalization; the query norm is a
-    /// constant factor across classes and is skipped, exactly as the paper
-    /// notes under Eq. (4). Scoring runs against the cached
-    /// [`ClassMatrix`] with the unrolled dot kernel; zero-norm classes
-    /// score [`f64::NEG_INFINITY`] (see [`Prediction::scores`]).
+    /// The compiled scorer every `predict*` method delegates to,
+    /// compiled on first use after a mutation and cached.
+    pub fn plan(&self) -> &ModelPlan {
+        self.plan.get_or_init(|| ModelPlan::build(&self.classes))
+    }
+
+    /// Classifies a query using the normalized dot product of Eq. (4);
+    /// see [`ModelPlan::predict_dense`].
     ///
     /// # Errors
     ///
-    /// Returns [`HdError::DimensionMismatch`] for a wrong query dimension
-    /// and [`HdError::ZeroNorm`] if every class hypervector is zero.
+    /// [`HdError::DimensionMismatch`], [`HdError::ZeroNorm`] on an
+    /// untrained model, [`HdError::NonFinite`] on a NaN score.
     pub fn predict(&self, query: &Hypervector) -> Result<Prediction, HdError> {
-        crate::plan::note_kernel_probe();
-        if query.dim() != self.dim {
-            return Err(HdError::DimensionMismatch {
-                expected: self.dim,
-                actual: query.dim(),
-            });
-        }
-        let matrix = self.matrix();
-        if matrix.all_zero() {
-            return Err(HdError::ZeroNorm);
-        }
-        let mut scores = Vec::new();
-        matrix.scores_into(query.as_slice(), &mut scores);
-        Ok(prediction_from_scores(scores))
+        self.plan().predict_dense(query)
     }
 
     /// The retained naive inference path: one iterator-order dense dot
     /// per class — exactly the pre-kernel scoring arithmetic. Norms come
-    /// from the cached snapshot (as the pre-kernel path used its norm
+    /// from the compiled plan (as the pre-kernel path used its norm
     /// cache), so perfsuite's baseline pays only the dots, not a
     /// per-query norm recomputation. Parity tests and the `perfsuite`
-    /// speedup baseline compare [`HdModel::predict`] against this.
+    /// speedup baseline compare the plan against this.
     ///
     /// # Errors
     ///
     /// Same contract as [`HdModel::predict`].
     pub fn predict_reference(&self, query: &Hypervector) -> Result<Prediction, HdError> {
-        if query.dim() != self.dim {
-            return Err(HdError::DimensionMismatch {
-                expected: self.dim,
-                actual: query.dim(),
-            });
-        }
-        let matrix = self.matrix();
-        if matrix.all_zero() {
-            return Err(HdError::ZeroNorm);
-        }
-        let norms = matrix.norms();
-        let mut scores = Vec::with_capacity(self.classes.len());
-        for (class, &norm) in self.classes.iter().zip(norms.iter()) {
-            let dot = query.dot(class)?;
-            scores.push(if norm == 0.0 {
-                f64::NEG_INFINITY
-            } else {
-                dot / norm
-            });
-        }
-        Ok(prediction_from_scores(scores))
+        let plan = self.plan();
+        plan.check_query(query.dim())?;
+        let scores = self
+            .classes
+            .iter()
+            .zip(plan.norms())
+            .map(|(class, &norm)| {
+                let dot = query.dot(class)?;
+                Ok(if norm == 0.0 {
+                    f64::NEG_INFINITY
+                } else {
+                    dot / norm
+                })
+            })
+            .collect::<Result<Vec<f64>, HdError>>()?;
+        plan::prediction_from_scores(scores)
     }
 
     /// Classifies a batch of queries with the blocked kernel, fanning
-    /// tiles out over the persistent [`crate::pool`] workers.
-    ///
-    /// Each query goes through exactly the same arithmetic as
-    /// [`HdModel::predict`] (one class row is simply scored against a
-    /// whole tile of queries while cache-hot), so the results are
-    /// bit-identical to calling `predict` sequentially. (The
-    /// `privehd-serve` engine answers the requests of a batch one
-    /// `predict` call at a time for per-request error isolation; this
-    /// API is the bulk path for callers that hold a whole batch and want
-    /// one `Result`.)
+    /// tiles out over the persistent [`crate::pool`] workers;
+    /// bit-identical to calling [`HdModel::predict`] per query.
     ///
     /// # Errors
     ///
-    /// Propagates the first prediction error encountered (dimension
-    /// mismatch, [`HdError::ZeroNorm`] on an untrained model).
+    /// Propagates the first prediction error encountered.
     pub fn predict_batch(&self, queries: &[Hypervector]) -> Result<Vec<Prediction>, HdError> {
         self.predict_batch_with(queries, pool::global().threads() + 1)
     }
 
     /// [`HdModel::predict_batch`] with an explicit concurrency cap, for
     /// callers that already provide their own parallelism and pass 1 to
-    /// keep the batch single-threaded.
+    /// keep the batch single-threaded; see
+    /// [`ModelPlan::predict_batch_with`].
     ///
     /// # Errors
     ///
@@ -361,84 +322,17 @@ impl HdModel {
         queries: &[Hypervector],
         threads: usize,
     ) -> Result<Vec<Prediction>, HdError> {
-        crate::plan::note_kernel_probe();
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Validate everything up front so the parallel section is
-        // infallible; the first offending query wins, as before.
-        for q in queries {
-            if q.dim() != self.dim {
-                return Err(HdError::DimensionMismatch {
-                    expected: self.dim,
-                    actual: q.dim(),
-                });
-            }
-        }
-        let matrix = self.matrix();
-        if matrix.all_zero() {
-            return Err(HdError::ZeroNorm);
-        }
-        let threads = threads.max(1).min(queries.len());
-        if threads <= 1 || queries.len() < 2 * PREDICT_BLOCK {
-            return Ok(predict_blocks(matrix, queries));
-        }
-        let chunk = queries.len().div_ceil(threads);
-        let tasks = queries.len().div_ceil(chunk);
-        let results: Vec<Vec<Prediction>> = pool::global().map(tasks, |t| {
-            predict_blocks(
-                matrix,
-                &queries[t * chunk..((t + 1) * chunk).min(queries.len())],
-            )
-        });
-        Ok(results.into_iter().flatten().collect())
+        self.plan().predict_batch_with(queries, threads)
     }
 
     /// Classifies a bit-packed bipolar query — the fast path for
-    /// obfuscated queries, whose components are all `±1` after the
-    /// [`crate::obfuscate::Obfuscator`] quantization step.
-    ///
-    /// When the class rows factor exactly into packed signs × per-word
-    /// scales (sign-only models after
-    /// [`HdModel::quantize_classes`](Self::quantize_classes) with
-    /// [`QuantScheme::Bipolar`]), scoring runs entirely in the packed
-    /// domain through [`PackedClassMatrix`] — `XOR` + `POPCNT` word
-    /// arithmetic, bit-exact against the dense scores for ±1 rows, and
-    /// free of any O(dim) dense traffic. Otherwise the per-class dot
-    /// selects signs branchlessly from the packed words
-    /// ([`crate::kernels::dot_sign_dense`]) against the cached
-    /// [`ClassMatrix`] rows. Either way the score is mathematically
-    /// identical to [`HdModel::predict`] on [`BipolarHv::to_dense`], but
-    /// floating-point summation order can differ for non-±1 rows, so
-    /// last-ulp ties may resolve differently there.
+    /// obfuscated queries; see [`ModelPlan::predict_packed`].
     ///
     /// # Errors
     ///
-    /// Returns [`HdError::DimensionMismatch`] for a wrong query dimension
-    /// and [`HdError::ZeroNorm`] if every class hypervector is zero.
+    /// Same contract as [`HdModel::predict`].
     pub fn predict_packed(&self, query: &BipolarHv) -> Result<Prediction, HdError> {
-        crate::plan::note_kernel_probe();
-        if query.dim() != self.dim {
-            return Err(HdError::DimensionMismatch {
-                expected: self.dim,
-                actual: query.dim(),
-            });
-        }
-        let mut scores = Vec::new();
-        match self.packed_matrix() {
-            Some(packed) if !packed.all_zero() => {
-                packed.scores_packed_into(query.words(), &mut scores);
-            }
-            Some(_) => return Err(HdError::ZeroNorm),
-            None => {
-                let matrix = self.matrix();
-                if matrix.all_zero() {
-                    return Err(HdError::ZeroNorm);
-                }
-                matrix.scores_packed_into(query.words(), &mut scores);
-            }
-        }
-        Ok(prediction_from_scores(scores))
+        self.plan().predict_packed(query)
     }
 
     /// Classification accuracy over a labelled set of encoded queries.
@@ -601,120 +495,31 @@ impl HdModel {
             .collect()
     }
 
-    /// The cached scoring snapshot, built on first use after a mutation.
-    fn matrix(&self) -> &Arc<ClassMatrix> {
-        self.cache
-            .get_or_init(|| Arc::new(ClassMatrix::from_classes(&self.classes)))
+    /// Compiles the scoring plan now unless it is cached, so the first
+    /// predict after a batch of mutations does not pay for it;
+    /// [`HdModel::predict`] works correctly either way.
+    pub fn refresh_norms(&mut self) {
+        self.plan();
     }
 
-    /// The cached packed-native snapshot: `Some` when the class rows are
-    /// exactly packable, `None` otherwise (cached either way).
-    fn packed_matrix(&self) -> Option<&Arc<PackedClassMatrix>> {
-        self.packed_cache
-            .get_or_init(|| PackedClassMatrix::try_from_classes(&self.classes).map(Arc::new))
-            .as_ref()
-    }
-
-    /// Drops the scoring snapshots; called by mutations that touch many
+    /// Drops the compiled plan; called by mutations that touch many
     /// classes at once.
     fn invalidate(&mut self) {
-        self.cache = OnceLock::new();
-        self.packed_cache = OnceLock::new();
+        self.plan = OnceLock::new();
     }
 
-    /// Refreshes a single class row of the scoring snapshot in place
-    /// when the snapshot exists and is not shared (the common retraining
-    /// case), falling back to a full invalidation otherwise. Keeps the
-    /// per-update cost at one row copy instead of a whole-matrix
-    /// rebuild. The packed snapshot has no in-place row update (the
-    /// mutation can change packability), so it is always dropped.
+    /// Refreshes one class row of the compiled plan in place when the
+    /// plan exists and is not shared (the common retraining case),
+    /// falling back to a full invalidation otherwise. Keeps the
+    /// per-update cost at O(dim) instead of a whole-plan rebuild.
     fn refresh_class(&mut self, label: usize) {
-        self.packed_cache = OnceLock::new();
-        let class = &self.classes[label];
-        if let Some(arc) = self.cache.get_mut() {
-            if let Some(matrix) = Arc::get_mut(arc) {
-                matrix.update_class(label, class);
+        if let (Some(plan), Some(class)) = (self.plan.get_mut(), self.classes.get(label)) {
+            if plan.refresh_class(label, class) {
                 return;
             }
         }
-        self.cache = OnceLock::new();
-    }
-
-    /// The contiguous scoring snapshot (rows, packed signs, norms) the
-    /// predict kernels run against, building it if necessary.
-    pub fn class_matrix(&self) -> &ClassMatrix {
-        self.matrix()
-    }
-
-    /// The packed-native scoring snapshot [`HdModel::predict_packed`]
-    /// uses when the class rows factor exactly into `sign × scale` word
-    /// blocks; `None` (cached) when they do not. Serving layers call
-    /// this once at publish time so the probe/build never runs on the
-    /// request path, and scrape its
-    /// [`memory_bytes`](PackedClassMatrix::memory_bytes) next to the
-    /// dense snapshot's.
-    pub fn packed_class_matrix(&self) -> Option<&PackedClassMatrix> {
-        self.packed_matrix().map(Arc::as_ref)
-    }
-
-    /// Rebuilds the scoring snapshots (norms included) eagerly. Call
-    /// after a batch of mutations when many predictions follow;
-    /// [`HdModel::predict`] works correctly either way.
-    pub fn refresh_norms(&mut self) {
         self.invalidate();
-        let _ = self.matrix();
-        let _ = self.packed_matrix();
     }
-
-    /// Shared-ownership handle to the dense scoring snapshot, for the
-    /// plan compiler: the [`crate::plan::ModelPlan`] pins the snapshot
-    /// it was compiled against so a later model mutation can never
-    /// desynchronize a published plan from its matrices.
-    pub(crate) fn matrix_arc(&self) -> Arc<ClassMatrix> {
-        Arc::clone(self.matrix())
-    }
-
-    /// Shared-ownership handle to the packed scoring snapshot (`None`
-    /// cached when the rows do not factor); plan-compiler counterpart of
-    /// [`HdModel::matrix_arc`].
-    pub(crate) fn packed_matrix_arc(&self) -> Option<Arc<PackedClassMatrix>> {
-        self.packed_cache
-            .get_or_init(|| PackedClassMatrix::try_from_classes(&self.classes).map(Arc::new))
-            .clone()
-    }
-}
-
-/// Shared argmax: winner = the last maximal score, matching the
-/// pre-kernel `Iterator::max_by` behavior on ties. `pub(crate)` so the
-/// compiled-plan predict paths resolve ties identically.
-pub(crate) fn prediction_from_scores(scores: Vec<f64>) -> Prediction {
-    let (class, &score) = scores
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN scores"))
-        .expect("at least one class");
-    Prediction {
-        class,
-        score,
-        scores,
-    }
-}
-
-/// Scores a slice of (pre-validated) queries tile by tile against the
-/// matrix snapshot.
-fn predict_blocks(matrix: &ClassMatrix, queries: &[Hypervector]) -> Vec<Prediction> {
-    let mut out = Vec::with_capacity(queries.len());
-    let mut refs: Vec<&[f64]> = Vec::with_capacity(PREDICT_BLOCK);
-    for block in queries.chunks(PREDICT_BLOCK) {
-        refs.clear();
-        refs.extend(block.iter().map(Hypervector::as_slice));
-        // The score rows are moved into the returned `Prediction`s, so
-        // they are the one allocation per query that must happen anyway.
-        let mut scores: Vec<Vec<f64>> = vec![Vec::new(); block.len()];
-        matrix.scores_block_into(&refs, &mut scores);
-        out.extend(scores.into_iter().map(prediction_from_scores));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -887,22 +692,62 @@ mod tests {
         assert_eq!(a.predict(q).unwrap(), b.predict(q).unwrap());
     }
 
+    /// Compiles `model`'s plan, bundles `update` into class `label`
+    /// (refreshing the hot, unshared plan in place), and checks the
+    /// plan against a cold compile of the same classes: same kernel,
+    /// bit-identical dense and packed-query predictions.
+    fn assert_refresh_matches_rebuild(mut model: HdModel, label: usize, update: &Hypervector) {
+        let dim = model.dim();
+        let dense_q = Hypervector::from_vec((0..dim).map(|j| (j as f64 * 0.37).sin()).collect());
+        let packed_q = BipolarHv::random(dim, 5);
+        model.predict(&dense_q).unwrap(); // compile the plan
+        model.bundle(label, update).unwrap();
+        let cold = HdModel::from_classes(model.classes().cloned().collect()).unwrap();
+        assert_eq!(model.plan().kernel(), cold.plan().kernel());
+        assert_eq!(
+            model.predict(&dense_q).unwrap(),
+            cold.predict(&dense_q).unwrap()
+        );
+        assert_eq!(
+            model.predict_packed(&packed_q).unwrap(),
+            cold.predict_packed(&packed_q).unwrap()
+        );
+    }
+
     #[test]
     fn in_place_cache_refresh_matches_full_rebuild() {
-        // bundle/retrain refresh one matrix row in place when the cache
-        // is hot and unshared; the result must equal a cold rebuild.
+        use crate::plan::PlanKernel;
         let enc = ScalarEncoder::new(EncoderConfig::new(6, 256).with_seed(12)).unwrap();
         let train = two_cluster_data(&enc, 4);
-        let mut model = HdModel::train(2, 256, &train).unwrap();
-        let q = &train[0].0;
-        let _ = model.predict(q).unwrap(); // build the cache
-        model.bundle(1, &train[1].0).unwrap(); // in-place row refresh
-        let warm = model.predict(q).unwrap();
-        let cold = HdModel::from_classes(model.classes().cloned().collect::<Vec<_>>())
-            .unwrap()
-            .predict(q)
-            .unwrap();
-        assert_eq!(warm, cold);
+        // Float rows stay float.
+        let model = HdModel::train(2, 256, &train).unwrap();
+        assert_refresh_matches_rebuild(model.clone(), 1, &train[1].0);
+        // A float bundle makes a sign-only model unpackable.
+        let mut signs = model;
+        signs.quantize_classes(QuantScheme::Bipolar);
+        assert!(matches!(
+            signs.plan().kernel(),
+            PlanKernel::PackedPopcount { .. }
+        ));
+        assert_refresh_matches_rebuild(signs, 0, &train[1].0);
+
+        let dim = 200;
+        let alternating = |a: f64, b: f64| {
+            Hypervector::from_vec((0..dim).map(|j| if j % 2 == 0 { a } else { b }).collect())
+        };
+        // [1, 2, 1, 2, …] + [0, −1, 0, −1, …] makes a float model packable.
+        let float =
+            HdModel::from_classes(vec![alternating(1.0, 2.0), alternating(-1.0, -1.0)]).unwrap();
+        assert!(matches!(
+            float.plan().kernel(),
+            PlanKernel::DenseTiled { .. }
+        ));
+        assert_refresh_matches_rebuild(float, 0, &alternating(0.0, -1.0));
+        // ±1 → ±2 keeps a sign-only model packable (packed row refreshed
+        // in place).
+        let sign =
+            HdModel::from_classes(vec![alternating(1.0, -1.0), alternating(-1.0, 1.0)]).unwrap();
+        assert_refresh_matches_rebuild(sign, 0, &alternating(1.0, -1.0));
     }
 
     #[test]
@@ -933,7 +778,6 @@ mod tests {
 
     #[test]
     fn predict_packed_matches_dense_on_bipolar_queries() {
-        use crate::hypervector::BipolarHv;
         let enc = ScalarEncoder::new(EncoderConfig::new(6, 512).with_seed(33)).unwrap();
         let train = two_cluster_data(&enc, 6);
         let model = HdModel::train(2, 512, &train).unwrap();
@@ -950,27 +794,29 @@ mod tests {
 
     #[test]
     fn sign_only_model_routes_through_packed_matrix() {
-        use crate::hypervector::BipolarHv;
+        use crate::kernels::ClassMatrix;
+        use crate::plan::PlanKernel;
         let enc = ScalarEncoder::new(EncoderConfig::new(6, 300).with_seed(41)).unwrap();
         let train = two_cluster_data(&enc, 6);
         let mut model = HdModel::train(2, 300, &train).unwrap();
         // Float accumulator rows do not factor into sign × scale…
-        assert!(model.packed_class_matrix().is_none());
+        assert!(model.plan().packed_memory_bytes().is_none());
         // …but bipolar-quantized rows do (and the mutation must drop the
         // cached "not packable" answer).
         model.quantize_classes(QuantScheme::Bipolar);
-        let packed = model.packed_class_matrix().expect("±1 rows pack exactly");
+        let plan = model.plan();
+        assert!(matches!(plan.kernel(), PlanKernel::PackedPopcount { .. }));
+        let packed = plan.packed_memory_bytes().expect("±1 rows pack exactly");
         assert!(
-            packed.memory_bytes() * 8 < model.class_matrix().memory_bytes(),
+            packed * 8 < plan.dense_memory_bytes(),
             "packed snapshot must be far smaller than dense"
         );
+        let dense = ClassMatrix::from_classes(&model.classes().cloned().collect::<Vec<_>>());
         for seed in 0..8 {
             let q = BipolarHv::random(300, seed);
             let fast = model.predict_packed(&q).unwrap();
             let mut dense_scores = Vec::new();
-            model
-                .class_matrix()
-                .scores_packed_into(q.words(), &mut dense_scores);
+            dense.scores_packed_into(q.words(), &mut dense_scores);
             assert_eq!(
                 fast.scores, dense_scores,
                 "seed {seed}: popcount path must bit-match"
@@ -980,7 +826,6 @@ mod tests {
 
     #[test]
     fn predict_packed_validates_dim_and_norms() {
-        use crate::hypervector::BipolarHv;
         let m = HdModel::new(2, 64).unwrap();
         assert_eq!(
             m.predict_packed(&BipolarHv::random(32, 0)),

@@ -1,11 +1,7 @@
-//! Publish-time compilation of the encode∘obfuscate∘predict pipeline.
+//! Compilation of the encode∘obfuscate∘predict pipeline.
 //!
-//! Every serving request used to walk generic, config-driven code: the
-//! edge re-derived the obfuscation permutation per call and the engine
-//! re-decided kernel dispatch (dense vs packed snapshot, AVX2 vs
-//! scalar, block sizes) per batch — even though all of it is fully
-//! determined the moment a model is published. This module compiles
-//! those decisions **once**:
+//! Every decision that is fully determined once a model or an edge
+//! exists is made **once**, here, instead of per request:
 //!
 //! * [`EncodePlan`] — the client-side encode∘obfuscate transform as one
 //!   precomputed keep-mask table. Under [`QuantScheme::Bipolar`] (the
@@ -15,62 +11,40 @@
 //!   quantize+mask output pass over the encode kernel's accumulator.
 //!   Either way the permutation is materialized exactly once, at
 //!   compile time (pinned by [`crate::obfuscate::permutation_build_count`]).
-//! * [`ModelPlan`] — the server-side scoring pipeline: shared-ownership
-//!   pins of the dense/packed class snapshots plus a one-time kernel
-//!   selection ([`PlanKernel`], including the AVX2-vs-scalar
-//!   [`SimdPath`] probe) that engine workers dispatch through instead
-//!   of re-probing per batch (pinned by [`kernel_probe_count`]).
-//! * [`PlanTarget`] — the compiler-backend abstraction: a plan can be
-//!   *rendered* for different execution substrates. [`SoftwareTarget`]
-//!   (this crate) describes the kernel tables above; `privehd-hw`
-//!   provides an FPGA target that renders the same plan as Verilog plus
-//!   an analytic resource/throughput model, turning the dormant
-//!   hardware pipeline into a second backend of the same compiler.
+//! * [`ModelPlan`] — the only scorer of Eq. (4). Every [`HdModel`]
+//!   caches one plan, compiled lazily after each mutation: the dense
+//!   [`ClassMatrix`], the [`PackedClassMatrix`] when the rows factor
+//!   into `sign × scale`, and the host's [`SimdPath`]. The query
+//!   dimension check, the [`HdError::ZeroNorm`] check, the packed/dense
+//!   dispatch, the blocked batch path and the argmax exist once, in
+//!   this file; `HdModel::predict*` delegate here, and the serving
+//!   registry forces the plan at publish so no request compiles one.
 //!
-//! Every compiled path is bit-identical to the generic composition it
-//! replaces; `tests/properties.rs` holds plans to the generic paths
+//! The compiled encode path is bit-identical to the generic composition
+//! it replaces, and the plan's scores match
+//! [`HdModel::predict_reference`]; `tests/properties.rs` holds both
 //! across schemes, masks and word-boundary dimensions.
 
 // The compiled plan dispatch runs on the serve request path; this file
 // is listed in the analyzer's PANIC_PATH_SCOPE, so keep it free of
 // panic-capable constructs outside tests.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::encoder::{Encoder, ScalarEncoder};
 use crate::error::HdError;
 use crate::hypervector::{BipolarHv, Hypervector};
 use crate::kernels::{self, ClassMatrix, PackedClassMatrix};
-use crate::model::{prediction_from_scores, HdModel, Prediction, PREDICT_BLOCK};
+use crate::model::{HdModel, Prediction};
 use crate::obfuscate::{ObfuscateConfig, Obfuscator};
+use crate::pool;
 use crate::quantize::QuantScheme;
 
-/// Process-wide count of kernel-selection probes: one per *generic*
-/// predict entry ([`HdModel::predict`] and friends re-decide dense vs
-/// packed and the dispatch path on every call) and one per
-/// [`ModelPlan::compile`]. Serving audits read it through
-/// [`kernel_probe_count`] to pin that requests served through a
-/// compiled plan never re-probe.
-static KERNEL_PROBES: AtomicU64 = AtomicU64::new(0);
-
-/// Number of kernel-selection probes since process start. Monotonic;
-/// read by conversion-counting tests, not for synchronization.
-pub fn kernel_probe_count() -> u64 {
-    // Relaxed: a monotonic event counter sampled by audit tests; no
-    // other memory is published through it.
-    KERNEL_PROBES.load(Ordering::Relaxed)
-}
-
-/// Records one kernel-selection probe (generic predict entry or plan
-/// compile).
-pub(crate) fn note_kernel_probe() {
-    // Relaxed: monotonic audit counter (see KERNEL_PROBES); no ordering
-    // with other memory is required.
-    KERNEL_PROBES.fetch_add(1, Ordering::Relaxed);
-}
-
 const WORD_BITS: usize = 64;
+
+/// Queries scored together per cache tile of the batched predict path:
+/// one class row is streamed against this many queries while hot.
+const PREDICT_BLOCK: usize = 8;
 
 /// Which arm the runtime-dispatched dot/popcount kernels take on this
 /// host — probed once at plan-compile time.
@@ -92,7 +66,7 @@ impl SimdPath {
         }
     }
 
-    /// Short label for reports and rendered plans.
+    /// Short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
             SimdPath::Avx2 => "avx2",
@@ -102,7 +76,7 @@ impl SimdPath {
 }
 
 /// The scoring kernel a compiled [`ModelPlan`] dispatches through —
-/// selected once per publish instead of re-decided per batch.
+/// selected once per compile instead of re-decided per call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKernel {
     /// The class rows factor into `sign × scale` word blocks: score
@@ -126,7 +100,7 @@ pub enum PlanKernel {
 }
 
 impl PlanKernel {
-    /// Short label for reports and rendered plans.
+    /// Short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
             PlanKernel::PackedPopcount { .. } => "packed-popcount",
@@ -284,53 +258,68 @@ impl EncodePlan {
     }
 }
 
-/// The server-side scoring pipeline compiled once per published model:
-/// shared-ownership pins of the scoring snapshots plus the one-time
-/// [`PlanKernel`] selection request workers dispatch through.
+/// The compiled scorer of Eq. (4): the class snapshots plus the
+/// one-time [`PlanKernel`] selection every predict path dispatches
+/// through.
 ///
-/// Every predict method is bit-identical (scores, tie-breaking, error
-/// contract) to the corresponding generic [`HdModel`] entry point — but
-/// performs no per-call cache probing, no packability re-decision and
-/// no SIMD re-detection.
+/// Each [`HdModel`] caches one plan ([`HdModel::plan`]) and its
+/// `predict*` methods delegate here; clones share the snapshot `Arc`s.
+/// Zero-norm (never-trained) classes score [`f64::NEG_INFINITY`] (see
+/// [`Prediction::scores`]).
 #[derive(Debug, Clone)]
 pub struct ModelPlan {
-    dim: usize,
     dense: Arc<ClassMatrix>,
+    /// Present exactly when every class row factors into `sign ×
+    /// scale` word blocks; selects [`PlanKernel::PackedPopcount`].
     packed: Option<Arc<PackedClassMatrix>>,
-    kernel: PlanKernel,
+    simd: SimdPath,
 }
 
 impl ModelPlan {
-    /// Compiles the plan: builds/pins both scoring snapshots and
-    /// selects the kernel. Counts as exactly one kernel-selection probe
-    /// (see [`kernel_probe_count`]).
+    /// The model's cached plan (compiled first if needed). The returned
+    /// clone shares the plan's `Arc` snapshots, so it costs two
+    /// reference-count bumps.
     pub fn compile(model: &HdModel) -> Self {
-        note_kernel_probe();
-        let dim = model.dim();
-        let dense = model.matrix_arc();
-        let packed = model.packed_matrix_arc();
-        let simd = SimdPath::probe();
-        let kernel = match &packed {
-            Some(p) => PlanKernel::PackedPopcount {
-                hv_words: p.dim().div_ceil(WORD_BITS),
-                simd,
-            },
-            None => PlanKernel::DenseTiled {
-                block: PREDICT_BLOCK,
-                simd,
-            },
-        };
+        model.plan().clone()
+    }
+
+    /// Compiles a plan for `classes` (all of one dimensionality): builds
+    /// both snapshots, probes packability and the host SIMD arm.
+    pub(crate) fn build(classes: &[Hypervector]) -> Self {
         Self {
-            dim,
-            dense,
-            packed,
-            kernel,
+            dense: Arc::new(ClassMatrix::from_classes(classes)),
+            packed: PackedClassMatrix::try_from_classes(classes).map(Arc::new),
+            simd: SimdPath::probe(),
         }
+    }
+
+    /// Refreshes class row `l` in place after a targeted mutation (an
+    /// Eq. 3 bundle or an Eq. 5 update) in O(dim). Returns `false`,
+    /// leaving the plan untouched, when the caller must recompile
+    /// instead: the snapshots are shared with a clone of this plan, or
+    /// the row now packs on a plan without a packed snapshot, which
+    /// only a probe of every other row can settle.
+    pub(crate) fn refresh_class(&mut self, l: usize, class: &Hypervector) -> bool {
+        let Some(dense) = Arc::get_mut(&mut self.dense) else {
+            return false;
+        };
+        let packs = match self.packed.as_mut().map(Arc::get_mut) {
+            Some(Some(packed)) => packed.update_class(l, class),
+            Some(None) => return false,
+            None if PackedClassMatrix::row_packs(class) => return false,
+            None => false,
+        };
+        if !packs {
+            // This row does not pack, so neither does the model.
+            self.packed = None;
+        }
+        dense.update_class(l, class);
+        true
     }
 
     /// Hypervector dimensionality the plan scores at.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.dense.dim()
     }
 
     /// Number of classes.
@@ -338,62 +327,95 @@ impl ModelPlan {
         self.dense.num_classes()
     }
 
+    /// Cached ℓ2 class norms, index = class label.
+    pub fn norms(&self) -> &[f64] {
+        self.dense.norms()
+    }
+
     /// The kernel selected at compile time.
     pub fn kernel(&self) -> PlanKernel {
-        self.kernel
-    }
-
-    /// Scores a bit-packed bipolar query through the compiled kernel —
-    /// bit-identical to [`HdModel::predict_packed`], with zero per-call
-    /// dispatch decisions.
-    ///
-    /// # Errors
-    ///
-    /// [`HdError::DimensionMismatch`] for a wrong query dimension and
-    /// [`HdError::ZeroNorm`] if every class hypervector is zero.
-    pub fn predict_packed(&self, query: &BipolarHv) -> Result<Prediction, HdError> {
-        if query.dim() != self.dim {
-            return Err(HdError::DimensionMismatch {
-                expected: self.dim,
-                actual: query.dim(),
-            });
-        }
-        let mut scores = Vec::new();
         match &self.packed {
-            Some(packed) if !packed.all_zero() => {
-                packed.scores_packed_into(query.words(), &mut scores);
-            }
-            Some(_) => return Err(HdError::ZeroNorm),
-            None => {
-                if self.dense.all_zero() {
-                    return Err(HdError::ZeroNorm);
-                }
-                self.dense.scores_packed_into(query.words(), &mut scores);
-            }
+            Some(packed) => PlanKernel::PackedPopcount {
+                hv_words: packed.dim().div_ceil(WORD_BITS),
+                simd: self.simd,
+            },
+            None => PlanKernel::DenseTiled {
+                block: PREDICT_BLOCK,
+                simd: self.simd,
+            },
         }
-        Ok(prediction_from_scores(scores))
     }
 
-    /// Scores a dense query through the compiled kernel — bit-identical
-    /// to [`HdModel::predict`].
-    ///
-    /// # Errors
-    ///
-    /// [`HdError::DimensionMismatch`] for a wrong query dimension and
-    /// [`HdError::ZeroNorm`] if every class hypervector is zero.
-    pub fn predict_dense(&self, query: &Hypervector) -> Result<Prediction, HdError> {
-        if query.dim() != self.dim {
+    /// Bytes held by the dense [`ClassMatrix`] snapshot.
+    pub fn dense_memory_bytes(&self) -> usize {
+        self.dense.memory_bytes()
+    }
+
+    /// Bytes held by the [`PackedClassMatrix`] snapshot, or `None` when
+    /// the class rows do not pack. For sign-only (bipolar quantized)
+    /// models it runs ~64× smaller than
+    /// [`ModelPlan::dense_memory_bytes`].
+    pub fn packed_memory_bytes(&self) -> Option<usize> {
+        self.packed.as_ref().map(|p| p.memory_bytes())
+    }
+
+    /// The entry check of every predict path: the query dimension, then
+    /// at least one trained class.
+    pub(crate) fn check_query(&self, dim: usize) -> Result<(), HdError> {
+        if dim != self.dim() {
             return Err(HdError::DimensionMismatch {
-                expected: self.dim,
-                actual: query.dim(),
+                expected: self.dim(),
+                actual: dim,
             });
         }
         if self.dense.all_zero() {
             return Err(HdError::ZeroNorm);
         }
+        Ok(())
+    }
+
+    /// Scores a bit-packed bipolar query — the fast path for obfuscated
+    /// queries, whose components are all `±1` after the
+    /// [`Obfuscator`] quantization step.
+    ///
+    /// Under [`PlanKernel::PackedPopcount`] scoring is pure `XOR` +
+    /// `POPCNT` word arithmetic, bit-exact against the dense scores for
+    /// ±1 rows. Otherwise the per-class dot selects signs branchlessly
+    /// from the packed words ([`kernels::dot_sign_dense`]) against the
+    /// dense rows: mathematically the score of
+    /// [`ModelPlan::predict_dense`] on [`BipolarHv::to_dense`], though
+    /// the summation order differs for non-±1 rows.
+    ///
+    /// # Errors
+    ///
+    /// [`HdError::DimensionMismatch`] for a wrong query dimension,
+    /// [`HdError::ZeroNorm`] if every class hypervector is zero, and
+    /// [`HdError::NonFinite`] on a NaN score.
+    pub fn predict_packed(&self, query: &BipolarHv) -> Result<Prediction, HdError> {
+        self.check_query(query.dim())?;
+        let mut scores = Vec::new();
+        match &self.packed {
+            Some(packed) => packed.scores_packed_into(query.words(), &mut scores),
+            None => self.dense.scores_packed_into(query.words(), &mut scores),
+        }
+        prediction_from_scores(scores)
+    }
+
+    /// Scores a dense query with the normalized dot product of Eq. (4):
+    /// only the class norms enter the normalization, since the query
+    /// norm is a constant factor across classes.
+    ///
+    /// # Errors
+    ///
+    /// [`HdError::DimensionMismatch`] for a wrong query dimension,
+    /// [`HdError::ZeroNorm`] if every class hypervector is zero, and
+    /// [`HdError::NonFinite`] when a NaN query component poisons the
+    /// scores.
+    pub fn predict_dense(&self, query: &Hypervector) -> Result<Prediction, HdError> {
+        self.check_query(query.dim())?;
         let mut scores = Vec::new();
         self.dense.scores_into(query.as_slice(), &mut scores);
-        Ok(prediction_from_scores(scores))
+        prediction_from_scores(scores)
     }
 
     /// [`ModelPlan::predict_dense`] with the strictly-bipolar bridge:
@@ -412,24 +434,107 @@ impl ModelPlan {
         self.predict_dense(query)
     }
 
+    /// Scores a batch of dense queries with the blocked kernel: one
+    /// class row is streamed against a tile of queries while
+    /// cache-hot, with tiles fanned out over at most `threads` lanes of
+    /// the persistent [`crate::pool`]. Tile boundaries depend on the
+    /// dimension alone, so every result is bit-identical to
+    /// [`ModelPlan::predict_dense`] on the same query.
+    ///
+    /// # Errors
+    ///
+    /// Every query is validated before any is scored; the first
+    /// failing one's error is returned.
+    pub fn predict_batch_with(
+        &self,
+        queries: &[Hypervector],
+        threads: usize,
+    ) -> Result<Vec<Prediction>, HdError> {
+        for query in queries {
+            self.check_query(query.dim())?;
+        }
+        let threads = threads.clamp(1, queries.len().max(1));
+        if threads == 1 || queries.len() < 2 * PREDICT_BLOCK {
+            return predict_blocks(&self.dense, queries);
+        }
+        let chunks: Vec<&[Hypervector]> = queries.chunks(queries.len().div_ceil(threads)).collect();
+        let results = pool::global().map(chunks.len(), |t| {
+            chunks.get(t).map_or_else(
+                || Ok(Vec::new()),
+                |chunk| predict_blocks(&self.dense, chunk),
+            )
+        });
+        let mut out = Vec::with_capacity(queries.len());
+        for predictions in results {
+            out.extend(predictions?);
+        }
+        Ok(out)
+    }
+
     /// One-line human-readable description of the compiled kernel, used
-    /// by rendered plans and reports.
+    /// by reports.
     pub fn describe(&self) -> String {
-        match self.kernel {
+        match self.kernel() {
             PlanKernel::PackedPopcount { hv_words, simd } => format!(
                 "packed-popcount: {} classes × {hv_words} words (dim {}), xor+popcnt, {} arms",
                 self.num_classes(),
-                self.dim,
+                self.dim(),
                 simd.label()
             ),
             PlanKernel::DenseTiled { block, simd } => format!(
                 "dense-tiled: {} classes × {} dims, f64 dot, block {block}, {} arms",
                 self.num_classes(),
-                self.dim,
+                self.dim(),
                 simd.label()
             ),
         }
     }
+}
+
+/// Scores (pre-validated) queries tile by tile against `dense`.
+fn predict_blocks(
+    dense: &ClassMatrix,
+    queries: &[Hypervector],
+) -> Result<Vec<Prediction>, HdError> {
+    let mut out = Vec::with_capacity(queries.len());
+    let mut refs: Vec<&[f64]> = Vec::with_capacity(PREDICT_BLOCK);
+    for block in queries.chunks(PREDICT_BLOCK) {
+        refs.clear();
+        refs.extend(block.iter().map(Hypervector::as_slice));
+        // The score rows are moved into the returned `Prediction`s, so
+        // they are the one allocation per query that must happen anyway.
+        let mut scores: Vec<Vec<f64>> = vec![Vec::new(); block.len()];
+        dense.scores_block_into(&refs, &mut scores);
+        for row in scores {
+            out.push(prediction_from_scores(row)?);
+        }
+    }
+    Ok(out)
+}
+
+/// The argmax of every predict path: the last maximal score wins (the
+/// tie order of `Iterator::max_by`). Checks the O(classes) scores, not
+/// the O(dim) query: a NaN query component makes every score NaN.
+///
+/// # Errors
+///
+/// [`HdError::NonFinite`] on a NaN score.
+pub(crate) fn prediction_from_scores(scores: Vec<f64>) -> Result<Prediction, HdError> {
+    let mut best: Option<(usize, f64)> = None;
+    for (class, &score) in scores.iter().enumerate() {
+        if score.is_nan() {
+            return Err(HdError::NonFinite("similarity scores"));
+        }
+        if best.is_none_or(|(_, top)| score >= top) {
+            best = Some((class, score));
+        }
+    }
+    let (class, score) = best.ok_or(HdError::EmptyInput("class scores"))?;
+    Ok(Prediction {
+        class,
+        score,
+        scores,
+    })
 }
 
 /// True when every component is exactly `+1.0` or `-1.0` — the
@@ -437,67 +542,6 @@ impl ModelPlan {
 /// without changing its scores.
 pub fn is_strictly_bipolar(values: &[f64]) -> bool {
     values.iter().all(|&v| v == 1.0 || v == -1.0)
-}
-
-/// A rendering of a compiled plan for one execution substrate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanArtifact {
-    /// The target that rendered it (see [`PlanTarget::name`]).
-    pub target: &'static str,
-    /// One-paragraph human-readable summary.
-    pub summary: String,
-    /// The rendered payload — a kernel table description for the
-    /// software target, synthesizable RTL for the hardware target.
-    pub payload: String,
-}
-
-/// A compiler backend: renders a compiled [`ModelPlan`] for one
-/// execution substrate.
-///
-/// [`SoftwareTarget`] (this crate) renders the kernel-table form the
-/// serving engine executes; `privehd-hw` renders the same plan as
-/// synthesizable Verilog plus an analytic FPGA resource/throughput
-/// model.
-pub trait PlanTarget {
-    /// Stable target name (`"software"`, `"fpga"`, …).
-    fn name(&self) -> &'static str;
-
-    /// Renders the plan for this substrate.
-    fn render(&self, plan: &ModelPlan) -> PlanArtifact;
-}
-
-impl std::fmt::Debug for dyn PlanTarget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlanTarget")
-            .field("name", &self.name())
-            .finish()
-    }
-}
-
-/// The in-process software backend: renders the kernel tables the
-/// serving engine dispatches through.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SoftwareTarget;
-
-impl PlanTarget for SoftwareTarget {
-    fn name(&self) -> &'static str {
-        "software"
-    }
-
-    fn render(&self, plan: &ModelPlan) -> PlanArtifact {
-        let payload = format!(
-            "kernel = {}\nsimd = {}\nclasses = {}\ndim = {}\n",
-            plan.kernel().label(),
-            plan.kernel().simd().label(),
-            plan.num_classes(),
-            plan.dim(),
-        );
-        PlanArtifact {
-            target: self.name(),
-            summary: plan.describe(),
-            payload,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -537,24 +581,23 @@ mod tests {
     fn plan_predicts_bit_identically_to_the_model() {
         let (enc, model) = trained_model(300, 5);
         let plan = ModelPlan::compile(&model);
+        // `compile` hands out the model's cached plan, snapshots shared.
+        assert!(Arc::ptr_eq(&plan.dense, &model.plan().dense));
         let q = enc.encode(&[0.2, 0.3, 0.1, 0.8, 0.7, 0.9]).unwrap();
-        assert_eq!(plan.predict_dense(&q).unwrap(), model.predict(&q).unwrap());
+        let dense = plan.predict_dense(&q).unwrap();
+        assert_eq!(dense, model.predict(&q).unwrap());
+        let reference = model.predict_reference(&q).unwrap();
+        assert_eq!(dense.class, reference.class);
+        for (a, b) in dense.scores.iter().zip(&reference.scores) {
+            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
         let packed = BipolarHv::random(300, 9);
-        assert_eq!(
-            plan.predict_packed(&packed).unwrap(),
-            model.predict_packed(&packed).unwrap()
-        );
-        // The auto bridge repacks strictly-bipolar dense queries.
-        let dense_bipolar = packed.to_dense();
-        assert_eq!(
-            plan.predict_dense_auto(&dense_bipolar).unwrap(),
-            model.predict_packed(&packed).unwrap()
-        );
+        let fast = plan.predict_packed(&packed).unwrap();
+        assert_eq!(fast, model.predict_packed(&packed).unwrap());
+        // The auto bridge repacks strictly-bipolar dense queries…
+        assert_eq!(plan.predict_dense_auto(&packed.to_dense()).unwrap(), fast);
         // …and leaves general dense queries on the dense kernel.
-        assert_eq!(
-            plan.predict_dense_auto(&q).unwrap(),
-            model.predict(&q).unwrap()
-        );
+        assert_eq!(plan.predict_dense_auto(&q).unwrap(), dense);
     }
 
     #[test]
@@ -637,29 +680,39 @@ mod tests {
         ));
     }
 
-    // NOTE: the counter is process-global and other unit tests exercise
-    // the (probe-counted) generic predict paths concurrently, so this
-    // only asserts the lower bound here; the exact "zero probes per
-    // served request" audit lives in `privehd-serve/tests/plan_probes.rs`
-    // where it owns its test binary.
     #[test]
-    fn compile_notes_a_kernel_probe() {
-        let (_, model) = trained_model(128, 19);
-        let before = kernel_probe_count();
-        let _plan = ModelPlan::compile(&model);
-        assert!(kernel_probe_count() > before, "compile must probe");
+    fn nan_query_is_a_typed_error_not_a_panic() {
+        let (_, model) = trained_model(64, 19);
+        let mut values = vec![0.5; 64];
+        values[7] = f64::NAN;
+        let poisoned = Hypervector::from_vec(values);
+        let nan = Err(HdError::NonFinite("similarity scores"));
+        assert_eq!(model.predict(&poisoned), nan);
+        assert_eq!(ModelPlan::compile(&model).predict_dense(&poisoned), nan);
+        assert_eq!(model.predict_reference(&poisoned), nan);
+        let healthy = Hypervector::from_vec(vec![0.5; 64]);
+        let batch = vec![healthy.clone(); 2 * PREDICT_BLOCK];
+        assert!(model.predict_batch_with(&batch, 2).is_ok());
+        let mut batch = batch;
+        batch.push(poisoned);
+        assert_eq!(
+            model.predict_batch_with(&batch, 2).unwrap_err(),
+            HdError::NonFinite("similarity scores")
+        );
+        // The model keeps serving healthy queries.
+        assert!(model.predict(&healthy).is_ok());
     }
 
     #[test]
-    fn software_target_renders_the_kernel_table() {
-        let (_, mut model) = trained_model(256, 23);
-        model.quantize_classes(QuantScheme::Bipolar);
-        let plan = ModelPlan::compile(&model);
-        let artifact = SoftwareTarget.render(&plan);
-        assert_eq!(artifact.target, "software");
-        assert!(artifact.summary.contains("packed-popcount"));
-        assert!(artifact.payload.contains("kernel = packed-popcount"));
-        assert!(artifact.payload.contains("classes = 2"));
+    fn argmax_keeps_the_last_maximal_score() {
+        let p = prediction_from_scores(vec![0.5, f64::NEG_INFINITY, 0.5, 0.25]).unwrap();
+        assert_eq!((p.class, p.score), (2, 0.5));
+        let p = prediction_from_scores(vec![f64::NEG_INFINITY, f64::NEG_INFINITY]).unwrap();
+        assert_eq!(p.class, 1);
+        assert_eq!(
+            prediction_from_scores(vec![0.5, f64::NAN]),
+            Err(HdError::NonFinite("similarity scores"))
+        );
     }
 
     #[test]

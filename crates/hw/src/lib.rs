@@ -20,11 +20,8 @@
 //!   (−33.3%).
 //!
 //! [`design`] sizes the pipelined architecture on a concrete device,
-//! and [`verilog`] emits the synthesizable RTL the paper hand-crafted.
-//! [`plan_target`] plugs both into the plan compiler of
-//! `privehd_core::plan`: [`HwPlanTarget`] renders a compiled
-//! `ModelPlan` as an encoder array sized for the plan, making the
-//! hardware pipeline a second backend of the same compiler.
+//! and [`verilog`] emits the synthesizable RTL the paper hand-crafted;
+//! both depend only on the dimensionality, not on a trained model.
 //! Since no FPGA is attached to this environment, [`pipeline`] validates
 //! the circuits *functionally* (bit-exact against the software encoder)
 //! and [`perf`] models throughput/energy of the paper's three platforms
@@ -42,7 +39,6 @@ pub mod lut;
 pub mod majority;
 pub mod perf;
 pub mod pipeline;
-pub mod plan_target;
 pub mod resources;
 pub mod ternary;
 pub mod verilog;
@@ -52,6 +48,5 @@ pub use lut::Lut6;
 pub use majority::{approx_sign, exact_sign, MajorityCircuit};
 pub use perf::{Platform, PlatformKind, Workload};
 pub use pipeline::HardwareEncoder;
-pub use plan_target::HwPlanTarget;
 pub use resources::ResourceModel;
 pub use ternary::SaturatedAdderTree;

@@ -1048,13 +1048,13 @@ fn execute_batch(
     let resolve_end = Instant::now();
     let model_counters = metrics.model_counters(&model);
     if let Some(served) = &snapshot {
-        // Snapshot footprint gauges: both matrices were built eagerly
-        // at publish time (`refresh_norms`), so these accessors only
-        // read cached sizes — no work on the serving path.
+        // Snapshot footprint gauges: publish compiled the plan, so these
+        // accessors only read cached sizes — no work on the serving path.
+        let plan = served.plan();
         metrics.set_model_memory(
             &model_counters,
-            served.dense_memory_bytes() as u64,
-            served.packed_memory_bytes().unwrap_or(0) as u64,
+            plan.dense_memory_bytes() as u64,
+            plan.packed_memory_bytes().unwrap_or(0) as u64,
         );
     }
 
@@ -1070,8 +1070,8 @@ fn execute_batch(
             Some(served) => {
                 // Dispatch through the plan compiled at publish time:
                 // kernel selection (packed vs dense snapshot, SIMD arm,
-                // block size) happened exactly once, in
-                // `ModelPlan::compile` — nothing is re-probed here.
+                // block size) happened once, when the plan was built —
+                // nothing is re-probed here.
                 let plan = served.plan();
                 match &request.query {
                     // Packed-native path: the query arrived bit-packed
@@ -1389,6 +1389,26 @@ mod tests {
         // The engine keeps serving afterwards.
         assert_eq!(engine.predict(query(64, 1.0)).unwrap().prediction.class, 0);
         engine.shutdown();
+    }
+
+    #[test]
+    fn nan_query_answers_a_model_error_and_the_worker_survives() {
+        // A NaN score must fail only its own request: with one worker,
+        // a panic would leave every later request unanswered.
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let engine = ServeEngine::start(registry(64), config).unwrap();
+        let mut poisoned = vec![1.0; 64];
+        poisoned[5] = f64::NAN;
+        assert_eq!(
+            engine.predict(Hypervector::from_vec(poisoned)).unwrap_err(),
+            ServeError::Model(privehd_core::HdError::NonFinite("similarity scores"))
+        );
+        assert_eq!(engine.predict(query(64, 1.0)).unwrap().prediction.class, 0);
+        let report = engine.shutdown();
+        assert_eq!((report.completed, report.failed), (1, 1));
     }
 
     #[test]

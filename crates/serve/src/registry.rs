@@ -19,20 +19,23 @@
 //! historical single-slot `ModelRegistry` facade served its one
 //! deprecation release and is gone.
 //!
-//! Publishing is also where the pipeline gets *compiled*: each slot
-//! caches a [`ModelPlan`] next to the dense/packed snapshots, so kernel
-//! selection (packed popcount vs tiled dense, AVX2 vs scalar, block
-//! size) happens exactly once per publish and request workers dispatch
-//! through the precompiled plan instead of re-probing per batch.
+//! Publishing is also where the pipeline gets *compiled*: `publish`
+//! forces the model's cached [`ModelPlan`], so kernel selection (packed
+//! popcount vs tiled dense, AVX2 vs scalar, block size) happens at most
+//! once per publish and request workers dispatch through the
+//! precompiled plan instead of re-probing per batch.
 //!
 //! ## Publish validation policy
 //!
-//! Since the kernel layer (PR 2), a zero-norm (never-trained) class
-//! scores [`f64::NEG_INFINITY`] instead of failing the whole
-//! prediction, which means a *partially* trained model serves quietly —
-//! its untrained classes simply can never win. Publishing validates the
-//! cached class norms directly (no probe prediction):
+//! A zero-norm (never-trained) class scores [`f64::NEG_INFINITY`]
+//! instead of failing the whole prediction, which means a *partially*
+//! trained model serves quietly — its untrained classes simply can
+//! never win. Publishing validates the plan's class norms directly (no
+//! probe prediction):
 //!
+//! * a model with a non-finite class norm is always rejected with
+//!   [`HdError::NonFinite`] — training on a NaN feature yields NaN
+//!   class rows, whose scores no query can rank;
 //! * a model whose classes are **all** zero-norm is always rejected
 //!   with [`HdError::ZeroNorm`] — it cannot answer a single query;
 //! * `publish` also rejects a **partially** trained model (some
@@ -131,7 +134,6 @@ pub struct ServedModel {
     /// Human label supplied at publish time (e.g. `"isolet-retrain-3"`).
     pub label: String,
     model: HdModel,
-    plan: ModelPlan,
 }
 
 impl ServedModel {
@@ -140,40 +142,25 @@ impl ServedModel {
         &self.model
     }
 
-    /// The scoring pipeline compiled for this snapshot at publish time.
-    /// Kernel selection happened exactly once, here; request workers
-    /// dispatch through this plan instead of re-probing per batch, and a
-    /// hot-swap republish replaces the plan atomically with the snapshot
-    /// (they live in the same [`Arc`]).
+    /// The model's scoring plan, compiled by the time `publish`
+    /// returns. Request workers dispatch through it instead of
+    /// re-probing per batch, and a hot-swap republish replaces it
+    /// atomically with the snapshot (both live in the same [`Arc`]).
     pub fn plan(&self) -> &ModelPlan {
-        &self.plan
-    }
-
-    /// Bytes held by this snapshot's dense scoring matrix
-    /// ([`privehd_core::ClassMatrix`]). Publishing builds the matrix
-    /// eagerly ([`privehd_core::HdModel::refresh_norms`]), so this only
-    /// reads a cached size.
-    pub fn dense_memory_bytes(&self) -> usize {
-        self.model.class_matrix().memory_bytes()
-    }
-
-    /// Bytes held by this snapshot's bit-packed scoring matrix
-    /// ([`privehd_core::PackedClassMatrix`]), or `None` when the class
-    /// rows do not factor exactly into packed signs × per-word scales.
-    /// Built eagerly at publish time alongside the dense matrix; for
-    /// sign-only (bipolar quantized) models it runs ~64× smaller than
-    /// [`ServedModel::dense_memory_bytes`].
-    pub fn packed_memory_bytes(&self) -> Option<usize> {
-        self.model.packed_class_matrix().map(|p| p.memory_bytes())
+        self.model.plan()
     }
 }
 
-/// Validates `model` for publishing against the cached class norms (no
-/// probe prediction): all-zero models are always rejected; partially
-/// trained models are rejected unless `allow_partial`. Returns the
-/// zero-norm class indices (empty for a fully trained model).
+/// Validates `model` for publishing against its plan's class norms (no
+/// probe prediction): non-finite and all-zero models are always
+/// rejected; partially trained models are rejected unless
+/// `allow_partial`. Returns the zero-norm class indices (empty for a
+/// fully trained model).
 fn validate_norms(model: &HdModel, allow_partial: bool) -> Result<Vec<usize>, ServeError> {
-    let norms = model.class_matrix().norms();
+    let norms = model.plan().norms();
+    if !norms.iter().all(|n| n.is_finite()) {
+        return Err(ServeError::Model(HdError::NonFinite("class norms")));
+    }
     let untrained: Vec<usize> = norms
         .iter()
         .enumerate()
@@ -332,15 +319,13 @@ impl ShardedRegistry {
     fn publish_inner(
         &self,
         id: &ModelId,
-        mut model: HdModel,
+        model: HdModel,
         label: &str,
         allow_partial: bool,
     ) -> Result<(u64, Vec<usize>), ServeError> {
-        model.refresh_norms();
+        // Validation forces the plan outside the shard lock (a no-op when
+        // the model arrives with its plan cached).
         let untrained = validate_norms(&model, allow_partial)?;
-        // Compile outside the shard lock: plan compilation pins both
-        // scoring snapshots and runs the one-time kernel selection.
-        let plan = ModelPlan::compile(&model);
         let mut shard = self.shard(id).write().expect("shard lock poisoned");
         let slot = shard.entry(id.clone()).or_default();
         slot.next_version += 1;
@@ -349,7 +334,6 @@ impl ShardedRegistry {
             version,
             label: label.to_owned(),
             model,
-            plan,
         }));
         Ok((version, untrained))
     }
@@ -464,8 +448,11 @@ mod tests {
         // both snapshots cached, with the packed one far smaller.
         r.publish(&id, trained(512, 1.0), "signed").unwrap();
         let served = r.get(&id).unwrap();
-        let dense = served.dense_memory_bytes();
-        let packed = served.packed_memory_bytes().expect("±1 rows pack exactly");
+        let dense = served.plan().dense_memory_bytes();
+        let packed = served
+            .plan()
+            .packed_memory_bytes()
+            .expect("±1 rows pack exactly");
         assert!(dense > 0 && packed > 0);
         assert!(
             packed * 8 < dense,
@@ -482,7 +469,26 @@ mod tests {
             .bundle(1, &Hypervector::from_vec(row.iter().map(|v| -v).collect()))
             .unwrap();
         r.publish(&id, mixed, "mixed").unwrap();
-        assert!(r.get(&id).unwrap().packed_memory_bytes().is_none());
+        assert!(r.get(&id).unwrap().plan().packed_memory_bytes().is_none());
+    }
+
+    #[test]
+    fn non_finite_class_norms_are_rejected() {
+        // A NaN feature encodes to an all-NaN hypervector whatever the
+        // scheme, so training on one poisons its class row.
+        let r = ShardedRegistry::new();
+        let id = default_id();
+        let mut poisoned = trained(16, 1.0);
+        poisoned
+            .bundle(1, &Hypervector::from_vec(vec![f64::NAN; 16]))
+            .unwrap();
+        for (model, allow_partial) in [(poisoned.clone(), false), (poisoned, true)] {
+            let err = r
+                .publish_inner(&id, model, "nan", allow_partial)
+                .unwrap_err();
+            assert_eq!(err, ServeError::Model(HdError::NonFinite("class norms")));
+        }
+        assert!(r.get(&id).is_none());
     }
 
     #[test]

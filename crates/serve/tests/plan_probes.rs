@@ -1,21 +1,21 @@
 //! The compiled-plan contract, end to end: after a model is published
 //! (and a `ClientEdge` constructed), serving requests performs **zero**
-//! per-call obfuscation-permutation builds and **zero** per-batch
-//! kernel re-probes — every such decision happened once, at compile
-//! time.
+//! per-call obfuscation-permutation builds and **zero** plan compiles —
+//! every such decision happened once, up front.
 //!
-//! The audit reads two process-global counters:
+//! Permutation builds are read from the process-global
 //! `privehd_core::obfuscate::permutation_build_count()` (bumped by every
-//! `Obfuscator::new`) and `privehd_core::plan::kernel_probe_count()`
-//! (bumped by every generic `HdModel` predict entry and every
-//! `ModelPlan::compile`). Cargo runs every `#[test]` in one binary as
+//! `Obfuscator::new`). Cargo runs every `#[test]` in one binary as
 //! threads of one process, so this file holds exactly one test: nothing
-//! else may build obfuscators or run predicts inside the audited window.
+//! else may build obfuscators inside the audited window. Plan compiles
+//! are audited by identity: the served `ModelPlan` must be the same
+//! allocation before and after the requests, and a new one after a
+//! republish.
 
+use std::ptr;
 use std::sync::Arc;
 
 use privehd_core::obfuscate::permutation_build_count;
-use privehd_core::plan::kernel_probe_count;
 use privehd_core::{
     BipolarHv, Encoder, EncoderConfig, HdModel, ObfuscateConfig, Prediction, QuantScheme,
 };
@@ -41,7 +41,7 @@ fn served_requests_build_no_permutations_and_probe_no_kernels() {
     .unwrap();
 
     // Host side: train on the same basis and publish — publish compiles
-    // the ModelPlan (one kernel probe, before the audited window).
+    // the ModelPlan, before the audited window.
     let mut model = HdModel::new(2, DIM).unwrap();
     for i in 0..6 {
         let t = i as f64 / 30.0;
@@ -63,9 +63,8 @@ fn served_requests_build_no_permutations_and_probe_no_kernels() {
     let engine = ServeEngine::start(Arc::clone(&registry), config).unwrap();
     let served_model = registry.get(&ModelId::default()).unwrap();
 
-    // Inputs and their expected predictions, computed through the
-    // generic paths BEFORE the window opens (generic predicts bump the
-    // kernel-probe counter by design — that is what they cost).
+    // Inputs and their expected predictions, computed directly on the
+    // published model BEFORE the window opens.
     let inputs: Vec<Vec<f64>> = (0..QUERIES)
         .map(|i| {
             (0..FEATURES)
@@ -88,7 +87,6 @@ fn served_requests_build_no_permutations_and_probe_no_kernels() {
 
     // ---- audited window opens ----
     let permutations = permutation_build_count();
-    let probes = kernel_probe_count();
 
     for (x, want) in inputs.iter().zip(&expected_dense) {
         // Edge preparation runs the compiled EncodePlan: no permutation
@@ -107,15 +105,15 @@ fn served_requests_build_no_permutations_and_probe_no_kernels() {
         permutations,
         "a served request rebuilt an obfuscation permutation"
     );
-    assert_eq!(
-        kernel_probe_count(),
-        probes,
-        "a served request re-probed kernel selection"
+    let live = registry.get(&ModelId::default()).unwrap();
+    assert!(
+        ptr::eq(live.plan(), served_model.plan()),
+        "a served request recompiled the plan"
     );
     // ---- audited window closes ----
 
-    // A republish recompiles exactly once, and the swapped-in plan
-    // serves probe-free again.
+    // A republish swaps in a new plan (the old snapshot is still held,
+    // so its allocation cannot be reused), and serving keeps it.
     let mut model2 = HdModel::new(2, DIM).unwrap();
     model2
         .bundle(0, &edge.prepare(&inputs[0]).unwrap())
@@ -126,14 +124,23 @@ fn served_requests_build_no_permutations_and_probe_no_kernels() {
     registry
         .publish(&ModelId::default(), model2, "plan-v2")
         .unwrap();
-    assert_eq!(
-        kernel_probe_count(),
-        probes + 1,
-        "republish must compile (probe) exactly once"
+    let swapped = registry.get(&ModelId::default()).unwrap();
+    assert!(
+        !ptr::eq(swapped.plan(), served_model.plan()),
+        "republish must swap in a new plan"
     );
-    let before = kernel_probe_count();
-    engine.predict(edge.prepare(&inputs[2]).unwrap()).unwrap();
-    assert_eq!(kernel_probe_count(), before, "post-swap serving re-probed");
+    let q = edge.prepare(&inputs[2]).unwrap();
+    let want = swapped.model().predict(&q).unwrap();
+    assert_eq!(
+        engine.predict(q).unwrap().prediction,
+        want,
+        "compiled plan drifted (post-swap)"
+    );
+    let live = registry.get(&ModelId::default()).unwrap();
+    assert!(
+        ptr::eq(live.plan(), swapped.plan()),
+        "post-swap serving recompiled the plan"
+    );
 
     let report = engine.shutdown();
     assert_eq!(report.failed, 0);

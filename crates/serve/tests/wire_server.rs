@@ -373,6 +373,46 @@ fn over_cap_query_dimensions_are_refused_cheaply() {
 }
 
 #[test]
+fn nan_raw_feature_answers_model_error_and_the_server_keeps_serving() {
+    // A NaN feature, encoded server-side without quantization, reaches
+    // the argmax as NaN scores: it must answer a typed fault and leave
+    // the server serving. The read timeouts turn a missing reply into a
+    // failure, not a hang.
+    let edge = privehd_serve::ClientEdge::new(
+        privehd_core::EncoderConfig::new(8, DIM).with_seed(11),
+        privehd_core::ObfuscateConfig::new(privehd_core::QuantScheme::Full),
+    )
+    .unwrap();
+    let engine = ServeEngine::start(trained_registry(), ServeConfig::default()).unwrap();
+    let server = WireServer::start(
+        "127.0.0.1:0",
+        engine.handle(),
+        WireConfig::default().with_edge(ModelId::default(), edge),
+    )
+    .unwrap();
+    let mut client = WireClient::connect(server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut features = [0.5; 8];
+    features[3] = f64::NAN;
+    let err = client.call_raw(&ModelId::default(), &features).unwrap_err();
+    let WireClientError::Fault(fault) = err else {
+        panic!("expected a fault, got {err}");
+    };
+    assert_eq!(fault.status, WireStatus::ModelError);
+    assert!(fault.detail.contains("non-finite"), "{fault}");
+
+    let mut fresh = WireClient::connect(server.local_addr()).unwrap();
+    fresh
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    fresh.call_raw(&ModelId::default(), &[0.9; 8]).unwrap();
+    server.shutdown();
+    engine.shutdown();
+}
+
+#[test]
 fn connection_cap_refuses_extras() {
     let engine = ServeEngine::start(trained_registry(), ServeConfig::default()).unwrap();
     let server = WireServer::start(

@@ -2,7 +2,7 @@
 //! serving across batch sizes, reporting queries/sec.
 //!
 //! `serve_max_batch/1` is the single-query baseline — with `max_batch
-//! = 1` the batcher flushes every request alone, so each query pays the
+//! = 1` every worker turn takes one request, so each query pays the
 //! full dispatch cost. Larger `max_batch` values amortize dispatch and
 //! let the worker pool run whole batches; on multi-core hardware the
 //! micro-batched configurations should clear ≥ 2× the baseline

@@ -393,7 +393,6 @@ fn run_serve_suite(quick: bool, out_path: &str) {
         .collect();
     let serve_config = ServeConfig {
         max_batch: 64,
-        max_delay: Duration::from_micros(200),
         packed_fastpath: true,
         ..ServeConfig::default()
     };

@@ -55,11 +55,12 @@ pub enum Stage {
     /// Server-side encode ∘ obfuscate of a raw-features payload (only
     /// on the raw path; packed queries were encoded on the device).
     Encode,
-    /// Waiting in the bounded submission queue until the batcher routed
-    /// the request into its model's open batch.
+    /// Waiting in the tenant's bounded queue until a worker takes the
+    /// request in a deficit-round-robin turn.
     QueueWait,
-    /// Waiting in an open batch for the flush (batch-full or
-    /// `max_delay`) plus worker pickup.
+    /// From being taken until the request's own scoring starts: the
+    /// opt-in `max_delay` linger (about zero by default), the batch's
+    /// snapshot resolve, and the requests ahead of it in the batch.
     BatchWait,
     /// Resolving the batch's model snapshot from the registry (once per
     /// batch).

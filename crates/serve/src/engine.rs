@@ -1,21 +1,18 @@
-//! The serving engine: per-tenant admission queues, a deficit-round-
-//! robin scheduler feeding an adaptive per-model micro-batcher, and a
-//! worker pool.
+//! The serving engine: per-tenant admission queues served directly by a
+//! worker pool, one deficit-round-robin turn per batch.
 //!
 //! ```text
 //!  clients ──submit──▶ [per-ModelId queue] [per-ModelId queue] …
 //!            (ModelId,       │ quota-bounded     │
 //!             query)         ▼                   ▼
-//!                      deficit-round-robin scheduler thread
-//!                        │  per-model batches, flush on max_batch
-//!                        │  or max_delay per key
-//!                        ▼
-//!                   [batch channel]   (one ModelId per batch)
-//!                     │    │    │   worker pool (shared receiver)
+//!              worker pool: an idle worker takes one deficit-round-
+//!              robin turn straight off the queues — that turn is its
+//!              batch (one ModelId, ≤ max_batch; opt-in max_delay linger)
+//!                     │    │    │
 //!                     ▼    ▼    ▼
 //!                   predict over the batch's model snapshot
 //!                     │
-//!                     ▼  per-request reply slot
+//!                     ▼  per-request reply slot, delivered exactly once
 //!                   ServedPrediction / ServeError
 //! ```
 //!
@@ -28,39 +25,50 @@
 //! [`ServeConfig::queue_depth`] — so one tenant's flood sheds *that
 //! tenant's* load while everyone else keeps being admitted.
 //!
-//! The scheduler drains the queues with deficit round-robin: each
-//! tenant with waiting requests sits in an active ring, and each turn
-//! grants it [`ServeConfig::drr_quantum`] units of credit, serving at
-//! most that many requests before the next tenant's turn. A flooding
-//! tenant therefore gets at most a quantum ahead of a victim per round
-//! regardless of how deep its backlog is.
+//! Workers drain the queues with deficit round-robin: each tenant with
+//! waiting requests sits in an active ring, and each turn grants it
+//! [`ServeConfig::drr_quantum`] units of credit (capped at
+//! [`ServeConfig::max_batch`]), serving at most that many requests
+//! before the next tenant's turn. A flooding tenant therefore gets at
+//! most a quantum ahead of a victim per round regardless of how deep its
+//! backlog is.
 //!
 //! ## Batching
 //!
-//! Batching is *adaptive*: requests already queued accumulate into
-//! batches with zero added latency (so a saturated queue forms full
-//! batches), and a partially filled batch waits at most
-//! [`ServeConfig::max_delay`], anchored at its first request.
-//! Accumulation is keyed per [`ModelId`]: each model gets its own delay
-//! window and its own `max_batch` cutoff, and every dispatched batch
-//! holds requests for exactly one model, resolved against one registry
-//! snapshot at dispatch time. A hot swap ([`ShardedRegistry::publish`])
-//! never drops or corrupts in-flight requests — they complete on the
-//! version that was live when their batch started.
+//! Batching is *backlog* batching, as in Clipper (Crankshaw et al.,
+//! NSDI '17): a worker's turn takes whatever its tenant has queued, up
+//! to the turn's credit, and that is the batch. A lone request on an
+//! idle engine is served at once, while a saturated queue forms full
+//! batches. [`ServeConfig::max_delay`] is an opt-in linger (zero by
+//! default): a worker whose turn came up short waits up to that long for
+//! more of the same tenant's requests, flushing early when the batch
+//! fills or the engine stops. Every batch holds requests for exactly one
+//! model, resolved against one registry snapshot when it executes. A hot
+//! swap ([`ShardedRegistry::publish`]) never drops or corrupts in-flight
+//! requests — they complete on the version that was live when their
+//! batch started.
+//!
+//! ## Fault containment
+//!
+//! Each request is served under `catch_unwind`: a panic before its reply
+//! is delivered answers it [`ServeError::Internal`], a panic inside its
+//! reply callback is never followed by a second delivery, and the worker
+//! carries on with the rest of its batch.
 //!
 //! ## Shutdown contract
 //!
 //! [`ServeEngine::shutdown`] (and `Drop`) first marks the engine
 //! closed — subsequent [`SubmitHandle::submit`] calls return
-//! [`ServeError::Closed`] — then wakes the scheduler, which drains
-//! every queued request through the batcher and exits; workers finish
-//! the remaining batches and exit. Shutdown therefore completes even
-//! while clones of [`SubmitHandle`] are still alive on other threads.
-//! A request that loses the race with shutdown is answered with
+//! [`ServeError::Closed`] — then wakes every worker. Workers cut any
+//! linger short, drain every queue and exit, so requests accepted before
+//! shutdown get real results. Shutdown therefore completes even while
+//! clones of [`SubmitHandle`] are still alive on other threads. A
+//! request that loses the race with shutdown is answered with
 //! [`ServeError::Closed`] through its [`PendingPrediction`].
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -73,7 +81,6 @@ use privehd_core::{BipolarHv, Hypervector, Prediction};
 use crate::error::ServeError;
 use crate::metrics::{ServeMetrics, ServeReport};
 use crate::registry::{ModelId, ServedModel, ShardedRegistry};
-use crate::router::BatchRouter;
 
 /// Tuning knobs of the serving engine.
 ///
@@ -81,12 +88,16 @@ use crate::router::BatchRouter;
 /// or with [`ServeConfig::builder`] for build-time validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Largest batch dispatched to a worker; reaching it flushes that
-    /// model's batch immediately.
+    /// Largest batch a worker executes: one deficit-round-robin turn
+    /// takes at most this many requests (and at most
+    /// [`ServeConfig::drr_quantum`]).
     pub max_batch: usize,
-    /// Longest a queued request waits for co-batched company (of its
-    /// own model) before the batcher flushes anyway, anchored at the
-    /// batch's first request.
+    /// Opt-in linger, zero (off) by default. When set, a worker whose
+    /// turn took fewer requests than its credit waits up to this long,
+    /// counted from taking the turn, for more of the same tenant's
+    /// requests; it flushes early once the batch is full or the engine
+    /// shuts down. An idle worker is never kept from a request by
+    /// another worker's linger.
     pub max_delay: Duration,
     /// Worker threads executing batches.
     pub workers: usize,
@@ -100,9 +111,11 @@ pub struct ServeConfig {
     /// front-end reports it as `Busy`.
     pub tenant_quota: usize,
     /// Deficit-round-robin quantum: how many requests one tenant may
-    /// dequeue per scheduler turn before the next tenant's turn.
-    /// Smaller values interleave tenants more finely (fairer under
-    /// flood), larger values favor per-tenant batch density.
+    /// dequeue per turn before the next tenant's turn. A turn is one
+    /// worker's batch, so the credit is capped at
+    /// [`ServeConfig::max_batch`]. Smaller values interleave tenants
+    /// more finely (fairer under flood), larger values favor per-tenant
+    /// batch density.
     pub drr_quantum: usize,
     /// When set, queries whose components are all exactly `±1` (i.e.
     /// bipolar-obfuscated queries) are bit-packed and classified through
@@ -124,7 +137,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_delay: Duration::from_micros(500),
+            max_delay: Duration::ZERO,
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
@@ -257,8 +270,8 @@ impl ServeConfigBuilder {
 /// A query in whichever representation the client submitted: dense
 /// `f64`-per-dimension, or bit-packed bipolar (1 bit/dim).
 ///
-/// The packed variant flows through the queue, the scheduler and the
-/// workers as-is and is scored by the compiled plan's popcount kernel
+/// The packed variant flows through the queue and the workers as-is
+/// and is scored by the compiled plan's popcount kernel
 /// ([`privehd_core::ModelPlan::predict_packed`]) — never densified. That
 /// is the packed-native serving contract: a 10k-dim packed query costs
 /// ~1.25 KiB on the queue instead of ~78 KiB dense, and classification
@@ -340,17 +353,11 @@ struct Request {
     query: QueryVec,
     trace: TraceCtx,
     submitted_at: Instant,
-    /// Stamped by the scheduler the moment it routes the request into
-    /// its model's open batch; `submitted_at..routed_at` is the
-    /// queue-wait stage, `routed_at..execution` the batch-window wait.
-    routed_at: Option<Instant>,
+    /// Stamped by the worker that takes the request off its queue
+    /// (equal to `submitted_at` until then): `submitted_at..taken_at`
+    /// is the queue-wait stage, `taken_at..execution` the linger.
+    taken_at: Instant,
     reply: ReplySlot,
-}
-
-/// One dispatched batch: requests for exactly one model.
-struct ModelBatch {
-    model: ModelId,
-    requests: Vec<Request>,
 }
 
 /// One tenant's waiting requests plus its deficit-round-robin state.
@@ -367,8 +374,8 @@ struct TenantQueue {
     in_active: bool,
 }
 
-/// The scheduler's shared state: every tenant's queue plus the active
-/// ring the deficit-round-robin walks.
+/// The engine's shared scheduling state: every tenant's queue plus the
+/// active ring the deficit-round-robin walks.
 #[derive(Default)]
 struct SchedState {
     queues: HashMap<ModelId, TenantQueue>,
@@ -376,11 +383,15 @@ struct SchedState {
     active: VecDeque<ModelId>,
     /// Waiting requests across every tenant (the `queue_depth` gauge).
     queued_total: usize,
+    /// Workers holding a short batch open (`max_delay`). While any
+    /// linger, admission wakes every waiter, so a lingering worker can
+    /// never absorb the wakeup an idle worker needed.
+    lingering: usize,
     stopped: bool,
 }
 
-/// The submission side's shared handle: per-tenant queues behind one
-/// mutex, a condvar waking the scheduler, and the admission limits.
+/// The shared queue: per-tenant queues behind one mutex, the condvar
+/// workers wait on (idle or lingering), and the admission limits.
 struct SharedQueue {
     state: Mutex<SchedState>,
     ready: Condvar,
@@ -408,7 +419,7 @@ impl fmt::Debug for SharedQueue {
 }
 
 /// Admission: checks closed/stopped, then the tenant's quota, then the
-/// global depth, and only then enqueues and wakes the scheduler.
+/// global depth, and only then enqueues and wakes a worker.
 ///
 /// Quota is checked before depth deliberately: a flooding tenant that
 /// fills the global queue still reads `TenantOverQuota` (back off —
@@ -424,16 +435,17 @@ fn submit_slot(
 ) -> Result<(), ServeError> {
     // Acquire: pairs with the Release store in `join_threads` so a
     // submitter that observes `closed` also observes the stop flag the
-    // scheduler is draining under.
+    // workers are draining under.
     if closed.load(Ordering::Acquire) {
         return Err(ServeError::Closed);
     }
+    let now = Instant::now();
     let request = Request {
         model: model.clone(),
         query,
         trace,
-        submitted_at: Instant::now(),
-        routed_at: None,
+        submitted_at: now,
+        taken_at: now,
         reply,
     };
     let mut st = shared.lock_state();
@@ -465,9 +477,14 @@ fn submit_slot(
         st.active.push_back(model.clone());
     }
     st.queued_total += 1;
+    let lingering = st.lingering > 0;
     drop(st);
     metrics.on_submit(model);
-    shared.ready.notify_one();
+    if lingering {
+        shared.ready.notify_all();
+    } else {
+        shared.ready.notify_one();
+    }
     Ok(())
 }
 
@@ -499,6 +516,28 @@ fn drr_round(st: &mut SchedState, quantum: usize, out: &mut Vec<Request>) {
         st.queues.remove(&id);
     } else {
         st.active.push_back(id);
+    }
+}
+
+/// Tops up a lingering batch with `model`'s newly queued requests, at
+/// most `room` of them: still the same turn, spending the credit the
+/// turn left unused. A tenant emptied here leaves the map and the
+/// active ring, as in [`drr_round`].
+fn top_up(st: &mut SchedState, model: &ModelId, room: usize, out: &mut Vec<Request>) {
+    let Some(tq) = st.queues.get_mut(model) else {
+        return;
+    };
+    let take = room.min(tq.items.len());
+    let now = Instant::now();
+    out.extend(tq.items.drain(..take).map(|mut r| {
+        r.taken_at = now;
+        r
+    }));
+    let now_empty = tq.items.is_empty();
+    st.queued_total -= take;
+    if now_empty {
+        st.queues.remove(model);
+        st.active.retain(|id| id != model);
     }
 }
 
@@ -702,15 +741,14 @@ pub struct ServeEngine {
     metrics: Arc<ServeMetrics>,
     tracer: Arc<Tracer>,
     started_at: Instant,
-    scheduler: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl ServeEngine {
-    /// Spawns the scheduler and worker threads serving every model of
-    /// `registry`. Single-model deployments publish under
-    /// [`ModelId::default`] (see [`ShardedRegistry::with_model`]) and
-    /// use [`ServeEngine::submit_default`].
+    /// Spawns the worker threads serving every model of `registry`.
+    /// Single-model deployments publish under [`ModelId::default`] (see
+    /// [`ShardedRegistry::with_model`]) and use
+    /// [`ServeEngine::submit_default`].
     ///
     /// # Errors
     ///
@@ -726,26 +764,20 @@ impl ServeEngine {
             queue_depth: config.queue_depth,
             tenant_quota: config.tenant_quota,
         });
-        let (batch_tx, batch_rx) = mpsc::sync_channel::<ModelBatch>(config.workers * 2);
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
 
-        let sched_shared = Arc::clone(&shared);
-        let sched_cfg = config.clone();
-        let scheduler = std::thread::Builder::new()
-            .name("privehd-scheduler".into())
-            .spawn(move || run_scheduler(&sched_shared, &batch_tx, &sched_cfg))
-            .map_err(|e| ServeError::Transport(format!("failed to spawn scheduler thread: {e}")))?;
-
+        let worker = Arc::new(Worker {
+            shared: Arc::clone(&shared),
+            registry: Arc::clone(&registry),
+            metrics: Arc::clone(&metrics),
+            tracer: Arc::clone(&tracer),
+            config: config.clone(),
+        });
         let workers = (0..config.workers)
             .map(|i| {
-                let rx = Arc::clone(&batch_rx);
-                let registry = Arc::clone(&registry);
-                let metrics = Arc::clone(&metrics);
-                let tracer = Arc::clone(&tracer);
-                let packed = config.packed_fastpath;
+                let worker = Arc::clone(&worker);
                 std::thread::Builder::new()
                     .name(format!("privehd-worker-{i}"))
-                    .spawn(move || run_worker(&rx, &registry, &metrics, &tracer, packed))
+                    .spawn(move || worker.run())
                     .map_err(|e| {
                         ServeError::Transport(format!("failed to spawn worker thread: {e}"))
                     })
@@ -759,7 +791,6 @@ impl ServeEngine {
             metrics,
             tracer,
             started_at: Instant::now(),
-            scheduler: Some(scheduler),
             workers,
         })
     }
@@ -889,16 +920,11 @@ impl ServeEngine {
             st.stopped = true;
         }
         self.shared.ready.notify_all();
-        if let Some(s) = self.scheduler.take() {
-            // analyze::allow(no-panic-path): re-raising a scheduler
-            // panic at shutdown is deliberate — it fires only on an
-            // internal bug and must not vanish into a clean report.
-            s.join().expect("scheduler thread panicked");
-        }
         for w in self.workers.drain(..) {
-            // analyze::allow(no-panic-path): same policy as the
-            // scheduler join above — propagate internal bugs, never
-            // hide them.
+            // analyze::allow(no-panic-path): requests are served under
+            // `catch_unwind`, so a dead worker means an engine bug
+            // outside any request; re-raise it rather than hide it in a
+            // clean report.
             w.join().expect("worker thread panicked");
         }
     }
@@ -910,235 +936,199 @@ impl Drop for ServeEngine {
     }
 }
 
-/// Scheduler loop: wait until requests are queued (or a batch window
-/// expires), take one deficit-round-robin turn, route the taken
-/// requests into per-model batches, and dispatch full or expired
-/// batches to the workers. On stop it drains every queue — requests
-/// accepted before shutdown are answered with real results — then
-/// flushes the open batches and exits (dropping `batch_tx`, which in
-/// turn lets the workers drain and exit).
-fn run_scheduler(shared: &SharedQueue, batch_tx: &SyncSender<ModelBatch>, config: &ServeConfig) {
-    let mut router: BatchRouter<Request> = BatchRouter::new(config.max_batch, config.max_delay);
-    loop {
-        let mut taken: Vec<Request> = Vec::new();
-        let mut stopping = false;
-        {
-            let mut st = shared.lock_state();
-            loop {
-                if st.queued_total > 0 {
-                    break;
-                }
-                if st.stopped {
-                    stopping = true;
-                    break;
-                }
-                match router.next_deadline() {
-                    // Idle: sleep until a submission wakes us.
-                    None => {
-                        st = shared
-                            .ready
-                            .wait(st)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    // Batches open: sleep at most until the earliest
-                    // per-model flush deadline.
-                    Some(deadline) => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        let (guard, timeout) = shared
-                            .ready
-                            .wait_timeout(st, deadline - now)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        st = guard;
-                        if timeout.timed_out() {
-                            break;
-                        }
-                    }
-                }
-            }
-            if stopping {
-                // Drain everything still queued in one go; submissions
-                // are already refused (stopped), so this terminates.
-                while st.queued_total > 0 {
-                    drr_round(&mut st, config.drr_quantum, &mut taken);
-                }
-            } else {
-                drr_round(&mut st, config.drr_quantum, &mut taken);
-            }
-        }
-        // Route and dispatch outside the lock: batch_tx.send blocks
-        // when workers fall behind, and submissions must keep being
-        // admitted (or shed) meanwhile.
-        for mut request in taken {
-            let now = Instant::now();
-            // End of the queue-wait stage, start of the batch window.
-            request.routed_at = Some(now);
-            let model = request.model.clone();
-            if let Some((model, requests)) = router.push(model, request, now) {
-                if batch_tx.send(ModelBatch { model, requests }).is_err() {
-                    return; // workers are gone; nothing more to do
-                }
-            }
-        }
-        for (model, requests) in router.take_expired(Instant::now()) {
-            if batch_tx.send(ModelBatch { model, requests }).is_err() {
-                return;
-            }
-        }
-        if stopping {
-            break;
-        }
-    }
-    // Flush every still-open batch before exiting.
-    for (model, requests) in router.drain() {
-        if batch_tx.send(ModelBatch { model, requests }).is_err() {
-            return;
-        }
-    }
-}
-
-/// Worker loop: pull one batch at a time off the shared channel and
-/// execute it against its model's current snapshot.
-fn run_worker(
-    batch_rx: &Arc<Mutex<Receiver<ModelBatch>>>,
-    registry: &ShardedRegistry,
-    metrics: &ServeMetrics,
-    tracer: &Tracer,
-    packed_fastpath: bool,
-) {
-    loop {
-        // Hold the lock only while waiting for the next batch; release
-        // it before executing so other workers receive concurrently.
-        let batch = {
-            // analyze::allow(no-panic-path): the lock is poisoned only
-            // if a sibling worker panicked mid-recv; spreading the
-            // panic tears the pool down instead of serving half-alive.
-            let rx = batch_rx.lock().expect("batch receiver lock poisoned");
-            match rx.recv() {
-                Ok(b) => b,
-                Err(_) => return,
-            }
-        };
-        execute_batch(batch, registry, metrics, tracer, packed_fastpath);
-    }
+/// The engine handles every worker thread serves with; the threads
+/// share one.
+struct Worker {
+    shared: Arc<SharedQueue>,
+    registry: Arc<ShardedRegistry>,
+    metrics: Arc<ServeMetrics>,
+    tracer: Arc<Tracer>,
+    config: ServeConfig,
 }
 
 /// Batches at least this large additionally fan their per-request
 /// classification out over the persistent `privehd_core` worker pool.
 const POOL_FANOUT_MIN: usize = 16;
 
-fn execute_batch(
-    batch: ModelBatch,
-    registry: &ShardedRegistry,
-    metrics: &ServeMetrics,
-    tracer: &Tracer,
-    packed_fastpath: bool,
-) {
-    let ModelBatch { model, requests } = batch;
-    let size = requests.len();
-    metrics.on_batch(size);
-    // One snapshot per batch: a concurrent publish (or withdraw) of
-    // this model affects later batches, never this one, and other
-    // models' batches resolve their own snapshots independently. The
-    // per-model metrics row is likewise fetched once per batch.
-    let resolve_start = Instant::now();
-    let snapshot: Option<Arc<ServedModel>> = registry.get(&model);
-    let resolve_end = Instant::now();
-    let model_counters = metrics.model_counters(&model);
-    if let Some(served) = &snapshot {
-        // Snapshot footprint gauges: publish compiled the plan, so these
-        // accessors only read cached sizes — no work on the serving path.
-        let plan = served.plan();
-        metrics.set_model_memory(
-            &model_counters,
-            plan.dense_memory_bytes() as u64,
-            plan.packed_memory_bytes().unwrap_or(0) as u64,
-        );
-    }
-
-    // Classification stays per-request (so one bad query fails only its
-    // own reply), and each reply is delivered — and its latency
-    // measured — the moment its own classification finishes, whether
-    // that happens on this worker or on a pool lane.
-    let serve_one = |request: &Request| {
-        let work_start = Instant::now();
-        let predict_start = work_start;
-        let outcome: Result<Prediction, ServeError> = match &snapshot {
-            None => Err(ServeError::NoModel),
-            Some(served) => {
-                // Dispatch through the plan compiled at publish time:
-                // kernel selection (packed vs dense snapshot, SIMD arm,
-                // block size) happened once, when the plan was built —
-                // nothing is re-probed here.
-                let plan = served.plan();
-                match &request.query {
-                    // Packed-native path: the query arrived bit-packed
-                    // and is scored by the popcount kernels without
-                    // ever materializing a dense form.
-                    QueryVec::Packed(hv) => plan.predict_packed(hv).map_err(ServeError::Model),
-                    QueryVec::Dense(q) => {
-                        if packed_fastpath {
-                            // The auto bridge repacks strictly-bipolar
-                            // dense queries onto the popcount kernel.
-                            plan.predict_dense_auto(q).map_err(ServeError::Model)
-                        } else {
-                            plan.predict_dense(q).map_err(ServeError::Model)
-                        }
+impl Worker {
+    /// The worker loop: sleep until a request is queued, take one
+    /// deficit-round-robin turn straight from the shared state — that
+    /// turn is the batch, optionally topped up by a linger — and execute
+    /// it. Once stopped, keep taking turns until every queue is empty
+    /// (requests accepted before shutdown get real results), then exit.
+    fn run(&self) {
+        // One turn is one batch, so the credit never exceeds `max_batch`.
+        let credit = self.config.drr_quantum.min(self.config.max_batch);
+        let mut batch: Vec<Request> = Vec::with_capacity(credit);
+        loop {
+            let model = {
+                let mut st = self.shared.lock_state();
+                while st.queued_total == 0 {
+                    if st.stopped {
+                        return;
                     }
+                    let woken = self.shared.ready.wait(st);
+                    st = woken.unwrap_or_else(PoisonError::into_inner);
                 }
-            }
-        };
-        let done_at = Instant::now();
-        let latency = done_at.saturating_duration_since(request.submitted_at);
-        // End-to-end first, stage rows after: a reader snapshotting
-        // mid-request then always observes per-stage counts ≤ the
-        // end-to-end count — the invariant the consistency test pins.
-        metrics.on_done(&model_counters, outcome.is_ok(), latency);
-        let routed_at = request.routed_at.unwrap_or(work_start);
-        let queue_wait = routed_at.saturating_duration_since(request.submitted_at);
-        let batch_wait = work_start.saturating_duration_since(routed_at);
-        metrics.on_stage_for(&model_counters, Stage::QueueWait, queue_wait);
-        metrics.on_stage_for(&model_counters, Stage::BatchWait, batch_wait);
-        metrics.on_stage_for(&model_counters, Stage::Predict, done_at - predict_start);
-        let ctx = request.trace;
-        tracer.record(ctx, Stage::QueueWait, request.submitted_at, routed_at);
-        tracer.record(ctx, Stage::BatchWait, routed_at, work_start);
-        tracer.record(ctx, Stage::Predict, predict_start, done_at);
-        tracer.record(ctx, Stage::EndToEnd, request.submitted_at, done_at);
-        let reply = outcome.map(|prediction| ServedPrediction {
-            prediction,
-            model: model.clone(),
-            model_version: snapshot.as_ref().map_or(0, |s| s.version),
-            batch_size: size,
-            latency,
-        });
-        request.reply.deliver(reply);
-    };
-
-    let pool = privehd_core::pool::global();
-    if size >= POOL_FANOUT_MIN && pool.threads() > 0 {
-        // analyze::allow(no-panic-path): the pool invokes the closure
-        // with `i < size == requests.len()` by contract.
-        pool.run(size, |i| serve_one(&requests[i]));
-    } else {
-        for request in &requests {
-            serve_one(request);
+                drr_round(&mut st, credit, &mut batch);
+                let Some(model) = batch.first().map(|r| r.model.clone()) else {
+                    continue;
+                };
+                // End of the queue-wait stage for everything the turn took.
+                let taken_at = Instant::now();
+                for request in &mut batch {
+                    request.taken_at = taken_at;
+                }
+                if batch.len() < credit && !self.config.max_delay.is_zero() {
+                    let deadline = taken_at + self.config.max_delay;
+                    self.linger(st, &model, credit, deadline, &mut batch);
+                }
+                model
+            };
+            self.execute_batch(&model, &batch);
+            batch.clear();
         }
     }
-    // Recorded after the batch is served, so the stage's count stays ≤
-    // the end-to-end count at any snapshot (one resolve per batch, and
-    // batches ≤ requests).
-    let resolve = resolve_end.saturating_duration_since(resolve_start);
-    metrics.on_stage_for(&model_counters, Stage::SnapshotResolve, resolve);
-    if let Some(first) = requests.first() {
-        tracer.record(
-            first.trace,
-            Stage::SnapshotResolve,
-            resolve_start,
-            resolve_end,
-        );
+
+    /// Holds a short batch open for more of `model`'s requests until it
+    /// reaches `credit`, `deadline` passes, or the engine stops. It waits
+    /// on the idle workers' condvar; admission wakes every waiter while
+    /// any worker lingers, so a linger never absorbs an idle worker's
+    /// wakeup.
+    fn linger(
+        &self,
+        mut st: MutexGuard<'_, SchedState>,
+        model: &ModelId,
+        credit: usize,
+        deadline: Instant,
+        batch: &mut Vec<Request>,
+    ) {
+        st.lingering += 1;
+        loop {
+            top_up(&mut st, model, credit.saturating_sub(batch.len()), batch);
+            let now = Instant::now();
+            if batch.len() >= credit || st.stopped || now >= deadline {
+                break;
+            }
+            let waited = self.shared.ready.wait_timeout(st, deadline - now);
+            st = waited.unwrap_or_else(PoisonError::into_inner).0;
+        }
+        st.lingering -= 1;
+    }
+
+    fn execute_batch(&self, model: &ModelId, requests: &[Request]) {
+        let (metrics, tracer) = (&*self.metrics, &*self.tracer);
+        let packed_fastpath = self.config.packed_fastpath;
+        let size = requests.len();
+        metrics.on_batch(size);
+        // One snapshot per batch: a concurrent publish (or withdraw) of
+        // this model affects later batches, never this one, and other
+        // models' batches resolve their own snapshots independently. The
+        // per-model metrics row is likewise fetched once per batch.
+        let resolve_start = Instant::now();
+        let snapshot: Option<Arc<ServedModel>> = self.registry.get(model);
+        let resolve_end = Instant::now();
+        let model_counters = metrics.model_counters(model);
+        if let Some(served) = &snapshot {
+            // Snapshot footprint gauges: publish compiled the plan, so
+            // these accessors only read cached sizes — no serving work.
+            let plan = served.plan();
+            metrics.set_model_memory(
+                &model_counters,
+                plan.dense_memory_bytes() as u64,
+                plan.packed_memory_bytes().unwrap_or(0) as u64,
+            );
+        }
+
+        // Classification stays per-request (so one bad query fails only
+        // its own reply), and each reply is delivered — and its latency
+        // measured — the moment its own classification finishes, whether
+        // that happens on this worker or on a pool lane.
+        let answer = |request: &Request| {
+            let work_start = Instant::now();
+            let outcome: Result<Prediction, ServeError> = match &snapshot {
+                None => Err(ServeError::NoModel),
+                Some(served) => {
+                    // Dispatch through the plan compiled at publish time:
+                    // kernel selection (packed vs dense snapshot, SIMD
+                    // arm, block size) happened once, when the plan was
+                    // built — nothing is re-probed here.
+                    let plan = served.plan();
+                    match &request.query {
+                        // Packed-native path: the query arrived bit-packed
+                        // and is scored by the popcount kernels without
+                        // ever materializing a dense form.
+                        QueryVec::Packed(hv) => plan.predict_packed(hv),
+                        // The auto bridge repacks strictly-bipolar dense
+                        // queries onto the popcount kernel.
+                        QueryVec::Dense(q) if packed_fastpath => plan.predict_dense_auto(q),
+                        QueryVec::Dense(q) => plan.predict_dense(q),
+                    }
+                    .map_err(ServeError::Model)
+                }
+            };
+            let done_at = Instant::now();
+            let (submitted_at, taken_at) = (request.submitted_at, request.taken_at);
+            let latency = done_at.saturating_duration_since(submitted_at);
+            // End-to-end first, stage rows after: a reader snapshotting
+            // mid-request then always observes per-stage counts ≤ the
+            // end-to-end count — the invariant the consistency test pins.
+            metrics.on_done(&model_counters, outcome.is_ok(), latency);
+            let queue_wait = taken_at.saturating_duration_since(submitted_at);
+            let batch_wait = work_start.saturating_duration_since(taken_at);
+            metrics.on_stage_for(&model_counters, Stage::QueueWait, queue_wait);
+            metrics.on_stage_for(&model_counters, Stage::BatchWait, batch_wait);
+            metrics.on_stage_for(&model_counters, Stage::Predict, done_at - work_start);
+            let ctx = request.trace;
+            tracer.record(ctx, Stage::QueueWait, submitted_at, taken_at);
+            tracer.record(ctx, Stage::BatchWait, taken_at, work_start);
+            tracer.record(ctx, Stage::Predict, work_start, done_at);
+            tracer.record(ctx, Stage::EndToEnd, submitted_at, done_at);
+            outcome.map(|prediction| ServedPrediction {
+                prediction,
+                model: model.clone(),
+                model_version: snapshot.as_ref().map_or(0, |s| s.version),
+                batch_size: size,
+                latency,
+            })
+        };
+        let serve_one = |request: &Request| {
+            // Exactly-once guard, set just before the reply is handed to
+            // its slot: a panic before that still owes the request its
+            // answer; a panic after it came from the slot itself (a reply
+            // callback), which has had its one delivery.
+            let mut handed_over = false;
+            let served = panic::catch_unwind(AssertUnwindSafe(|| {
+                let reply = answer(request);
+                handed_over = true;
+                request.reply.deliver(reply);
+            }));
+            if served.is_err() && !handed_over {
+                metrics.on_done(&model_counters, false, request.submitted_at.elapsed());
+                let fault = Err(ServeError::Internal);
+                let _ = panic::catch_unwind(AssertUnwindSafe(|| request.reply.deliver(fault)));
+            }
+        };
+
+        let pool = privehd_core::pool::global();
+        if size >= POOL_FANOUT_MIN && pool.threads() > 0 {
+            pool.run(size, |i| requests.get(i).into_iter().for_each(serve_one));
+        } else {
+            requests.iter().for_each(serve_one);
+        }
+        // Recorded after the batch is served, so the stage's count stays
+        // ≤ the end-to-end count at any snapshot (one resolve per batch,
+        // and batches ≤ requests).
+        let resolve = resolve_end.saturating_duration_since(resolve_start);
+        metrics.on_stage_for(&model_counters, Stage::SnapshotResolve, resolve);
+        if let Some(first) = requests.first() {
+            tracer.record(
+                first.trace,
+                Stage::SnapshotResolve,
+                resolve_start,
+                resolve_end,
+            );
+        }
     }
 }
 
@@ -1183,12 +1173,13 @@ mod tests {
     /// A throwaway request for scheduler-state unit tests.
     fn test_request(model: &ModelId) -> Request {
         let (reply, _rx) = mpsc::sync_channel(1);
+        let now = Instant::now();
         Request {
             model: model.clone(),
             query: QueryVec::Dense(query(8, 1.0)),
             trace: Tracer::new(TelemetryConfig::default()).begin(),
-            submitted_at: Instant::now(),
-            routed_at: None,
+            submitted_at: now,
+            taken_at: now,
             reply: ReplySlot::Oneshot(reply),
         }
     }
@@ -1244,6 +1235,8 @@ mod tests {
         assert_eq!(cfg.tenant_quota, 16);
         assert_eq!(cfg.drr_quantum, 4);
         assert!(cfg.packed_fastpath);
+        // Backlog batching: no linger unless asked for.
+        assert_eq!(ServeConfig::default().max_delay, Duration::ZERO);
 
         assert!(ServeConfig::builder().max_batch(0).build().is_err());
         assert!(ServeConfig::builder().workers(0).build().is_err());
@@ -1772,5 +1765,260 @@ mod tests {
             "callback ran more than once"
         );
         engine.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_reply_callback_is_contained_to_its_own_request() {
+        // One worker and a 20 ms linger, so a request whose callback
+        // panics rides first in the same batch as a healthy request.
+        let config = ServeConfig {
+            workers: 1,
+            max_delay: Duration::from_millis(20),
+            ..ServeConfig::default()
+        };
+        let engine = ServeEngine::start(registry(64), config).unwrap();
+        let handle = engine.handle();
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel();
+        let counted = Arc::clone(&calls);
+        handle
+            .submit_with(
+                &ModelId::default(),
+                QueryVec::Dense(query(64, 1.0)),
+                handle.tracer().begin(),
+                Box::new(move |outcome| {
+                    counted.fetch_add(1, Ordering::SeqCst);
+                    tx.send(outcome).unwrap();
+                    panic!("reply callback failed");
+                }),
+            )
+            .unwrap();
+        let healthy = engine.submit_default(query(64, -1.0)).unwrap().wait();
+        let healthy = healthy.expect("the panic took the healthy request down with it");
+        assert_eq!(healthy.prediction.class, 1);
+        assert_eq!(healthy.batch_size, 2, "both requests rode one batch");
+
+        let first = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("callback never ran");
+        assert_eq!(first.unwrap().prediction.class, 0);
+        assert!(
+            rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "a panicking callback was delivered to twice"
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+
+        // The worker survived and keeps serving.
+        assert_eq!(engine.predict(query(64, 1.0)).unwrap().prediction.class, 0);
+        let report = engine.shutdown();
+        assert_eq!((report.completed, report.failed), (3, 0));
+    }
+
+    /// Four classes with 1..=4 bundled random rows each: integer rows
+    /// other than ±1, so the plan scores them on the dense kernel.
+    fn float_row_model(dim: usize) -> HdModel {
+        let mut model = HdModel::new(4, dim).unwrap();
+        for class in 0..4 {
+            for k in 0..=class {
+                let row = BipolarHv::random(dim, (10 * class + k) as u64 + 1);
+                model.bundle(class, &row.to_dense()).unwrap();
+            }
+        }
+        model
+    }
+
+    /// A real-valued query in [-0.5, 0.5) from a xorshift stream.
+    fn real_query(dim: usize, seed: u64) -> Hypervector {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let values = (0..dim)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            })
+            .collect();
+        Hypervector::from_vec(values)
+    }
+
+    /// Queues a 48-query burst over a float-row and a sign-row tenant
+    /// (packed, bipolar-dense and real-dense queries) before awaiting
+    /// any reply, checks every reply bit for bit against the served
+    /// plan scoring the same query alone, and returns the largest batch.
+    fn burst_matches_single_query_plan(max_delay: Duration) -> usize {
+        let dim = 512;
+        let (float_id, sign_id) = (ModelId::new("float-rows"), ModelId::new("sign-rows"));
+        let reg = Arc::new(ShardedRegistry::new());
+        reg.publish(&float_id, float_row_model(dim), "f1").unwrap();
+        let mut signed = float_row_model(dim);
+        signed.quantize_classes(privehd_core::QuantScheme::Bipolar);
+        reg.publish(&sign_id, signed, "s1").unwrap();
+        let config = ServeConfig {
+            workers: 2,
+            max_delay,
+            ..ServeConfig::default()
+        };
+        let engine = ServeEngine::start(Arc::clone(&reg), config).unwrap();
+
+        let burst: Vec<_> = (0..48u64)
+            .map(|i| {
+                let id = if i % 2 == 0 { &float_id } else { &sign_id };
+                let q = match i % 3 {
+                    0 => QueryVec::Packed(BipolarHv::random(dim, 1_000 + i)),
+                    1 => QueryVec::Dense(BipolarHv::random(dim, 2_000 + i).to_dense()),
+                    _ => QueryVec::Dense(real_query(dim, i)),
+                };
+                let pending = engine.submit(id, q.clone()).unwrap();
+                (id.clone(), q, pending)
+            })
+            .collect();
+        let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        let mut largest = 0;
+        for (id, q, pending) in burst {
+            let served = pending.wait().unwrap();
+            let snapshot = reg.get(&id).unwrap();
+            let want = match &q {
+                QueryVec::Packed(hv) => snapshot.plan().predict_packed(hv),
+                QueryVec::Dense(d) => snapshot.plan().predict_dense(d),
+            }
+            .unwrap();
+            let got = &served.prediction;
+            assert_eq!(got.class, want.class, "{id}: {q:?}");
+            assert_eq!(got.score.to_bits(), want.score.to_bits(), "{id}");
+            assert_eq!(bits(&got.scores), bits(&want.scores), "{id}");
+            largest = largest.max(served.batch_size);
+        }
+        engine.shutdown();
+        largest
+    }
+
+    #[test]
+    fn batched_replies_are_bit_identical_to_single_query_scoring() {
+        burst_matches_single_query_plan(Duration::ZERO);
+        let largest = burst_matches_single_query_plan(Duration::from_millis(50));
+        assert!(largest > 1, "the 50 ms linger never batched the burst");
+    }
+
+    #[test]
+    fn no_request_is_stranded_whatever_the_worker_count() {
+        // Only admission's wakeup moves a queued request to a worker (no
+        // timer rescues a lost one), so every reply must arrive, once,
+        // within a bounded wait: with and without a linger.
+        let reg = Arc::new(ShardedRegistry::new());
+        let (a, b) = (ModelId::new("a"), ModelId::new("b"));
+        reg.publish(&a, oriented_model(64, 0), "a1").unwrap();
+        reg.publish(&b, oriented_model(64, 1), "b1").unwrap();
+        for workers in [1, 2, 4] {
+            for max_delay in [Duration::ZERO, Duration::from_millis(1)] {
+                let config = ServeConfig {
+                    workers,
+                    max_delay,
+                    queue_depth: 1_024,
+                    tenant_quota: 1_024,
+                    ..ServeConfig::default()
+                };
+                let engine = ServeEngine::start(Arc::clone(&reg), config).unwrap();
+                let (tx, rx) = mpsc::channel();
+                let submitters: Vec<_> = (0..4usize)
+                    .map(|t| {
+                        let (handle, tx) = (engine.handle(), tx.clone());
+                        let (a, b) = (a.clone(), b.clone());
+                        std::thread::spawn(move || {
+                            for i in 0..200usize {
+                                let (id, class) = if (t + i) % 2 == 0 { (&a, 0) } else { (&b, 1) };
+                                let tx = tx.clone();
+                                let key = t * 200 + i;
+                                handle
+                                    .submit_with(
+                                        id,
+                                        QueryVec::Dense(query(64, 1.0)),
+                                        handle.tracer().begin(),
+                                        Box::new(move |outcome| {
+                                            let _ = tx.send((key, class, outcome));
+                                        }),
+                                    )
+                                    .unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                drop(tx);
+                for s in submitters {
+                    s.join().unwrap();
+                }
+                let mut answered = vec![false; 800];
+                for _ in 0..800 {
+                    let (key, class, outcome) = rx
+                        .recv_timeout(Duration::from_secs(10))
+                        .unwrap_or_else(|_| {
+                            panic!("a request was stranded ({workers} workers, {max_delay:?})")
+                        });
+                    assert!(!answered[key], "request {key} answered twice");
+                    answered[key] = true;
+                    assert_eq!(outcome.unwrap().prediction.class, class);
+                }
+                let report = engine.shutdown();
+                assert_eq!(report.completed, 800);
+                assert!(rx.try_recv().is_err(), "a request was answered twice");
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_batch_never_lingers() {
+        // With max_batch 1 every turn is full at once, so a 10 s linger
+        // must never engage: each request rides alone, without delay.
+        let config = ServeConfig {
+            max_batch: 1,
+            max_delay: Duration::from_secs(10),
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let engine = ServeEngine::start(registry(64), config).unwrap();
+        let start = Instant::now();
+        let pending: Vec<_> = (0..4)
+            .map(|_| engine.submit_default(query(64, 1.0)).unwrap())
+            .collect();
+        for p in pending {
+            assert_eq!(p.wait().unwrap().batch_size, 1);
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "a full batch lingered"
+        );
+        engine.shutdown();
+    }
+
+    #[test]
+    fn shutdown_cuts_a_long_linger_short() {
+        let config = ServeConfig {
+            workers: 2,
+            max_delay: Duration::from_secs(10),
+            ..ServeConfig::default()
+        };
+        let engine = ServeEngine::start(registry(64), config).unwrap();
+        let pending: Vec<_> = (0..8)
+            .map(|i| {
+                let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
+                engine.submit_default(query(64, sign)).unwrap()
+            })
+            .collect();
+        // Shut down only once a worker provably holds the batch open.
+        let held = Instant::now() + Duration::from_secs(5);
+        while engine.shared.lock_state().lingering == 0 {
+            assert!(Instant::now() < held, "no worker lingered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(engine.shutdown());
+        });
+        let report = done_rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("shutdown sat out the 10 s linger");
+        assert_eq!(report.completed, 8);
+        for (i, p) in pending.into_iter().enumerate() {
+            assert_eq!(p.wait().unwrap().prediction.class, i % 2);
+        }
     }
 }

@@ -36,6 +36,11 @@ pub enum ServeError {
     /// A transport-level (socket) operation of the wire front-end
     /// failed; the message carries the underlying I/O error text.
     Transport(String),
+    /// Serving this request panicked inside the engine — a bug, not a
+    /// property of the query. The panic was contained to this request
+    /// (the worker keeps serving); its message is in the worker's panic
+    /// log.
+    Internal,
 }
 
 impl fmt::Display for ServeError {
@@ -55,6 +60,7 @@ impl fmt::Display for ServeError {
             ),
             ServeError::InvalidConfig(msg) => write!(f, "invalid serve config: {msg}"),
             ServeError::Transport(msg) => write!(f, "wire transport error: {msg}"),
+            ServeError::Internal => write!(f, "internal serving fault: request handling panicked"),
         }
     }
 }
@@ -87,6 +93,7 @@ mod tests {
         assert!(ServeError::Model(HdError::ZeroNorm)
             .to_string()
             .contains("model error"));
+        assert!(ServeError::Internal.to_string().contains("panicked"));
     }
 
     #[test]

@@ -20,15 +20,18 @@
 //!   selection workers dispatch through. Single-model deployments
 //!   publish under [`ModelId::default`] with
 //!   [`ShardedRegistry::with_model`].
-//! * [`ServeEngine`] — per-tenant admission queues with quotas, a
-//!   deficit-round-robin scheduler, an adaptive micro-batcher (flushes
-//!   on [`ServeConfig::max_batch`] or [`ServeConfig::max_delay`],
-//!   accumulated *per model*) and a worker pool executing single-model
-//!   batches. One submit surface for every representation: queries
-//!   submitted bit-packed ([`QueryVec::Packed`]) stay packed end to end
-//!   and are scored by the compiled plan's `XOR`+`POPCNT` kernel
-//!   ([`privehd_core::ModelPlan::predict_packed`]); dense submissions
-//!   can opt into the same kernel via [`ServeConfig::packed_fastpath`].
+//! * [`ServeEngine`] — per-tenant admission queues with quotas, served
+//!   directly by a worker pool: each worker takes one deficit-round-
+//!   robin turn off the queues, and that turn is its single-model batch
+//!   (backlog batching, at most [`ServeConfig::max_batch`] requests,
+//!   with [`ServeConfig::max_delay`] as an opt-in linger). A panic
+//!   while serving one request answers only that request, with
+//!   [`ServeError::Internal`]. One submit surface for every
+//!   representation: queries submitted bit-packed ([`QueryVec::Packed`])
+//!   stay packed end to end and are scored by the compiled plan's
+//!   `XOR`+`POPCNT` kernel ([`privehd_core::ModelPlan::predict_packed`]);
+//!   dense submissions can opt into the same kernel via
+//!   [`ServeConfig::packed_fastpath`].
 //! * [`ClientEdge`] — the device-side `ScalarEncoder` ∘ `Obfuscator`
 //!   composition, guaranteeing the server only ever sees obfuscated
 //!   queries.
@@ -95,7 +98,6 @@ pub mod engine;
 pub mod error;
 pub mod metrics;
 pub mod registry;
-mod router;
 pub mod stats;
 pub mod wire;
 

@@ -1,10 +1,10 @@
 //! End-to-end inference serving: edge clients obfuscate queries and a
-//! cloud-side engine micro-batches them through a worker pool, with a
-//! model hot swap happening mid-traffic.
+//! cloud-side engine batches them from its backlog through a worker
+//! pool, with a model hot swap happening mid-traffic.
 //!
 //! Demonstrates the full `privehd-serve` subsystem: the client edge
-//! (encode + obfuscate), the versioned model registry, the adaptive
-//! micro-batcher, and the serving report (throughput, latency
+//! (encode + obfuscate), the versioned model registry, backlog
+//! batching, and the serving report (throughput, latency
 //! quantiles, batch-size distribution, per-stage latency
 //! decomposition), then a multi-tenant engine
 //! serving three models from one `ShardedRegistry` with per-model
@@ -51,7 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Arc::clone(&registry),
         ServeConfig {
             max_batch: 64,
-            max_delay: Duration::from_micros(500),
             packed_fastpath: true,
             ..ServeConfig::default()
         },
@@ -138,7 +137,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Multi-tenant serving: three models (three tenants) behind ONE
     // engine, each hot-swappable and withdrawable on its own. Requests
-    // carry a ModelId; the batcher accumulates per model, so a batch
+    // carry a ModelId; a worker's turn serves one tenant, so a batch
     // never mixes tenants and each resolves its own registry snapshot.
     println!("\n== multi-tenant serving ==");
     let sharded = Arc::new(ShardedRegistry::new());
@@ -169,7 +168,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Arc::clone(&sharded),
         ServeConfig {
             max_batch: 32,
-            max_delay: Duration::from_micros(500),
             ..ServeConfig::default()
         },
     )?;

@@ -140,9 +140,9 @@ pub trait Encoder: Send + Sync {
 
     /// Encodes a batch of inputs in parallel.
     ///
-    /// The default implementation fans work out over the persistent
-    /// [`crate::pool`] workers; encoders are immutable after
-    /// construction so sharing is free.
+    /// The default implementation fans chunks out over the scoped lanes
+    /// of [`crate::pool`]; encoders are immutable after construction so
+    /// sharing is free.
     ///
     /// # Errors
     ///
@@ -156,7 +156,9 @@ pub trait Encoder: Send + Sync {
 }
 
 /// Parallel batch encoding helper shared by both encoders: chunks the
-/// batch over the persistent worker pool (no per-call thread spawns).
+/// batch over the pool's scoped lanes, one chunk per lane, so each call
+/// spawns at most `threads()` threads (and sets up their encode scratch
+/// once) for the whole batch.
 fn encode_batch_parallel<E: Encoder + ?Sized>(
     encoder: &E,
     inputs: &[Vec<f64>],

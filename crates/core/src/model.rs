@@ -299,7 +299,7 @@ impl HdModel {
     }
 
     /// Classifies a batch of queries with the blocked kernel, fanning
-    /// tiles out over the persistent [`crate::pool`] workers;
+    /// tiles out over the scoped lanes of [`crate::pool`];
     /// bit-identical to calling [`HdModel::predict`] per query.
     ///
     /// # Errors

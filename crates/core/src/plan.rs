@@ -437,9 +437,9 @@ impl ModelPlan {
     /// Scores a batch of dense queries with the blocked kernel: one
     /// class row is streamed against a tile of queries while
     /// cache-hot, with tiles fanned out over at most `threads` lanes of
-    /// the persistent [`crate::pool`]. Tile boundaries depend on the
-    /// dimension alone, so every result is bit-identical to
-    /// [`ModelPlan::predict_dense`] on the same query.
+    /// [`crate::pool`] (scoped threads plus the caller). Tile boundaries
+    /// depend on the dimension alone, so every result is bit-identical
+    /// to [`ModelPlan::predict_dense`] on the same query.
     ///
     /// # Errors
     ///

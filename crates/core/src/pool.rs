@@ -1,149 +1,85 @@
-//! A small persistent worker pool for data-parallel kernels.
+//! A small worker pool for data-parallel kernels and fire-and-forget
+//! jobs, built from two plain mechanisms:
 //!
-//! The batch entry points of this crate ([`crate::Encoder::encode_batch`],
-//! [`crate::HdModel::predict_batch`]) used to fan work out with
-//! [`std::thread::scope`], paying a thread spawn + join per call. Under a
-//! serving workload that cost recurs on every batch, so this module keeps
-//! one lazily-created, process-wide pool ([`global`]) whose workers park
-//! on a condvar between calls.
+//! * [`ThreadPool::run`] and [`ThreadPool::map`] fan indexed tasks over
+//!   [`std::thread::scope`] lanes — [`ThreadPool::threads`] scoped
+//!   threads plus the caller — that claim indices from a shared counter.
+//!   The scope joins every lane before `run` returns, so tasks may borrow
+//!   the caller's stack, and a nested `run` opens its own scope, so it
+//!   waits on no other lane and cannot deadlock.
+//! * [`ThreadPool::spawn`] pushes onto one FIFO that the persistent
+//!   workers drain in order. Each job runs under `catch_unwind`: a
+//!   panicking job costs only itself, never its worker or the jobs queued
+//!   behind it.
 //!
-//! The design favours predictability over sophistication:
-//!
-//! * Every worker owns a deque. Submissions are spread round-robin
-//!   across the deques; a worker pops its own deque from the front and,
-//!   when that is empty, steals from the *back* of its siblings'. A
-//!   burst of jobs (or one worker wedged on a long job) is therefore
-//!   redistributed instead of serializing every claim behind the single
-//!   shared channel lock the previous design used.
-//! * Within one `run`, workers pull indexed tasks off a shared atomic
-//!   counter, so chunks self-balance across lanes without further
-//!   queueing.
-//! * The *calling* thread always participates as a lane, and a `run`
-//!   issued from inside a pool task executes fully inline. A `run` call
-//!   can therefore never deadlock — the caller alone guarantees
-//!   progress, and nesting never ties workers up waiting on each other.
-//! * `run` only returns once every lane has finished, which is what makes
-//!   lending non-`'static` borrows to the workers sound (see the single
-//!   `unsafe` block below).
+//! Scoped lanes are fresh threads, so per-thread state such as the
+//! kernels' encode scratch is set up once per `run` on them.
 
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-/// A boxed unit of work handed to a worker thread.
+/// A boxed fire-and-forget job for the persistent workers.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-thread_local! {
-    /// True on pool worker threads. A nested `run` issued from inside a
-    /// pool task executes inline instead of queueing: every queued lane
-    /// job is awaited to completion by its `WaitGuard`, so nesting
-    /// through the queue would let all workers block on jobs no free
-    /// worker remains to execute.
-    static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+/// The spawn FIFO, shared by submitters and the persistent workers.
+#[derive(Default)]
+struct Queue {
+    state: Mutex<QueueState>,
+    /// Signalled on every push and on close.
+    ready: Condvar,
 }
 
-/// The queues and coordination state shared by submitters and workers.
-struct PoolShared {
-    /// One deque per worker. Submissions land round-robin; the owning
-    /// worker pops from the front, idle siblings steal from the back
-    /// (the freshest job), leaving the owner its oldest work.
-    deques: Vec<Mutex<VecDeque<Job>>>,
-    /// Round-robin cursor selecting the next submission's home deque.
-    cursor: AtomicUsize,
-    coord: Mutex<CoordState>,
-    /// Signalled on every submission and on close.
-    jobs: Condvar,
-}
-
-/// Coordinator state guarded by [`PoolShared::coord`].
-struct CoordState {
-    /// Count of submitted-but-unclaimed jobs. The reservation is taken
-    /// *before* the job is pushed onto a deque and released only after
-    /// a successful pop, so `pending` is always an upper bound on the
-    /// jobs physically present across the deques: a worker that sees
-    /// `pending > 0` yet finds every deque empty knows a push is
-    /// mid-flight and retries instead of parking forever.
-    pending: usize,
-    /// Set on pool drop; workers exit once this is set *and* `pending`
-    /// reaches zero, so jobs queued before the drop still run.
+#[derive(Default)]
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// Set on pool drop; workers exit once it is set *and* `jobs` is
+    /// empty, so jobs queued before the drop still run.
     closed: bool,
 }
 
-impl PoolShared {
-    /// Submits one job: reserve in `pending`, place on the round-robin
-    /// deque, wake a parked worker. Must not be called on an empty pool
-    /// (zero deques) — those cases execute inline at the call site.
-    fn push(&self, job: Job) {
-        {
-            let mut coord = self.coord.lock().expect("pool lock poisoned");
-            coord.pending += 1;
-        }
-        // Relaxed: the cursor only spreads jobs across deques for
-        // balance; the job itself is published by the deque's mutex.
-        let slot = self.cursor.fetch_add(1, Ordering::Relaxed) % self.deques.len();
-        self.deques[slot]
-            .lock()
-            .expect("pool deque poisoned")
-            .push_back(job);
-        self.jobs.notify_one();
+impl Queue {
+    /// Locks the queue, recovering from poisoning: it is a plain FIFO
+    /// plus a flag, valid at every step, and jobs never run under the
+    /// lock.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Claims one job for the worker owning deque `home`, parking while
-    /// everything is empty. Returns `None` once the pool has closed and
-    /// every submitted job has been claimed.
-    fn claim(&self, home: usize) -> Option<Job> {
+    /// Blocks until a job is queued; `None` once the pool has closed and
+    /// every queued job has been taken.
+    fn pop(&self) -> Option<Job> {
+        let mut state = self.lock();
         loop {
-            if let Some(job) = self.try_pop(home) {
+            if let Some(job) = state.jobs.pop_front() {
                 return Some(job);
             }
-            let coord = self.coord.lock().expect("pool lock poisoned");
-            if coord.pending == 0 {
-                if coord.closed {
-                    return None;
-                }
-                // Parking atomically releases the coordinator lock, and
-                // `push` reserves under that same lock before notifying,
-                // so a submission can never slip between this check and
-                // the wait.
-                drop(self.jobs.wait(coord).expect("pool lock poisoned"));
-            } else {
-                // pending > 0 but every deque looked empty: a push is
-                // still between its reservation and its deque insert.
-                // Transient by construction — retry after a yield.
-                drop(coord);
-                std::thread::yield_now();
+            if state.closed {
+                return None;
             }
+            let woken = self.ready.wait(state);
+            state = woken.unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// One scan over the deques: the home deque from the front, then
-    /// each sibling from the back. Releases the `pending` reservation
-    /// on a hit.
-    fn try_pop(&self, home: usize) -> Option<Job> {
-        let n = self.deques.len();
-        for k in 0..n {
-            let slot = (home + k) % n;
-            let job = {
-                let mut deque = self.deques[slot].lock().expect("pool deque poisoned");
-                if k == 0 {
-                    deque.pop_front()
-                } else {
-                    deque.pop_back()
-                }
-            };
-            if let Some(job) = job {
-                let mut coord = self.coord.lock().expect("pool lock poisoned");
-                coord.pending -= 1;
-                return Some(job);
-            }
+    /// A persistent worker's loop: runs queued jobs in FIFO order until
+    /// the pool closes and the queue is drained.
+    fn work(&self) {
+        while let Some(job) = self.pop() {
+            // The panic hook has already reported a panicking job;
+            // containing it keeps this worker, and every job queued
+            // behind it, alive.
+            let _ = catch_unwind(AssertUnwindSafe(job));
         }
-        None
     }
 }
 
-/// A persistent pool of worker threads executing indexed task batches.
+/// A worker pool: scoped lanes for indexed task batches
+/// ([`ThreadPool::run`]) and persistent workers for fire-and-forget
+/// jobs ([`ThreadPool::spawn`]).
 ///
 /// Most callers want the shared [`global`] pool; constructing a private
 /// pool is mainly useful in tests and benchmarks that need an exact
@@ -163,7 +99,7 @@ impl PoolShared {
 /// assert_eq!(hits.load(Ordering::Relaxed), 100);
 /// ```
 pub struct ThreadPool {
-    shared: Arc<PoolShared>,
+    queue: Arc<Queue>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -175,43 +111,23 @@ impl std::fmt::Debug for ThreadPool {
     }
 }
 
-/// Waits for the run to be *drained* (all task indices claimed, no lane
-/// still executing the closure) even when the caller's own lane panics,
-/// so the borrow lent to the workers stays alive until no lane can
-/// touch it again. Queued lane jobs that have not started yet do NOT
-/// hold the run back: when they are eventually dequeued they observe an
-/// exhausted counter and exit without ever dereferencing the closure.
-struct WaitGuard<'a>(&'a RunCtx);
-
-impl Drop for WaitGuard<'_> {
-    fn drop(&mut self) {
-        self.0.wait_drained();
-    }
-}
-
 impl ThreadPool {
-    /// Spawns a pool with `threads` worker threads (zero is allowed; every
-    /// [`ThreadPool::run`] then executes inline on the caller).
+    /// Spawns a pool with `threads` persistent workers; every
+    /// [`ThreadPool::run`] also fans out over that many scoped lanes
+    /// beside its caller. Zero is allowed: `run` and
+    /// [`ThreadPool::spawn`] then execute inline on the caller.
     pub fn new(threads: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            cursor: AtomicUsize::new(0),
-            coord: Mutex::new(CoordState {
-                pending: 0,
-                closed: false,
-            }),
-            jobs: Condvar::new(),
-        });
+        let queue = Arc::new(Queue::default());
         let workers = (0..threads)
             .map(|i| {
-                let shared = Arc::clone(&shared);
+                let queue = Arc::clone(&queue);
                 std::thread::Builder::new()
                     .name(format!("privehd-pool-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || queue.work())
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        Self { shared, workers }
+        Self { queue, workers }
     }
 
     /// Number of worker threads (the caller adds one more lane to every
@@ -220,9 +136,9 @@ impl ThreadPool {
         self.workers.len()
     }
 
-    /// Executes `f(0) … f(tasks − 1)`, fanning the indices out over the
-    /// worker threads plus the calling thread, and returns once all of
-    /// them have completed.
+    /// Executes `f(0) … f(tasks − 1)`, fanning the indices out over
+    /// [`ThreadPool::threads`] scoped lanes plus the calling thread, and
+    /// returns once all of them have completed.
     ///
     /// Task indices are claimed from a shared counter, so tasks should be
     /// coarse enough (a chunk of items, not one item) to amortize the
@@ -235,82 +151,47 @@ impl ThreadPool {
     where
         F: Fn(usize) + Send + Sync,
     {
-        if tasks == 0 {
-            return;
-        }
-        // The caller is always a lane; extra lanes are only worth queueing
-        // when there is more than one task to share. Nested calls from
-        // inside a pool task run inline (see `IN_POOL_WORKER`).
-        let lanes = if IN_POOL_WORKER.with(std::cell::Cell::get) {
-            0
-        } else {
-            self.workers.len().min(tasks - 1)
+        let next = AtomicUsize::new(0);
+        let lane = || loop {
+            // Relaxed: the counter only partitions indices between
+            // lanes; spawning and joining the scope publish the rest.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= tasks {
+                break;
+            }
+            f(i);
         };
-        if lanes == 0 {
-            for i in 0..tasks {
-                f(i);
-            }
-            return;
+        // The caller is always a lane; extra lanes only pay off when
+        // there is more than one task to share.
+        let extra = self.threads().min(tasks.saturating_sub(1));
+        if extra == 0 {
+            return lane();
         }
-
-        // SAFETY: lifetime erasure only — the wide pointer is
-        // dereferenced exclusively by lanes that claimed a task index,
-        // which `wait_drained` keeps within this stack frame's lifetime
-        // (see `RunCtx::work_lane`); stale queued jobs hold the pointer
-        // without ever dereferencing it.
-        let f_ptr: *const (dyn Fn(usize) + Send + Sync) =
-            unsafe { std::mem::transmute(&f as &(dyn Fn(usize) + Send + Sync)) };
-        let ctx = Arc::new(RunCtx {
-            f: f_ptr,
-            next: AtomicUsize::new(0),
-            tasks,
-            active: Mutex::new(0),
-            drained: Condvar::new(),
-            panicked: AtomicBool::new(false),
+        std::thread::scope(|scope| {
+            for _ in 0..extra {
+                scope.spawn(lane);
+            }
+            lane();
         });
-
-        {
-            for _ in 0..lanes {
-                let ctx = Arc::clone(&ctx);
-                self.shared.push(Box::new(move || ctx.work_lane()));
-            }
-
-            let guard = WaitGuard(&ctx);
-            // The caller's lane: drain indices alongside the workers.
-            loop {
-                let i = ctx.next.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks {
-                    break;
-                }
-                f(i);
-            }
-            // Blocks until every index is claimed and no lane still runs
-            // `f`; queued stragglers later no-op against the exhausted
-            // counter without delaying us.
-            drop(guard);
-        }
-
-        if ctx.panicked.load(Ordering::SeqCst) {
-            panic!("a pool task panicked");
-        }
     }
 
-    /// Queues one fire-and-forget `job` for execution on a worker
-    /// thread, returning immediately. With zero workers the job runs
-    /// inline on the caller — same degradation contract as
-    /// [`ThreadPool::run`], so single-core deployments keep the old
-    /// synchronous behavior.
+    /// Queues one fire-and-forget `job` for a persistent worker,
+    /// returning immediately; workers take jobs in submission order.
+    /// With zero workers the job runs inline on the caller — same
+    /// degradation contract as [`ThreadPool::run`].
     ///
     /// Unlike [`ThreadPool::run`] there is no completion barrier: a job
     /// that must signal completion does so itself (e.g. through a
-    /// channel or a waker). Jobs queued before the pool drops are
-    /// executed before the workers exit.
+    /// channel or a waker). A panicking job ends only itself. Jobs
+    /// queued before the pool drops are executed before the workers
+    /// exit.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
         if self.workers.is_empty() {
             job();
             return;
         }
-        self.shared.push(Box::new(job));
+        self.queue.lock().jobs.push_back(Box::new(job));
+        self.queue.ready.notify_one();
     }
 
     /// Like [`ThreadPool::run`] but collects one `R` per task, in task
@@ -341,114 +222,24 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        {
-            let mut coord = self.shared.coord.lock().expect("pool lock poisoned");
-            coord.closed = true;
-        }
-        self.shared.jobs.notify_all();
-        for w in self.workers.drain(..) {
-            w.join().expect("pool worker panicked outside a task");
-        }
-    }
-}
-
-/// Shared state of one `run` call. Queued lane jobs hold it via `Arc`,
-/// possibly long after the originating `run` returned; only the raw
-/// closure pointer must never be touched then, which the exhausted task
-/// counter guarantees.
-struct RunCtx {
-    /// The caller's closure. Valid exactly while some lane can still
-    /// claim a task index (the caller blocks in [`RunCtx::wait_drained`]
-    /// until that window is over); a raw pointer rather than a
-    /// transmuted `'static` reference so stale queued jobs never *hold*
-    /// a dangling reference.
-    f: *const (dyn Fn(usize) + Send + Sync),
-    next: AtomicUsize,
-    tasks: usize,
-    /// Lanes currently inside `work_lane`'s claim-and-execute window.
-    active: Mutex<usize>,
-    drained: Condvar,
-    panicked: AtomicBool,
-}
-
-// SAFETY: the pointee is `Sync` (`F: Send + Sync` in `run`), the atomics
-// and lock guard all other fields, and pointer validity is enforced by
-// the wait-drained protocol documented on the fields.
-unsafe impl Send for RunCtx {}
-// SAFETY: as above.
-unsafe impl Sync for RunCtx {}
-
-impl RunCtx {
-    fn work_lane(&self) {
-        {
-            let mut active = self.active.lock().expect("pool lock poisoned");
-            *active += 1;
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| loop {
-            // Relaxed: the counter only partitions indices between
-            // lanes; the closure and its captures were published to
-            // this lane by the deque's mutex, not by this counter.
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.tasks {
-                break;
-            }
-            // SAFETY: this lane registered in `active` *before* claiming
-            // the index, and indices below `tasks` can only be claimed
-            // while the caller of `run` is still blocked in
-            // `wait_drained` (it exhausts the counter itself before
-            // checking), so `f` is alive for the whole call.
-            let f = unsafe { &*self.f };
-            f(i);
-        }));
-        if outcome.is_err() {
-            self.panicked.store(true, Ordering::SeqCst);
-        }
-        let mut active = self.active.lock().expect("pool lock poisoned");
-        *active -= 1;
-        if *active == 0 {
-            self.drained.notify_all();
-        }
-    }
-
-    /// Blocks until every task index has been claimed and no lane is
-    /// still executing the closure — the point after which `f` can be
-    /// invalidated. Lane jobs still sitting in the queue are not waited
-    /// for: once they run they observe the exhausted counter and exit
-    /// without touching `f`.
-    fn wait_drained(&self) {
-        let mut active = self.active.lock().expect("pool lock poisoned");
-        while *active > 0 || self.next.load(Ordering::SeqCst) < self.tasks {
-            active = self.drained.wait(active).expect("pool lock poisoned");
+        self.queue.lock().closed = true;
+        self.queue.ready.notify_all();
+        for worker in self.workers.drain(..) {
+            // Workers contain job panics and recover the queue lock, so
+            // none ends in a panic that this join could report.
+            let _ = worker.join();
         }
     }
 }
 
-fn worker_loop(shared: &PoolShared, home: usize) {
-    IN_POOL_WORKER.with(|flag| flag.set(true));
-    while let Some(job) = shared.claim(home) {
-        job();
-    }
-}
-
-/// The shared process-wide pool, created on first use.
-///
-/// Its size defaults to `available_parallelism() − 1` workers (the caller
-/// of [`ThreadPool::run`] is the remaining lane) and can be pinned with
-/// the `PRIVEHD_POOL_THREADS` environment variable (total lane count;
-/// `1` forces fully inline execution).
+/// The shared process-wide pool, created on first use with
+/// `available_parallelism() − 1` workers: the caller of
+/// [`ThreadPool::run`] is the remaining lane.
 pub fn global() -> &'static ThreadPool {
     static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        let lanes = std::env::var("PRIVEHD_POOL_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            });
-        ThreadPool::new(lanes.saturating_sub(1))
+        let lanes = std::thread::available_parallelism().map_or(4, NonZeroUsize::get);
+        ThreadPool::new(lanes - 1)
     })
 }
 
@@ -526,15 +317,15 @@ mod tests {
     #[cfg_attr(miri, ignore)]
     fn finished_run_is_not_blocked_by_another_runs_stragglers() {
         use std::time::{Duration, Instant};
-        // One worker, occupied by a slow run from another thread: a fast
-        // run whose caller drains its own counter must return without
-        // waiting for its queued lane job to surface behind the slow one.
+        // A slow run from another thread holds its lanes busy: a fast
+        // run opens its own scope, so it must return without waiting on
+        // any of the slow run's lanes.
         let pool = Arc::new(ThreadPool::new(1));
         let slow_pool = Arc::clone(&pool);
         let slow = std::thread::spawn(move || {
             slow_pool.run(2, |_| std::thread::sleep(Duration::from_millis(300)));
         });
-        std::thread::sleep(Duration::from_millis(50)); // worker grabs the slow lane
+        std::thread::sleep(Duration::from_millis(50)); // the slow run's lanes start
         let start = Instant::now();
         pool.run(4, |_| {});
         assert!(
@@ -549,9 +340,9 @@ mod tests {
         let pool = ThreadPool::new(2);
         let hits = AtomicUsize::new(0);
         pool.run(8, |_outer| {
-            // A nested run from inside a pool task must not queue jobs
-            // (all workers could be blocked in WaitGuards) — it runs
-            // inline on whichever lane issued it.
+            // A nested run opens a scope of its own on whichever lane
+            // issued it: it waits on no other lane, so nesting cannot
+            // deadlock.
             pool.run(4, |_inner| {
                 hits.fetch_add(1, Ordering::Relaxed);
             });
@@ -602,9 +393,9 @@ mod tests {
         pool.spawn(move || {
             release_rx.recv_timeout(Duration::from_secs(30)).ok();
         });
-        // ...then submit a burst. Round-robin parks half of it on the
-        // wedged worker's deque; the free worker must steal that half
-        // rather than leave it stranded until the blocker finishes.
+        // ...then submit a burst. It waits in the one FIFO, which the
+        // free worker must drain rather than leave the burst stranded
+        // until the blocker finishes.
         for i in 0..8 {
             let tx = done_tx.clone();
             pool.spawn(move || {
@@ -621,6 +412,16 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (0..8).collect::<Vec<_>>());
         release_tx.send(()).expect("blocker alive");
+    }
+
+    #[test]
+    fn a_panicking_spawned_job_does_not_strand_later_jobs() {
+        let pool = ThreadPool::new(1);
+        pool.spawn(|| panic!("spawned job panics"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.spawn(move || tx.send(()).expect("receiver alive"));
+        rx.recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the job queued behind a panicking one ran");
     }
 
     #[test]

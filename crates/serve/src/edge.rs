@@ -89,8 +89,8 @@ impl ClientEdge {
     }
 
     /// Prepares a batch of feature vectors: the whole batch is encoded
-    /// through [`Encoder::encode_batch`] (which fans out over the
-    /// persistent `privehd_core` worker pool), then obfuscated.
+    /// through [`Encoder::encode_batch`] (which fans chunks out over the
+    /// `privehd_core` pool's scoped lanes), then obfuscated.
     ///
     /// # Errors
     ///

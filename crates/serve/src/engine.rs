@@ -642,8 +642,8 @@ impl SubmitHandle {
     /// Submits with an in-process completion callback instead of a
     /// [`PendingPrediction`]: the wire front-end's reactors use this to
     /// route finished predictions straight back to their connection's
-    /// completion inbox without a polling hop. The callback runs on a
-    /// worker (or pool) thread and is invoked exactly once.
+    /// completion inbox without a polling hop. The callback runs on the
+    /// engine worker serving the request and is invoked exactly once.
     pub(crate) fn submit_with(
         &self,
         model: &ModelId,
@@ -735,11 +735,10 @@ impl SubmitHandle {
 /// ```
 #[derive(Debug)]
 pub struct ServeEngine {
-    shared: Arc<SharedQueue>,
-    closed: Arc<AtomicBool>,
+    /// The submission side: the queues, metrics, tracer and closed flag
+    /// this engine shares with every handle it hands out.
+    handle: SubmitHandle,
     registry: Arc<ShardedRegistry>,
-    metrics: Arc<ServeMetrics>,
-    tracer: Arc<Tracer>,
     started_at: Instant,
     workers: Vec<JoinHandle<()>>,
 }
@@ -785,11 +784,13 @@ impl ServeEngine {
             .collect::<Result<Vec<_>, _>>()?;
 
         Ok(Self {
-            shared,
-            closed,
+            handle: SubmitHandle {
+                shared,
+                metrics,
+                tracer,
+                closed,
+            },
             registry,
-            metrics,
-            tracer,
             started_at: Instant::now(),
             workers,
         })
@@ -818,17 +819,7 @@ impl ServeEngine {
         model: &ModelId,
         query: impl Into<QueryVec>,
     ) -> Result<PendingPrediction, ServeError> {
-        let (reply, rx) = mpsc::sync_channel(1);
-        submit_slot(
-            &self.shared,
-            &self.metrics,
-            &self.closed,
-            model,
-            query.into(),
-            self.tracer.begin(),
-            ReplySlot::Oneshot(reply),
-        )?;
-        Ok(PendingPrediction { rx })
+        self.handle.submit(model, query)
     }
 
     /// Submits one query to the default model ([`ModelId::default`]) —
@@ -841,7 +832,7 @@ impl ServeEngine {
         &self,
         query: impl Into<QueryVec>,
     ) -> Result<PendingPrediction, ServeError> {
-        self.submit(&ModelId::default(), query)
+        self.handle.submit_default(query)
     }
 
     /// Convenience: submit to the default model and block for the
@@ -871,12 +862,7 @@ impl ServeEngine {
 
     /// A cloneable submission handle for client threads.
     pub fn handle(&self) -> SubmitHandle {
-        SubmitHandle {
-            shared: Arc::clone(&self.shared),
-            metrics: Arc::clone(&self.metrics),
-            tracer: Arc::clone(&self.tracer),
-            closed: Arc::clone(&self.closed),
-        }
+        self.handle.clone()
     }
 
     /// The registry this engine serves from.
@@ -886,18 +872,18 @@ impl ServeEngine {
 
     /// Live serving counters.
     pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
+        self.handle.serve_metrics()
     }
 
     /// The engine's request tracer: sampling decisions plus the
     /// slow-request span ring ([`Tracer::snapshot`]).
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        self.handle.tracer()
     }
 
     /// Metrics snapshot over the engine's lifetime so far.
     pub fn report(&self) -> ServeReport {
-        self.metrics.report(self.started_at.elapsed())
+        self.metrics().report(self.started_at.elapsed())
     }
 
     /// Stops accepting submissions, drains the queued requests, joins
@@ -907,19 +893,17 @@ impl ServeEngine {
     /// their later submissions return [`ServeError::Closed`].
     pub fn shutdown(mut self) -> ServeReport {
         self.join_threads();
-        self.metrics.report(self.started_at.elapsed())
+        self.report()
     }
 
     fn join_threads(&mut self) {
         // Release: pairs with the Acquire load in `submit_slot`;
         // everything sequenced before shutdown is visible to any
         // submitter that sees the flag.
-        self.closed.store(true, Ordering::Release);
-        {
-            let mut st = self.shared.lock_state();
-            st.stopped = true;
-        }
-        self.shared.ready.notify_all();
+        let SubmitHandle { shared, closed, .. } = &self.handle;
+        closed.store(true, Ordering::Release);
+        shared.lock_state().stopped = true;
+        shared.ready.notify_all();
         for w in self.workers.drain(..) {
             // analyze::allow(no-panic-path): requests are served under
             // `catch_unwind`, so a dead worker means an engine bug
@@ -945,10 +929,6 @@ struct Worker {
     tracer: Arc<Tracer>,
     config: ServeConfig,
 }
-
-/// Batches at least this large additionally fan their per-request
-/// classification out over the persistent `privehd_core` worker pool.
-const POOL_FANOUT_MIN: usize = 16;
 
 impl Worker {
     /// The worker loop: sleep until a request is queued, take one
@@ -1042,8 +1022,7 @@ impl Worker {
 
         // Classification stays per-request (so one bad query fails only
         // its own reply), and each reply is delivered — and its latency
-        // measured — the moment its own classification finishes, whether
-        // that happens on this worker or on a pool lane.
+        // measured — the moment its own classification finishes.
         let answer = |request: &Request| {
             let work_start = Instant::now();
             let outcome: Result<Prediction, ServeError> = match &snapshot {
@@ -1110,12 +1089,7 @@ impl Worker {
             }
         };
 
-        let pool = privehd_core::pool::global();
-        if size >= POOL_FANOUT_MIN && pool.threads() > 0 {
-            pool.run(size, |i| requests.get(i).into_iter().for_each(serve_one));
-        } else {
-            requests.iter().for_each(serve_one);
-        }
+        requests.iter().for_each(serve_one);
         // Recorded after the batch is served, so the stage's count stays
         // ≤ the end-to-end count at any snapshot (one resolve per batch,
         // and batches ≤ requests).
@@ -2005,7 +1979,7 @@ mod tests {
             .collect();
         // Shut down only once a worker provably holds the batch open.
         let held = Instant::now() + Duration::from_secs(5);
-        while engine.shared.lock_state().lingering == 0 {
+        while engine.handle.shared.lock_state().lingering == 0 {
             assert!(Instant::now() < held, "no worker lingered");
             std::thread::sleep(Duration::from_millis(1));
         }

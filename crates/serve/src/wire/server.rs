@@ -355,10 +355,48 @@ fn lock_inbox(inbox: &Mutex<Inbox>) -> MutexGuard<'_, Inbox> {
     inbox.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Posts a completion into `inbox` and wakes its reactor.
-fn push_completion(inbox: &Mutex<Inbox>, poller: &Poller, completion: Completion) {
-    lock_inbox(inbox).completions.push(completion);
-    let _ = poller.notify();
+/// Where one request's outcome goes: its connection on the owning
+/// reactor. Built on the reactor per request; the engine callback
+/// (packed path) or the pool job (raw path) posts through it exactly
+/// once.
+#[derive(Clone)]
+struct ReplyTarget {
+    /// The connection's poller key on its owning reactor.
+    key: usize,
+    request_id: u64,
+    ctx: TraceCtx,
+    inbox: Arc<Mutex<Inbox>>,
+    poller: Arc<Poller>,
+}
+
+impl ReplyTarget {
+    fn new(rctx: &ReactorCtx, key: usize, request_id: u64, ctx: TraceCtx) -> Self {
+        Self {
+            key,
+            request_id,
+            ctx,
+            inbox: Arc::clone(&rctx.inbox),
+            poller: Arc::clone(&rctx.poller),
+        }
+    }
+
+    /// Posts `outcome` into the owning reactor's inbox and wakes it.
+    fn post(&self, outcome: Result<ServedPrediction, ServeError>) {
+        lock_inbox(&self.inbox).completions.push(Completion {
+            key: self.key,
+            request_id: self.request_id,
+            ctx: self.ctx,
+            outcome,
+        });
+        let _ = self.poller.notify();
+    }
+
+    /// A clone of this target boxed as the engine's completion
+    /// callback, which runs on the engine worker serving the request.
+    fn callback(&self) -> Box<dyn Fn(Result<ServedPrediction, ServeError>) + Send + Sync> {
+        let target = self.clone();
+        Box::new(move |outcome| target.post(outcome))
+    }
 }
 
 /// The `Event` expressing interest `want` (readable, writable) for
@@ -886,8 +924,8 @@ impl Conn {
             // the engine as-is — no to_dense() on this path, by
             // contract (a conversion-count test pins it).
             QueryPayload::Packed(hv) => {
-                let on_done = completion_callback(rctx, self.key, request_id, ctx);
-                match handle.submit_with(&model, QueryVec::Packed(hv), ctx, on_done) {
+                let reply = ReplyTarget::new(rctx, self.key, request_id, ctx);
+                match handle.submit_with(&model, QueryVec::Packed(hv), ctx, reply.callback()) {
                     Ok(()) => {
                         self.in_flight += 1;
                         let admitted_at = Instant::now();
@@ -925,24 +963,11 @@ impl Conn {
                 // job posts exactly one completion (success or error),
                 // so `in_flight` always comes back down.
                 self.in_flight += 1;
-                let key = self.key;
+                let reply = ReplyTarget::new(rctx, self.key, request_id, ctx);
                 let handle = handle.clone();
                 let config = Arc::clone(&rctx.config);
-                let inbox = Arc::clone(&rctx.inbox);
-                let poller = Arc::clone(&rctx.poller);
                 privehd_core::pool::global().spawn(move || {
-                    encode_and_submit(
-                        &handle,
-                        &config,
-                        &inbox,
-                        &poller,
-                        key,
-                        request_id,
-                        ctx,
-                        admit_start,
-                        model,
-                        features,
-                    );
+                    encode_and_submit(&handle, &config, &reply, admit_start, &model, &features);
                 });
             }
         }
@@ -1072,73 +1097,31 @@ impl Conn {
 }
 // analyze: end-nonblocking-region
 
-/// Builds the completion callback a submission hands to the engine:
-/// it posts the outcome into the owning reactor's inbox under the
-/// connection's key and wakes that reactor's poller. Runs on an engine
-/// worker thread.
-fn completion_callback(
-    rctx: &ReactorCtx,
-    key: usize,
-    request_id: u64,
-    ctx: TraceCtx,
-) -> Box<dyn Fn(Result<ServedPrediction, ServeError>) + Send + Sync> {
-    let inbox = Arc::clone(&rctx.inbox);
-    let poller = Arc::clone(&rctx.poller);
-    Box::new(move |outcome| {
-        push_completion(
-            &inbox,
-            &poller,
-            Completion {
-                key,
-                request_id,
-                ctx,
-                outcome,
-            },
-        );
-    })
-}
-
 /// The raw-frame pool job: server-side edge (encode ∘ obfuscate), then
-/// submit with a completion callback. Runs on a worker-pool thread;
-/// every path posts exactly one completion so the connection's
+/// submit with `reply`'s completion callback. Runs on a worker-pool
+/// thread; every path posts exactly one completion so the connection's
 /// in-flight count always settles.
-#[allow(clippy::too_many_arguments)]
 fn encode_and_submit(
     handle: &SubmitHandle,
     config: &WireConfig,
-    inbox: &Arc<Mutex<Inbox>>,
-    poller: &Arc<Poller>,
-    key: usize,
-    request_id: u64,
-    ctx: TraceCtx,
+    reply: &ReplyTarget,
     admit_start: Instant,
-    model: ModelId,
-    features: Vec<f64>,
+    model: &ModelId,
+    features: &[f64],
 ) {
-    let fail = |outcome: Result<ServedPrediction, ServeError>| {
-        push_completion(
-            inbox,
-            poller,
-            Completion {
-                key,
-                request_id,
-                ctx,
-                outcome,
-            },
-        );
-    };
     // The reactor verified this entry exists before offloading; the
     // config Arc is immutable, so a miss here means a bug — answer it
     // as a fault rather than unwrapping on a pool thread.
-    let Some(edge) = config.edges.get(&model) else {
-        fail(Err(ServeError::NoModel));
+    let Some(edge) = config.edges.get(model) else {
+        reply.post(Err(ServeError::NoModel));
         return;
     };
+    let ctx = reply.ctx;
     let encode_start = Instant::now();
-    let query = match edge.prepare(&features) {
+    let query = match edge.prepare(features) {
         Ok(q) => q,
         Err(e) => {
-            fail(Err(e));
+            reply.post(Err(e));
             return;
         }
     };
@@ -1150,23 +1133,7 @@ fn encode_and_submit(
     handle
         .tracer()
         .record(ctx, Stage::Encode, encode_start, encode_end);
-    let on_done = {
-        let inbox = Arc::clone(inbox);
-        let poller = Arc::clone(poller);
-        Box::new(move |outcome| {
-            push_completion(
-                &inbox,
-                &poller,
-                Completion {
-                    key,
-                    request_id,
-                    ctx,
-                    outcome,
-                },
-            );
-        })
-    };
-    match handle.submit_with(&model, QueryVec::Dense(query), ctx, on_done) {
+    match handle.submit_with(model, QueryVec::Dense(query), ctx, reply.callback()) {
         Ok(()) => {
             let admitted_at = Instant::now();
             handle.serve_metrics().on_stage(
@@ -1177,7 +1144,7 @@ fn encode_and_submit(
                 .tracer()
                 .record(ctx, Stage::Admission, admit_start, admitted_at);
         }
-        Err(e) => fail(Err(e)),
+        Err(e) => reply.post(Err(e)),
     }
 }
 

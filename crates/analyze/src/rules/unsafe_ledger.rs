@@ -30,10 +30,11 @@ pub struct Site {
 /// Finds every top-level `unsafe` site in `file`.
 ///
 /// A site's extent runs from the `unsafe` token to the matching `}` of
-/// the first `{` after it (or a `;` for brace-less declarations).
-/// Inner `unsafe {}` blocks inside an outer unsafe fn are part of the
-/// outer site, not separate entries — the outer hash already pins
-/// their content.
+/// the first `{` after it (or a `;` for brace-less declarations; a `;`
+/// inside parentheses or brackets, as in an array type `[T; N]`, ends
+/// nothing). Inner `unsafe {}` blocks inside an outer unsafe fn are
+/// part of the outer site, not separate entries — the outer hash
+/// already pins their content.
 pub fn sites(file: &SourceFile) -> Vec<Site> {
     let toks = &file.tokens;
     let mut out = Vec::new();
@@ -45,21 +46,26 @@ pub fn sites(file: &SourceFile) -> Vec<Site> {
         }
         let line = toks[i].line;
         // Walk to the extent terminator: the close of the first brace
-        // block, or a `;` (e.g. an unsafe fn declared in a trait).
+        // block, or a top-level `;` (e.g. an unsafe fn declared in a
+        // trait).
         let mut j = i + 1;
         let mut close = toks.len() - 1;
+        let mut nesting = 0usize;
         while j < toks.len() {
             match toks[j].text.as_str() {
                 "{" => {
                     close = file.matching_close(j).unwrap_or(toks.len() - 1);
                     break;
                 }
-                ";" => {
+                ";" if nesting == 0 => {
                     close = j;
                     break;
                 }
-                _ => j += 1,
+                "(" | "[" => nesting += 1,
+                ")" | "]" => nesting = nesting.saturating_sub(1),
+                _ => {}
             }
+            j += 1;
         }
         let hash = hash_token_texts(toks[i..=close].iter().map(|t| t.text.as_str()));
         let context = toks[i..toks.len().min(i + 7)]
@@ -168,6 +174,34 @@ unsafe fn h() { unsafe { inner() } }
         assert_eq!(s[0].line, 2);
         assert_eq!(s[1].line, 5);
         assert_eq!(s[2].line, 8);
+    }
+
+    #[test]
+    fn array_types_in_a_signature_do_not_end_the_site() {
+        let src = "\
+// SAFETY: fine
+unsafe fn h<const R: usize>(rows: [&[f64]; R]) -> [f64; R] {
+    assert!(ok(rows));
+    // SAFETY: fine
+    unsafe { inner() }
+}
+trait T {
+    // SAFETY: fine
+    unsafe fn d(x: [u8; 4]);
+    fn e();
+}
+";
+        let f = parse(src);
+        let s = sites(&f);
+        assert_eq!(s.len(), 2, "inner unsafe must fold into the unsafe fn site");
+        assert_eq!((s[0].line, s[1].line), (2, 9));
+        // The fn site's hash covers its body, not just the signature.
+        let edited = parse(&src.replace("assert!(ok(rows));", ""));
+        assert_ne!(sites(&edited)[0].hash, s[0].hash);
+        // The trait declaration ends at its own `;`.
+        assert!(s[1].context.starts_with("unsafe fn d"));
+        let renamed = parse(&src.replace("fn e()", "fn g()"));
+        assert_eq!(sites(&renamed)[1].hash, s[1].hash);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! `ℓ_iv = 100`, 26 classes), single-threaded, and writes the results
 //! to `BENCH_kernels.json`. The `plan_compile_encode_obfuscate` row
 //! gates the fused encode∘obfuscate pass of `privehd_core::plan`
-//! against the generic composition it replaces.
+//! against the generic composition it replaces, and the ungated
+//! `predict_packed_float_rows` row times the plan's row-grouped packed
+//! scoring over float class rows against the one-class-at-a-time loop.
 //!
 //! `--serve` mode instead measures the wire front-end over a real
 //! loopback TCP socket — synchronous round-trip p50/p99 latency,
@@ -37,9 +39,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use privehd_bench::print_table;
+use privehd_core::kernels::dot_sign_dense;
 use privehd_core::telemetry::TelemetryConfig;
 use privehd_core::{
-    BipolarHv, EncodePlan, Encoder, EncoderConfig, HdModel, Hypervector, LevelEncoder,
+    BipolarHv, ClassMatrix, EncodePlan, Encoder, EncoderConfig, HdModel, Hypervector, LevelEncoder,
     ObfuscateConfig, Obfuscator, PlanKernel, QuantScheme, ScalarEncoder,
 };
 use privehd_serve::wire::{WireClient, WireClientError, WireConfig, WireServer};
@@ -739,6 +742,46 @@ fn main() {
         threshold: Some(2.0),
     });
 
+    // --- Packed query against float rows (the paper's inference point:
+    //     a bipolar query scored against full-precision classes): the
+    //     plan's row-grouped sign-select pass vs one `dot_sign_dense`
+    //     call per class, the loop `ClassMatrix` ran before rows were
+    //     grouped. The kernel arm also pays the plan's dimension check
+    //     and argmax. Ungated: no trajectory exists to set a floor yet. -
+    let float_classes: Vec<Hypervector> = model.classes().cloned().collect();
+    let snapshot = ClassMatrix::from_classes(&float_classes);
+    let plan = model.plan();
+    assert!(
+        matches!(plan.kernel(), PlanKernel::DenseTiled { .. }),
+        "bundled float classes must keep dense rows"
+    );
+    let packed: Vec<BipolarHv> = (0..batch.min(64))
+        .map(|i| BipolarHv::random(DIM, i as u64))
+        .collect();
+    let kernel = time_per_item(samples, packed.len(), || {
+        for q in &packed {
+            std::hint::black_box(plan.predict_packed(q).expect("predict"));
+        }
+    });
+    let reference = time_per_item(samples, packed.len(), || {
+        for q in &packed {
+            let scores: Vec<f64> = snapshot
+                .norms()
+                .iter()
+                .enumerate()
+                .map(|(l, &norm)| dot_sign_dense(q.words(), snapshot.class_row(l)) / norm)
+                .collect();
+            std::hint::black_box(scores);
+        }
+    });
+    results.push(Comparison {
+        name: "predict_packed_float_rows",
+        unit: "query",
+        reference,
+        kernel,
+        threshold: None,
+    });
+
     // --- Packed-native predict: popcount scoring on the sign-quantized
     //     model vs densify-at-submit feeding the tuned dense batched
     //     predict. Both arms classify the same bit-packed wire queries
@@ -756,9 +799,6 @@ fn main() {
         ),
         "bipolar class quantization must yield a packable model"
     );
-    let packed: Vec<BipolarHv> = (0..batch.min(64))
-        .map(|i| BipolarHv::random(DIM, i as u64))
-        .collect();
     let kernel = time_per_item(samples, packed.len(), || {
         for q in &packed {
             std::hint::black_box(packed_model.predict_packed(q).expect("predict"));

@@ -23,10 +23,14 @@
 //!   result bit-matches the naive accumulation.
 //! * [`ClassMatrix`] + [`dot_unrolled`] / [`dot_sign_dense`] — inference
 //!   (Eq. 4) against a contiguous row-major copy of the class
-//!   hypervectors with cached norms and packed sign rows. Dots run with
-//!   four independent accumulators (breaking the serial `fadd` dependency
-//!   chain of a naive fold) and the packed-query variant selects the sign
+//!   hypervectors with cached norms. Dots run with four independent
+//!   accumulators (breaking the serial `fadd` dependency chain of a
+//!   naive fold) and the packed-query variant selects the sign
 //!   branchlessly via the `f64` sign bit — no `trailing_zeros` loops.
+//!   The matrix scores its classes four rows per kernel pass: each query
+//!   quad is loaded (and its sign mask built) once for the group, while
+//!   every row keeps its own accumulator in the single-row lane and
+//!   addition order, so grouped scores bit-match the one-row kernels.
 //! * [`PackedClassMatrix`] + [`xor_popcount`] — the packed-native
 //!   inference path: class rows stored as bit-packed signs plus one
 //!   magnitude scale per 64-dim word block, scored against bit-packed
@@ -45,7 +49,9 @@
 //! runtime, short-circuited at compile time under
 //! `-C target-feature=+avx2` — with scalar fallbacks the AVX2 arms
 //! bit-match (separate mul+add, identical lane order; see
-//! `docs/PERF.md` for the dispatch policy).
+//! `docs/PERF.md` for the dispatch policy). The scalar fallbacks of the
+//! row-grouped dots simply run the one-row scalar kernel once per row:
+//! rows are independent, so that is already the grouped arm's order.
 //!
 //! The naive paths stay available as `*_reference` methods on the
 //! encoders/model; the property tests in `tests/properties.rs` hold the
@@ -57,6 +63,7 @@
 //! beyond the returned hypervector.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use crate::basis::{ItemMemory, LevelMemory};
 use crate::hypervector::{BipolarHv, Hypervector};
@@ -67,6 +74,11 @@ const WORD_BITS: usize = 64;
 /// a full tile (every class's slice + a block of query slices) stays
 /// L2-resident even for a few dozen classes.
 const DIM_TILE: usize = 2_048;
+
+/// Class rows scored per pass of the float-row dot kernels: four
+/// `__m256d` accumulators hide the `fadd` latency that bounds a single
+/// chain, and leave registers for the shared query quad.
+const ROW_GROUP: usize = 4;
 
 thread_local! {
     static SCRATCH: RefCell<KernelScratch> = RefCell::new(KernelScratch::default());
@@ -544,12 +556,25 @@ fn avx2_available() -> bool {
 /// keeps the scalar arm's per-lane operation order (separate mul+add,
 /// no FMA contraction), so both arms return bit-identical sums.
 pub fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
+    let [dot] = dot_unrolled_rows(a, [b]);
+    dot
+}
+
+/// [`dot_unrolled`] of `a` against `R` rows at once (`1 ≤ R ≤ 4`):
+/// element `r` of the result bit-matches `dot_unrolled(a, rows[r])`.
+/// The AVX2 arm loads each quad of `a` once for all rows; every row
+/// keeps its own accumulator in the single-row lane and addition order.
+/// Every row must be as long as `rows[0]`.
+fn dot_unrolled_rows<const R: usize>(a: &[f64], rows: [&[f64]; R]) -> [f64; R] {
+    const { assert!(1 <= R && R <= ROW_GROUP) };
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: `avx2_available` verified the AVX2 requirement.
-        return unsafe { dot_unrolled_avx2(a, b) };
+        return unsafe { dot_unrolled_avx2(a, rows) };
     }
-    dot_unrolled_scalar(a, b)
+    // Rows are independent, so one scalar pass per row is already the
+    // interleaved arm's order.
+    rows.map(|row| dot_unrolled_scalar(a, row))
 }
 
 fn dot_unrolled_scalar(a: &[f64], b: &[f64]) -> f64 {
@@ -569,40 +594,54 @@ fn dot_unrolled_scalar(a: &[f64], b: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
-/// AVX2 arm of [`dot_unrolled`]: one `__m256d` accumulator whose four
-/// lanes mirror the scalar arm's four accumulators exactly.
+/// AVX2 arm of [`dot_unrolled_rows`]: one `__m256d` accumulator per
+/// row, whose four lanes mirror the scalar arm's four accumulators
+/// exactly. Each quad of `a` is loaded once and multiplied into every
+/// row, so `R` independent add chains share one pass.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dot_unrolled_avx2(a: &[f64], b: &[f64]) -> f64 {
+unsafe fn dot_unrolled_avx2<const R: usize>(a: &[f64], rows: [&[f64]; R]) -> [f64; R] {
     use std::arch::x86_64::*;
-    let n = a.len().min(b.len());
+    let n = a.len().min(rows[0].len());
+    // The raw loads below read every row up to `n`.
+    assert!(
+        rows.iter().all(|row| row.len() == rows[0].len()),
+        "rows differ in length"
+    );
     let quads = n - n % 4;
-    let mut acc = _mm256_setzero_pd();
+    let mut acc = [_mm256_setzero_pd(); R];
     let mut i = 0;
     while i < quads {
-        // SAFETY: `i + 3 < quads ≤ a.len(), b.len()` — both 32-byte
-        // unaligned loads stay in bounds.
+        // SAFETY: `i + 3 < quads ≤ n ≤ a.len()` keeps the 32-byte
+        // unaligned load in bounds.
         let va = unsafe { _mm256_loadu_pd(a.as_ptr().add(i)) };
-        // SAFETY: as above — same bound for `b`.
-        let vb = unsafe { _mm256_loadu_pd(b.as_ptr().add(i)) };
-        // Separate mul + add (no FMA): each lane performs the same two
-        // correctly-rounded operations as the scalar arm, keeping the
-        // two arms bit-identical.
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(va, vb));
+        for (acc, row) in acc.iter_mut().zip(rows) {
+            // SAFETY: as above — `n ≤ row.len()`, asserted for every
+            // row before the loop.
+            let vb = unsafe { _mm256_loadu_pd(row.as_ptr().add(i)) };
+            // Separate mul + add (no FMA): each lane performs the same
+            // two correctly-rounded operations as the scalar arm,
+            // keeping the two arms bit-identical.
+            *acc = _mm256_add_pd(*acc, _mm256_mul_pd(va, vb));
+        }
         i += 4;
     }
-    let mut lanes = [0.0f64; 4];
-    // SAFETY: `lanes` is exactly the 32 bytes the store writes.
-    unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), acc) };
-    let mut tail = 0.0;
-    for (x, y) in a[quads..n].iter().zip(&b[quads..n]) {
-        tail += x * y;
+    let mut dots = [0.0f64; R];
+    for ((dot, acc), row) in dots.iter_mut().zip(acc).zip(rows) {
+        let mut lanes = [0.0f64; 4];
+        // SAFETY: `lanes` is exactly the 32 bytes the store writes.
+        unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), acc) };
+        let mut tail = 0.0;
+        for (x, y) in a[quads..n].iter().zip(&row[quads..n]) {
+            tail += x * y;
+        }
+        *dot = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail;
     }
-    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+    dots
 }
 
 /// Dot product of a bit-packed bipolar vector (`1 ↔ +1`) against dense
@@ -617,12 +656,26 @@ unsafe fn dot_unrolled_avx2(a: &[f64], b: &[f64]) -> f64 {
 /// Dispatches to an AVX2 variant on capable x86-64 CPUs, bit-identical
 /// to the scalar arm (same lane assignment and addition order).
 pub fn dot_sign_dense(words: &[u64], values: &[f64]) -> f64 {
+    let [dot] = dot_sign_dense_rows(words, [values]);
+    dot
+}
+
+/// [`dot_sign_dense`] of one packed query against `R` value rows at
+/// once (`1 ≤ R ≤ 4`): element `r` of the result bit-matches
+/// `dot_sign_dense(words, rows[r])`. The AVX2 arm builds each quad's
+/// sign mask once for all rows; every row keeps its own accumulator in
+/// the single-row lane and addition order. Every row must be as long
+/// as `rows[0]`.
+fn dot_sign_dense_rows<const R: usize>(words: &[u64], rows: [&[f64]; R]) -> [f64; R] {
+    const { assert!(1 <= R && R <= ROW_GROUP) };
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: `avx2_available` verified the AVX2 requirement.
-        return unsafe { dot_sign_dense_avx2(words, values) };
+        return unsafe { dot_sign_dense_avx2(words, rows) };
     }
-    dot_sign_dense_scalar(words, values)
+    // Rows are independent, so one scalar pass per row is already the
+    // interleaved arm's order.
+    rows.map(|row| dot_sign_dense_scalar(words, row))
 }
 
 fn dot_sign_dense_scalar(words: &[u64], values: &[f64]) -> f64 {
@@ -648,49 +701,62 @@ fn dot_sign_dense_scalar(words: &[u64], values: &[f64]) -> f64 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
-/// AVX2 arm of [`dot_sign_dense`]: the per-lane sign masks come from a
-/// variable 64-bit left shift of the inverted query word
+/// AVX2 arm of [`dot_sign_dense_rows`]: the per-lane sign masks come
+/// from a variable 64-bit left shift of the inverted query word
 /// (`(!w) << (63−lane)` isolates bit `lane` at the sign position), so
-/// four sign selects and four adds happen per vector op. Lane
-/// assignment (`position mod 4`) and addition order match the scalar
-/// arm exactly — only a full 64-value chunk can be followed by another
-/// chunk, so the global quad prefix coincides with the per-chunk quads.
+/// four sign selects and four adds happen per vector op, and one mask
+/// serves all `R` rows. Each row has its own `__m256d` accumulator.
+/// Lane assignment (`position mod 4`) and addition order match the
+/// scalar arm exactly — only a full 64-value chunk can be followed by
+/// another chunk, so the global quad prefix coincides with the
+/// per-chunk quads.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dot_sign_dense_avx2(words: &[u64], values: &[f64]) -> f64 {
+unsafe fn dot_sign_dense_avx2<const R: usize>(words: &[u64], rows: [&[f64]; R]) -> [f64; R] {
     use std::arch::x86_64::*;
-    let n = values.len().min(words.len() * WORD_BITS);
+    let n = rows[0].len().min(words.len() * WORD_BITS);
+    // The raw loads below read every row up to `n`.
+    assert!(
+        rows.iter().all(|row| row.len() == rows[0].len()),
+        "rows differ in length"
+    );
     let quads = n - n % 4;
     let sign_bit = _mm256_set1_epi64x(i64::MIN);
     let shifts = _mm256_setr_epi64x(63, 62, 61, 60);
-    let mut acc = _mm256_setzero_pd();
+    let mut acc = [_mm256_setzero_pd(); R];
     let mut i = 0;
     while i < quads {
         let nw = !words[i / WORD_BITS] >> (i % WORD_BITS);
-        let signs = _mm256_and_si256(
+        let signs = _mm256_castsi256_pd(_mm256_and_si256(
             _mm256_sllv_epi64(_mm256_set1_epi64x(nw as i64), shifts),
             sign_bit,
-        );
-        // SAFETY: `i + 3 < quads ≤ values.len()` keeps the load in
-        // bounds.
-        let v = unsafe { _mm256_loadu_pd(values.as_ptr().add(i)) };
-        acc = _mm256_add_pd(acc, _mm256_xor_pd(v, _mm256_castsi256_pd(signs)));
+        ));
+        for (acc, row) in acc.iter_mut().zip(rows) {
+            // SAFETY: `i + 3 < quads ≤ n ≤ row.len()`, asserted for
+            // every row before the loop, keeps the load in bounds.
+            let v = unsafe { _mm256_loadu_pd(row.as_ptr().add(i)) };
+            *acc = _mm256_add_pd(*acc, _mm256_xor_pd(v, signs));
+        }
         i += 4;
     }
-    let mut lanes = [0.0f64; 4];
-    // SAFETY: `lanes` is exactly the 32 bytes the store writes.
-    unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), acc) };
-    if quads < n {
-        let nw = !words[quads / WORD_BITS] >> (quads % WORD_BITS);
-        for (b, &v) in values[quads..n].iter().enumerate() {
-            lanes[b & 3] += f64::from_bits(v.to_bits() ^ ((nw >> b & 1) << 63));
+    let mut dots = [0.0f64; R];
+    for ((dot, acc), row) in dots.iter_mut().zip(acc).zip(rows) {
+        let mut lanes = [0.0f64; 4];
+        // SAFETY: `lanes` is exactly the 32 bytes the store writes.
+        unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), acc) };
+        if quads < n {
+            let nw = !words[quads / WORD_BITS] >> (quads % WORD_BITS);
+            for (b, &v) in row[quads..n].iter().enumerate() {
+                lanes[b & 3] += f64::from_bits(v.to_bits() ^ ((nw >> b & 1) << 63));
+            }
         }
+        *dot = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
     }
-    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+    dots
 }
 
 /// Number of mismatching sign bits between two packed bipolar rows:
@@ -866,44 +932,91 @@ impl ClassMatrix {
     /// accumulates one partial [`dot_unrolled`] per tile: each matrix
     /// element is read once per *block* instead of once per query, so a
     /// block of `B` queries cuts class-matrix memory traffic by `B×`.
-    /// Tile boundaries are a function of the dimension alone, so the
-    /// per-pair summation order is independent of the block size —
-    /// blocked, single-query and batched paths all bit-match.
+    /// Within a tile the classes go in groups of four rows (the last
+    /// group holds the 1–3 left over), and each query slice is scored
+    /// against a whole group in one pass. Tile boundaries are a
+    /// function of the dimension alone and each row keeps
+    /// [`dot_unrolled`]'s order, so the per-pair summation order is
+    /// independent of the block size and of the grouping — blocked,
+    /// single-query and batched paths all bit-match.
     fn scores_tiled(&self, queries: &[&[f64]], out: &mut [Vec<f64>]) {
         for tile_start in (0..self.dim).step_by(DIM_TILE) {
-            let tile_end = (tile_start + DIM_TILE).min(self.dim);
-            for l in 0..self.num_classes {
-                let row = &self.dense[l * self.dim + tile_start..l * self.dim + tile_end];
-                for (q, scores) in queries.iter().zip(out.iter_mut()) {
-                    scores[l] += dot_unrolled(&q[tile_start..tile_end], row);
+            let cols = tile_start..(tile_start + DIM_TILE).min(self.dim);
+            for first in (0..self.num_classes).step_by(ROW_GROUP) {
+                match self.num_classes - first {
+                    1 => self.tile_group::<1>(first, cols.clone(), queries, out),
+                    2 => self.tile_group::<2>(first, cols.clone(), queries, out),
+                    3 => self.tile_group::<3>(first, cols.clone(), queries, out),
+                    _ => self.tile_group::<4>(first, cols.clone(), queries, out),
                 }
             }
         }
         for scores in out.iter_mut() {
-            for (s, &norm) in scores.iter_mut().zip(&self.norms) {
-                *s = if norm == 0.0 {
-                    f64::NEG_INFINITY
-                } else {
-                    *s / norm
-                };
+            self.normalize(scores);
+        }
+    }
+
+    /// Adds each query's partial dots over `cols` against classes
+    /// `first..first + R` to its scores.
+    fn tile_group<const R: usize>(
+        &self,
+        first: usize,
+        cols: Range<usize>,
+        queries: &[&[f64]],
+        out: &mut [Vec<f64>],
+    ) {
+        let rows = self.row_group::<R>(first, cols.clone());
+        for (q, scores) in queries.iter().zip(out.iter_mut()) {
+            let dots = dot_unrolled_rows(&q[cols.clone()], rows);
+            for (s, dot) in scores[first..first + R].iter_mut().zip(dots) {
+                *s += dot;
             }
         }
     }
 
-    /// Normalized scores of a bit-packed bipolar query against every
-    /// class via [`dot_sign_dense`]. Zero-norm classes score
-    /// [`f64::NEG_INFINITY`].
-    pub fn scores_packed_into(&self, query_words: &[u64], scores: &mut Vec<f64>) {
-        scores.clear();
-        scores.reserve(self.num_classes);
-        for l in 0..self.num_classes {
-            let norm = self.norms[l];
-            scores.push(if norm == 0.0 {
+    /// Classes `first..first + R`, restricted to the columns `cols`.
+    fn row_group<const R: usize>(&self, first: usize, cols: Range<usize>) -> [&[f64]; R] {
+        std::array::from_fn(|r| &self.class_row(first + r)[cols.clone()])
+    }
+
+    /// Divides raw dots by the cached class norms; zero-norm classes
+    /// score [`f64::NEG_INFINITY`].
+    fn normalize(&self, scores: &mut [f64]) {
+        for (s, &norm) in scores.iter_mut().zip(&self.norms) {
+            *s = if norm == 0.0 {
                 f64::NEG_INFINITY
             } else {
-                dot_sign_dense(query_words, self.class_row(l)) / norm
-            });
+                *s / norm
+            };
         }
+    }
+
+    /// Normalized scores of a bit-packed bipolar query against every
+    /// class via [`dot_sign_dense`]'s sign select. The classes go in
+    /// groups of four rows (the last group holds the 1–3 left over),
+    /// and each query quad's sign mask is built once per group; every
+    /// score bit-matches `dot_sign_dense(query_words, row) / norm`.
+    /// Zero-norm classes score [`f64::NEG_INFINITY`].
+    pub fn scores_packed_into(&self, query_words: &[u64], scores: &mut Vec<f64>) {
+        scores.clear();
+        scores.resize(self.num_classes, 0.0);
+        for (g, dots) in scores.chunks_mut(ROW_GROUP).enumerate() {
+            let first = g * ROW_GROUP;
+            match dots.len() {
+                1 => self.packed_group::<1>(query_words, first, dots),
+                2 => self.packed_group::<2>(query_words, first, dots),
+                3 => self.packed_group::<3>(query_words, first, dots),
+                _ => self.packed_group::<4>(query_words, first, dots),
+            }
+        }
+        self.normalize(scores);
+    }
+
+    /// Writes the raw sign-select dots of the query against classes
+    /// `first..first + R` into `dots`.
+    fn packed_group<const R: usize>(&self, query_words: &[u64], first: usize, dots: &mut [f64]) {
+        let rows = self.row_group::<R>(first, 0..self.dim);
+        dots.copy_from_slice(&dot_sign_dense_rows(query_words, rows));
     }
 
     /// Heap footprint of this snapshot in bytes (dense values, cached
@@ -1467,6 +1580,156 @@ mod tests {
             let mut single = Vec::new();
             m.scores_into(q, &mut single);
             assert_eq!(&single, b, "blocked path must be bit-identical");
+        }
+    }
+
+    /// Dimensions around the quad, word and tile boundaries. Miri runs
+    /// only the scalar arms, and slowly, so it gets a short list.
+    fn parity_dims() -> &'static [usize] {
+        if cfg!(miri) {
+            &[1, 5, 65, 2_049]
+        } else {
+            &[1, 3, 4, 5, 63, 64, 65, 2_047, 2_048, 2_049, 10_000]
+        }
+    }
+
+    /// Non-integer values spread over twelve binary orders of magnitude,
+    /// so any change to a row's addition order changes its bits.
+    fn spread_values(n: usize, seed: u64) -> Vec<f64> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ seed.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+                (unit - 0.5) * f64::from(1u32 << (state % 12))
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// With AVX2 detected the row dispatchers run their AVX2 arm (called
+    /// here without an `unsafe` site of its own); each of the `R`
+    /// results must equal the scalar arm on that row alone.
+    fn check_row_arms<const R: usize>(dim: usize) {
+        let rows: Vec<Vec<f64>> = (0..R)
+            .map(|r| spread_values(dim, (dim * 16 + r) as u64))
+            .collect();
+        let rows: [&[f64]; R] = std::array::from_fn(|r| rows[r].as_slice());
+        let query = spread_values(dim, dim as u64 + 7);
+        let words = BipolarHv::random(dim, dim as u64);
+        let signed = dot_sign_dense_rows(words.words(), rows);
+        let dense = dot_unrolled_rows(&query, rows);
+        for r in 0..R {
+            assert_eq!(
+                signed[r].to_bits(),
+                dot_sign_dense_scalar(words.words(), rows[r]).to_bits(),
+                "sign-select row {r} of {R}, dim {dim}"
+            );
+            assert_eq!(
+                dense[r].to_bits(),
+                dot_unrolled_scalar(&query, rows[r]).to_bits(),
+                "dense row {r} of {R}, dim {dim}"
+            );
+        }
+    }
+
+    #[test]
+    fn row_interleaved_arms_bit_match_the_scalar_arm_per_row() {
+        if !avx2_dispatch() {
+            eprintln!("no AVX2 arm on this host: the dispatchers run the scalar arm");
+        }
+        for &dim in parity_dims() {
+            check_row_arms::<1>(dim);
+            check_row_arms::<2>(dim);
+            check_row_arms::<3>(dim);
+            check_row_arms::<4>(dim);
+        }
+    }
+
+    #[test]
+    fn grouped_class_scores_bit_match_a_per_row_loop() {
+        for &dim in parity_dims() {
+            for num_classes in 1..=9 {
+                let mut classes: Vec<Hypervector> = (0..num_classes)
+                    .map(|c| Hypervector::from_vec(spread_values(dim, (c * 977 + dim) as u64)))
+                    .collect();
+                // One never-trained class (inside a full group when
+                // there is one), unless it would be the only class.
+                let zero = (num_classes > 1).then_some(num_classes / 2);
+                if let Some(z) = zero {
+                    classes[z] = Hypervector::from_vec(vec![0.0; dim]);
+                }
+                let m = ClassMatrix::from_classes(&classes);
+                let norms = m.norms();
+                let scaled = |l: usize, dot: f64| {
+                    if zero == Some(l) {
+                        f64::NEG_INFINITY
+                    } else {
+                        dot / norms[l]
+                    }
+                };
+
+                // Packed query: the pre-change loop, one row at a time.
+                let words = BipolarHv::random(dim, (dim + num_classes) as u64);
+                let want: Vec<f64> = (0..num_classes)
+                    .map(|l| scaled(l, dot_sign_dense_scalar(words.words(), m.class_row(l))))
+                    .collect();
+                let mut got = Vec::new();
+                m.scores_packed_into(words.words(), &mut got);
+                if let Some(z) = zero {
+                    assert_eq!(got[z], f64::NEG_INFINITY);
+                }
+                assert_eq!(bits(&got), bits(&want), "packed, {num_classes} × {dim}");
+
+                // Dense queries: per row, one partial dot per tile in
+                // tile order, for blocks of 1, 3 and 8.
+                let queries: Vec<Vec<f64>> = (0..8)
+                    .map(|q| spread_values(dim, (q * 31 + dim) as u64))
+                    .collect();
+                let want: Vec<Vec<f64>> = queries
+                    .iter()
+                    .map(|q| {
+                        (0..num_classes)
+                            .map(|l| {
+                                let row = m.class_row(l);
+                                let mut dot = 0.0;
+                                for start in (0..dim).step_by(DIM_TILE) {
+                                    let end = (start + DIM_TILE).min(dim);
+                                    dot += dot_unrolled_scalar(&q[start..end], &row[start..end]);
+                                }
+                                scaled(l, dot)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut single = Vec::new();
+                m.scores_into(&queries[0], &mut single);
+                if let Some(z) = zero {
+                    assert_eq!(single[z], f64::NEG_INFINITY);
+                }
+                assert_eq!(
+                    bits(&single),
+                    bits(&want[0]),
+                    "single, {num_classes} × {dim}"
+                );
+                for block in [1, 3, 8] {
+                    let refs: Vec<&[f64]> = queries[..block].iter().map(Vec::as_slice).collect();
+                    let mut out = vec![Vec::new(); block];
+                    m.scores_block_into(&refs, &mut out);
+                    for (q, (got, want)) in out.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            bits(got),
+                            bits(want),
+                            "block {block}, query {q}, {num_classes} × {dim}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -19,6 +19,34 @@ fn assert_close(got: &Prediction, want: &Prediction) -> Result<(), TestCaseError
     Ok(())
 }
 
+/// `kernels::dot_sign_dense`'s summation order, written out: element
+/// `j` (negated where the query bit is clear) joins lane `j mod 4`, and
+/// the lanes reduce as `(l0 + l1) + (l2 + l3)`.
+fn sign_dot_in_kernel_order(words: &[u64], values: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    for (j, &v) in values.iter().enumerate() {
+        let positive = words[j / 64] >> (j % 64) & 1 == 1;
+        lanes[j % 4] += if positive { v } else { -v };
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+}
+
+/// `kernels::dot_unrolled`'s summation order, written out: products
+/// join lane `j mod 4` up to the last whole quad, the rest fold into a
+/// sequential tail, and the result is `(l0 + l1) + (l2 + l3) + tail`.
+fn dense_dot_in_kernel_order(a: &[f64], b: &[f64]) -> f64 {
+    let quads = a.len() - a.len() % 4;
+    let mut lanes = [0.0f64; 4];
+    for j in 0..quads {
+        lanes[j % 4] += a[j] * b[j];
+    }
+    let mut tail = 0.0;
+    for j in quads..a.len() {
+        tail += a[j] * b[j];
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+}
+
 fn dense_hv(dim: usize) -> impl Strategy<Value = Hypervector> {
     prop::collection::vec(-100.0f64..100.0, dim).prop_map(Hypervector::from_vec)
 }
@@ -411,6 +439,58 @@ proptest! {
         prop_assert_eq!(fast.scores[1], f64::NEG_INFINITY);
         prop_assert_eq!(fast.class, 0);
         prop_assert_eq!(fast.scores, dense.scores);
+    }
+
+    // --- Row-grouped float scoring ↔ the single-row order ----------------
+    //
+    // `ClassMatrix` scores float rows in groups of up to four per kernel
+    // pass. Every score must still carry the single-row kernels' exact
+    // summation order on that row alone, written out below: the packed
+    // sign-select dot over the whole row, and one dense dot per
+    // 2,048-column tile (the dense scorer's tile width), in tile order.
+
+    #[test]
+    fn grouped_float_row_scores_keep_the_single_row_order(
+        dim in 1usize..5_000,
+        num_classes in 1usize..10,
+        seed in 0u64..1_000,
+    ) {
+        use privehd_core::ClassMatrix;
+        // Non-integer values over eleven binary orders of magnitude, so
+        // any change to a row's addition order changes its bits.
+        let value = |k: usize| {
+            (((seed as usize * 7_919 + k) as f64) * 0.618).sin() * f64::from(1u32 << (k % 11))
+        };
+        let classes: Vec<Hypervector> = (0..num_classes)
+            .map(|c| Hypervector::from_vec((0..dim).map(|j| value(c * dim + j)).collect()))
+            .collect();
+        let m = ClassMatrix::from_classes(&classes);
+        let scaled = |l: usize, dot: f64| {
+            let norm = m.norms()[l];
+            if norm == 0.0 { f64::NEG_INFINITY } else { dot / norm }
+        };
+
+        let packed = BipolarHv::random(dim, seed);
+        let mut scores = Vec::new();
+        m.scores_packed_into(packed.words(), &mut scores);
+        prop_assert_eq!(scores.len(), num_classes);
+        for (l, s) in scores.iter().enumerate() {
+            let want = scaled(l, sign_dot_in_kernel_order(packed.words(), m.class_row(l)));
+            prop_assert!(s.to_bits() == want.to_bits(), "packed class {} of {}: {} vs {}", l, num_classes, s, want);
+        }
+
+        let query: Vec<f64> = (0..dim).map(|j| value(num_classes * dim + j)).collect();
+        m.scores_into(&query, &mut scores);
+        for (l, s) in scores.iter().enumerate() {
+            let row = m.class_row(l);
+            let mut dot = 0.0;
+            for start in (0..dim).step_by(2_048) {
+                let end = (start + 2_048).min(dim);
+                dot += dense_dot_in_kernel_order(&query[start..end], &row[start..end]);
+            }
+            let want = scaled(l, dot);
+            prop_assert!(s.to_bits() == want.to_bits(), "dense class {} of {}: {} vs {}", l, num_classes, s, want);
+        }
     }
 
     // --- Compiled plan ↔ generic / reference parity ----------------------

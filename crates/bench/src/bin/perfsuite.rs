@@ -7,9 +7,11 @@
 //! `ℓ_iv = 100`, 26 classes), single-threaded, and writes the results
 //! to `BENCH_kernels.json`. The `plan_compile_encode_obfuscate` row
 //! gates the fused encode∘obfuscate pass of `privehd_core::plan`
-//! against the generic composition it replaces, and the ungated
+//! against the generic composition it replaces. The ungated
 //! `predict_packed_float_rows` row times the plan's row-grouped packed
-//! scoring over float class rows against the one-class-at-a-time loop.
+//! scoring over float class rows against the one-class-at-a-time loop,
+//! and the ungated `scalar_encode_packed` row the fused encode-to-packed
+//! kernel against reference encode, bipolar quantization and packing.
 //!
 //! `--serve` mode instead measures the wire front-end over a real
 //! loopback TCP socket — synchronous round-trip p50/p99 latency,
@@ -39,7 +41,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use privehd_bench::print_table;
-use privehd_core::kernels::dot_sign_dense;
+use privehd_core::kernels::{dot_sign_dense, scalar_encode_packed};
 use privehd_core::telemetry::TelemetryConfig;
 use privehd_core::{
     BipolarHv, ClassMatrix, EncodePlan, Encoder, EncoderConfig, HdModel, Hypervector, LevelEncoder,
@@ -695,6 +697,32 @@ fn main() {
         threshold: Some(3.0),
     });
 
+    // --- Packed scalar encode: the fused Eq. (2a) + bipolar kernel a
+    //     client runs for every 1-bit/dim wire query, vs the reference
+    //     encode, then bipolar quantization, then packing. Ungated: no
+    //     trajectory exists to set a floor yet. --------------------------
+    let kernel = time_per_item(samples, encode_items, || {
+        for x in &encode_inputs {
+            std::hint::black_box(
+                scalar_encode_packed(scalar.item_memory_transposed(), x, LEVELS).expect("finite"),
+            );
+        }
+    });
+    let reference = time_per_item(samples, encode_items, || {
+        for x in &encode_inputs {
+            let h = scalar.encode_reference(x).expect("encode");
+            let signs = QuantScheme::Bipolar.quantize(&h, 1.0);
+            std::hint::black_box(BipolarHv::from_signs(signs.as_slice()));
+        }
+    });
+    results.push(Comparison {
+        name: "scalar_encode_packed",
+        unit: "encode",
+        reference,
+        kernel,
+        threshold: None,
+    });
+
     // --- Level encode: CSA majority accumulation vs per-row walk ------
     let kernel = time_per_item(samples, encode_items, || {
         for x in &encode_inputs {
@@ -832,7 +860,8 @@ fn main() {
         .with_masked_dims(masked_dims)
         .with_seed(11);
     let obfuscator = Obfuscator::new(DIM, obfuscate_config).expect("valid obfuscation config");
-    let encode_plan = EncodePlan::from_obfuscator(&obfuscator);
+    let encode_plan =
+        EncodePlan::from_obfuscator(&scalar, &obfuscator).expect("obfuscator sized to the encoder");
     let kernel = time_per_item(samples, encode_items, || {
         for x in &encode_inputs {
             std::hint::black_box(encode_plan.apply(&scalar, x).expect("encode"));

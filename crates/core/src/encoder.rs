@@ -205,21 +205,32 @@ fn encode_batch_parallel<E: Encoder + ?Sized>(
 pub struct ScalarEncoder {
     config: EncoderConfig,
     item_memory: ItemMemory,
-    /// Dim-major bit-sliced transpose of the item memory, consumed by the
-    /// level-sliced encode kernel.
+    /// Byte-plane transpose of the item memory, consumed by the
+    /// level-sliced encode kernels.
     item_memory_t: TransposedItemMemory,
 }
 
 impl ScalarEncoder {
     /// Builds the encoder, generating its item memory (and the
-    /// bit-sliced transpose the encode kernel runs on) from the seed.
+    /// byte-plane transpose the encode kernels run on) from the seed.
     ///
     /// # Errors
     ///
     /// Returns [`HdError::InvalidConfig`] / [`HdError::EmptyDimension`] on
-    /// a bad configuration.
+    /// a bad configuration, including `features·(levels−1)` above
+    /// `u32::MAX`: the encode kernels count `Σ_k g_k` over a
+    /// dimension's positive features in 32 bits.
     pub fn new(config: EncoderConfig) -> Result<Self, HdError> {
         config.validate()?;
+        if config
+            .features
+            .checked_mul(config.levels - 1)
+            .is_none_or(|n| n > u32::MAX as usize)
+        {
+            return Err(HdError::InvalidConfig(
+                "scalar encoder needs features·(levels−1) ≤ u32::MAX".to_owned(),
+            ));
+        }
         let item_memory =
             BasisGenerator::new(config.seed).item_memory(config.features, config.dim)?;
         let item_memory_t = TransposedItemMemory::from_item_memory(&item_memory);
@@ -230,7 +241,7 @@ impl ScalarEncoder {
         })
     }
 
-    /// The bit-sliced, dim-major transpose of the item memory.
+    /// The byte-plane transpose of the item memory.
     pub fn item_memory_transposed(&self) -> &TransposedItemMemory {
         &self.item_memory_t
     }
@@ -490,6 +501,21 @@ mod tests {
         assert!(ScalarEncoder::new(EncoderConfig::new(10, 0)).is_err());
         assert!(ScalarEncoder::new(EncoderConfig::new(10, 10).with_levels(1)).is_err());
         assert!(LevelEncoder::new(EncoderConfig::new(10, 10).with_levels(1)).is_err());
+    }
+
+    #[test]
+    fn scalar_encoder_refuses_counts_past_32_bits() {
+        // 2 features × (2^31 + 1) overflows the kernels' u32 counts…
+        let wide = EncoderConfig::new(2, 64).with_levels((1 << 31) + 2);
+        assert!(matches!(
+            ScalarEncoder::new(wide),
+            Err(HdError::InvalidConfig(_))
+        ));
+        // …while 1 × (2^32 − 1) is exactly u32::MAX and encodes.
+        let enc = ScalarEncoder::new(EncoderConfig::new(1, 64).with_levels(1 << 32)).unwrap();
+        let h = enc.encode(&[1.0]).unwrap();
+        let reference = enc.encode_reference(&[1.0]).unwrap();
+        assert_eq!(h, reference);
     }
 
     #[test]

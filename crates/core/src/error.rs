@@ -45,6 +45,10 @@ pub enum HdError {
     /// number was needed — e.g. a NaN query feature poisons every
     /// similarity score. The payload names the values affected.
     NonFinite(&'static str),
+    /// A compiled encode plan was applied with an encoder of its
+    /// dimension but another configuration (features, levels or seed)
+    /// than the one it was compiled against.
+    EncoderMismatch,
 }
 
 impl fmt::Display for HdError {
@@ -67,6 +71,10 @@ impl fmt::Display for HdError {
             HdError::ZeroNorm => write!(f, "operation undefined on an all-zero hypervector"),
             HdError::EmptyInput(what) => write!(f, "empty input: {what}"),
             HdError::NonFinite(what) => write!(f, "non-finite value in {what}"),
+            HdError::EncoderMismatch => write!(
+                f,
+                "encode plan was compiled against another encoder configuration"
+            ),
         }
     }
 }
@@ -97,6 +105,7 @@ mod tests {
             HdError::ZeroNorm,
             HdError::EmptyInput("training set"),
             HdError::NonFinite("similarity scores"),
+            HdError::EncoderMismatch,
         ];
         for v in variants {
             let s = v.to_string();

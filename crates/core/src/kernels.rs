@@ -7,14 +7,18 @@
 //!
 //! * [`TransposedItemMemory`] + [`scalar_encode_level_sliced`] — the
 //!   scalar encoding of Eq. (2a). `snap` maps every feature onto one of
-//!   `ℓ_iv` grid values `g_k/(ℓ−1)`, so the per-dimension sum
-//!   `Σ_k v_k·sign_{k,j}` factors over the *binary digits* of the grid
-//!   indices: `acc_j = (2·Σ_b 2^b·popcount(T_j ∧ m_b) − Σ_k g_k)/(ℓ−1)`,
-//!   where `T_j` is the dim-major bit row of the item memory (one bit
-//!   per feature) and `m_b` masks the features whose grid index has bit
-//!   `b` set. One query builds `⌈log₂ ℓ⌉` masks and then runs pure
-//!   AND+POPCNT per dimension — no per-feature sign walks. The integer
-//!   sum is exact; a single final multiply scales it back to the grid.
+//!   `ℓ_iv` grid values `g_k/(ℓ−1)`, so the per-dimension sum factors
+//!   as `acc_j = (2·w_j − Σ_k g_k)/(ℓ−1)` with `w_j = Σ_k g_k·T_j[k]`,
+//!   where `T_j[k]` is 1 exactly when base hypervector `B_k` is `+1` at
+//!   dimension `j`. The transposed item memory stores `T` as byte
+//!   planes (plane `p` holds features `8p…8p+7` of every dimension), so
+//!   one query builds one 16-entry table per four features — entry `v`
+//!   is the sum of `g` over the set bits of nibble `v` — and `w_j` is
+//!   one table lookup per nibble of column `j`: the CPU form of the
+//!   paper's §III-D point that Eq. (2) maps onto lookup tables. The
+//!   AVX2 arm looks up 32 dimensions per `vpshufb` (the nibble lookup
+//!   of Muła, Kurz and Lemire's AVX2 population count). The integer sum
+//!   is exact; a single final multiply scales it back to the grid.
 //! * [`level_encode_majority`] — the record encoding of Eq. (2b) as a
 //!   word-parallel majority accumulation: the bound rows `L_{v_k} ⊛ B_k`
 //!   are streamed through a carry-save-adder (CSA) bit-slice counter, so
@@ -34,21 +38,21 @@
 //! * [`PackedClassMatrix`] + [`xor_popcount`] — the packed-native
 //!   inference path: class rows stored as bit-packed signs plus one
 //!   magnitude scale per 64-dim word block, scored against bit-packed
-//!   queries with pure `XOR` + `POPCNT` word arithmetic
+//!   queries with pure `XOR` + popcount word arithmetic
 //!   (`dot = Σ_w s_w·(valid_w − 2·mismatch_w)`), so a 1-bit/dim wire
 //!   query is never expanded to dense `f64`s on the serving path.
-//! * [`scalar_encode_packed`] / [`scalar_encode_packed_batch`] — the
-//!   Eq. (2a) kernel fused with bipolar quantization: the accumulator
-//!   sign comparison happens in exact integers and the packed words are
-//!   emitted directly. The batch form builds every query's digit masks
-//!   up front and then streams each transposed item-memory row once
-//!   across the whole batch, amortizing the row's memory traffic.
+//! * [`scalar_encode_packed`] / [`scalar_encode_bipolar_masked`] — the
+//!   Eq. (2a) kernel fused with bipolar quantization (and, for the
+//!   second, dimension masking): both map the same `w_j` to a sign in
+//!   exact integers (`2·w_j ≥ Σ_k g_k`), so the dense `f64` accumulator
+//!   is never materialized.
 //!
-//! The `f64` dot kernels and [`xor_popcount`] dispatch to explicit AVX2
-//! (`std::arch`) variants when the CPU supports them — detected once at
-//! runtime, short-circuited at compile time under
-//! `-C target-feature=+avx2` — with scalar fallbacks the AVX2 arms
-//! bit-match (separate mul+add, identical lane order; see
+//! The `f64` dot kernels, [`xor_popcount`] and the weighted-count core
+//! of the Eq. (2a) kernels dispatch to explicit AVX2 (`std::arch`)
+//! variants when the CPU supports them — detected once at runtime,
+//! short-circuited at compile time under `-C target-feature=+avx2` —
+//! with scalar fallbacks the AVX2 arms bit-match (separate mul+add,
+//! identical lane order, or pure integer arithmetic; see
 //! `docs/PERF.md` for the dispatch policy). The scalar fallbacks of the
 //! row-grouped dots simply run the one-row scalar kernel once per row:
 //! rows are independent, so that is already the grouped arm's order.
@@ -58,9 +62,9 @@
 //! kernels to them (bit-exact where the arithmetic is integer, ≤1e-9
 //! absolute where only the floating-point summation order differs).
 //!
-//! Per-query scratch (grid indices, digit masks, CSA planes) lives in a
-//! thread-local buffer so steady-state encoding performs no allocations
-//! beyond the returned hypervector.
+//! Per-query scratch (nibble tables, weighted counts, CSA planes) lives
+//! in a thread-local buffer so steady-state encoding performs no
+//! allocations beyond the returned hypervector.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -80,6 +84,17 @@ const DIM_TILE: usize = 2_048;
 /// chain, and leave registers for the shared query quad.
 const ROW_GROUP: usize = 4;
 
+/// Features per byte plane of a [`TransposedItemMemory`].
+const PLANE_FEATURES: usize = 8;
+
+/// Columns per block of the byte-plane layout: one 256-bit `vpshufb`
+/// looks up a block's nibbles of one plane at once.
+const PLANE_LANES: usize = 32;
+
+/// Largest `ℓ` the AVX2 weighted-count arm takes: one plane adds at
+/// most `8·(ℓ−1)` to a `u16` lane, which must not exceed `u16::MAX`.
+const AVX2_MAX_LEVELS: usize = u16::MAX as usize / PLANE_FEATURES + 1;
+
 thread_local! {
     static SCRATCH: RefCell<KernelScratch> = RefCell::new(KernelScratch::default());
 }
@@ -87,77 +102,105 @@ thread_local! {
 /// Reusable per-thread buffers for the encode kernels.
 #[derive(Debug, Default)]
 struct KernelScratch {
-    /// Grid indices `g_k`, one per feature (scalar encode).
-    grid: Vec<u64>,
-    /// Digit masks `m_b`, `bits × f_words` words (scalar encode).
-    masks: Vec<u64>,
+    /// One 16-entry table per nibble of features (scalar encode).
+    tables: Vec<[u32; 16]>,
+    /// The same tables split into 16 low then 16 high bytes, the
+    /// `vpshufb` operands of the AVX2 arm (scalar encode).
+    table_bytes: Vec<[u8; 32]>,
+    /// Weighted counts `w_j`, one per (padded) column (scalar encode).
+    counts: Vec<u32>,
     /// CSA bit-planes, word-major `hv_words × planes` (level encode).
     planes: Vec<u64>,
 }
 
-/// Dim-major, bit-sliced copy of an [`ItemMemory`].
+/// Byte-plane transpose of an [`ItemMemory`], or of a subset of its
+/// dimensions (columns).
 ///
-/// Row `j` packs the signs of base hypervectors `B_0 … B_{D_iv−1}` *at
-/// dimension `j`* into `⌈D_iv/64⌉` words (bit `k` set ⇔ `B_k[j] = +1`).
-/// This is the transpose of the feature-major layout [`ItemMemory`]
-/// stores, and it is what lets [`scalar_encode_level_sliced`] answer
-/// "how many features of this subset are positive at dimension `j`"
-/// with a handful of `AND` + `POPCNT` instructions.
+/// Plane `p` holds bit `i` = "base hypervector `B_{8p+i}` is `+1` at
+/// this column" for every column, one byte per column; a column's
+/// `⌈D_iv/8⌉` bytes are its whole row `T_j` of signs. Columns are
+/// padded to a multiple of 32 and stored block-major (the 32 columns of
+/// a block, plane by plane), so the encode kernels stream the memory
+/// once, in order. This is the layout that lets
+/// [`scalar_encode_level_sliced`] answer "what is `Σ_k g_k` over the
+/// features positive at column `j`" with one table lookup per nibble.
 #[derive(Debug, Clone)]
 pub struct TransposedItemMemory {
     features: usize,
     dim: usize,
-    f_words: usize,
-    words: Vec<u64>,
+    planes: usize,
+    /// `⌈dim/32⌉` blocks of `planes × 32` bytes.
+    bytes: Vec<u8>,
 }
 
 impl TransposedItemMemory {
     /// Builds the transpose of `item` (done once per encoder).
     pub fn from_item_memory(item: &ItemMemory) -> Self {
-        let features = item.len();
-        let dim = item.dim();
-        let f_words = features.div_ceil(WORD_BITS);
-        let mut words = vec![0u64; dim * f_words];
+        let mut t = Self::zeroed(item.len(), item.dim());
         for (k, base) in item.iter().enumerate() {
-            let (fw, fb) = (k / WORD_BITS, k % WORD_BITS);
+            let (p, bit) = (k / PLANE_FEATURES, k % PLANE_FEATURES);
             for (w, &bw) in base.words().iter().enumerate() {
                 let mut word = bw;
                 while word != 0 {
-                    let b = word.trailing_zeros() as usize;
-                    let j = w * WORD_BITS + b;
-                    if j >= dim {
+                    let j = w * WORD_BITS + word.trailing_zeros() as usize;
+                    if j >= t.dim {
                         break;
                     }
-                    words[j * f_words + fw] |= 1 << fb;
+                    let at = t.offset(j, p);
+                    t.bytes[at] |= 1 << bit;
                     word &= word - 1;
                 }
             }
         }
+        t
+    }
+
+    /// The byte planes of the columns whose bit is set in `keep_words`
+    /// (bit `j` of word `j/64` ⇔ column `j` is kept), in index order —
+    /// what a masked plan compiles so that it never computes a masked
+    /// dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep_words` is shorter than `⌈dim/64⌉` words.
+    pub(crate) fn kept_columns(&self, keep_words: &[u64]) -> Self {
+        let kept: Vec<usize> = (0..self.dim)
+            .filter(|&j| keep_words[j / WORD_BITS] >> (j % WORD_BITS) & 1 == 1)
+            .collect();
+        let mut t = Self::zeroed(self.features, kept.len());
+        for (c, &j) in kept.iter().enumerate() {
+            for p in 0..self.planes {
+                let (to, from) = (t.offset(c, p), self.offset(j, p));
+                t.bytes[to] = self.bytes[from];
+            }
+        }
+        t
+    }
+
+    fn zeroed(features: usize, dim: usize) -> Self {
+        let planes = features.div_ceil(PLANE_FEATURES);
         Self {
             features,
             dim,
-            f_words,
-            words,
+            planes,
+            bytes: vec![0; dim.div_ceil(PLANE_LANES) * planes * PLANE_LANES],
         }
     }
 
-    /// Number of features `D_iv` (bits per row).
+    /// Index of column `j`'s byte in plane `p`.
+    fn offset(&self, j: usize, p: usize) -> usize {
+        ((j / PLANE_LANES) * self.planes + p) * PLANE_LANES + j % PLANE_LANES
+    }
+
+    /// Number of features `D_iv` (bits per column).
     pub fn features(&self) -> usize {
         self.features
     }
 
-    /// Hypervector dimensionality `D_hv` (number of rows).
+    /// Number of columns: the hypervector dimensionality `D_hv`, or the
+    /// number of kept dimensions of a masked plan's subset.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// The packed bit row for dimension `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.dim()`.
-    pub fn row(&self, j: usize) -> &[u64] {
-        &self.words[j * self.f_words..(j + 1) * self.f_words]
     }
 }
 
@@ -168,68 +211,30 @@ impl TransposedItemMemory {
 ///
 /// # Panics
 ///
-/// Panics if `input.len() != im_t.features()` or `levels < 2` (the
-/// encoder validates both before calling).
+/// Panics if `input.len() != im_t.features()`, `levels < 2`, or
+/// `features·(levels−1)` exceeds `u32::MAX` (the encoder validates all
+/// three).
 pub fn scalar_encode_level_sliced(
     im_t: &TransposedItemMemory,
     input: &[f64],
     levels: usize,
 ) -> Vec<f64> {
     assert_eq!(input.len(), im_t.features, "feature count mismatch");
-    assert!(levels >= 2, "need at least two levels");
     // The integer pipeline would silently snap NaN to grid index 0;
     // poison the whole encoding instead, as the reference path does.
     if input.iter().any(|v| v.is_nan()) {
         return vec![f64::NAN; im_t.dim];
     }
-    let steps = (levels - 1) as f64;
-    let max_index = (levels - 1) as u64;
-    let bits = (u64::BITS - max_index.leading_zeros()) as usize;
-    let f_words = im_t.f_words;
-
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
-
-        // 1. Quantize each feature to its grid index g_k = round(v·(ℓ−1)).
-        scratch.grid.clear();
-        scratch
-            .grid
-            .extend(input.iter().map(|&raw| quantize_index(raw, steps)));
-
-        // 2. Slice the indices into per-digit feature masks m_b and the
-        //    per-query constant Σ_k g_k.
-        scratch.masks.clear();
-        scratch.masks.resize(bits * f_words, 0);
-        let mut index_total: u64 = 0;
-        for (k, &g) in scratch.grid.iter().enumerate() {
-            index_total += g;
-            let (fw, fb) = (k / WORD_BITS, k % WORD_BITS);
-            let mut digits = g;
-            while digits != 0 {
-                let b = digits.trailing_zeros() as usize;
-                scratch.masks[b * f_words + fw] |= 1 << fb;
-                digits &= digits - 1;
-            }
-        }
-
-        // 3. Pure popcount accumulation per dimension.
-        let inv_steps = 1.0 / steps;
-        let total = index_total as i64;
-        let mut acc = Vec::with_capacity(im_t.dim);
-        for row in im_t.words.chunks_exact(f_words) {
-            let mut weighted: u64 = 0;
-            for (b, mask) in scratch.masks.chunks_exact(f_words).enumerate() {
-                let mut count: u32 = 0;
-                for (rw, mw) in row.iter().zip(mask) {
-                    count += (rw & mw).count_ones();
-                }
-                weighted += u64::from(count) << b;
-            }
-            // acc_j = (2·Σ_b 2^b·pos_count_{b,j} − Σ_k g_k) / (ℓ−1):
-            // exact in integers, one rounding at the final scale.
-            acc.push((2 * weighted as i64 - total) as f64 * inv_steps);
-        }
-        acc
+        let total = weighted_counts(im_t, input, levels, scratch) as i64;
+        let inv_steps = 1.0 / (levels - 1) as f64;
+        // acc_j = (2·w_j − Σ_k g_k) / (ℓ−1): exact in integers, one
+        // rounding at the final scale.
+        scratch.counts[..im_t.dim]
+            .iter()
+            .map(|&w| (2 * i64::from(w) - total) as f64 * inv_steps)
+            .collect()
     })
 }
 
@@ -243,7 +248,7 @@ fn quantize_index(raw: f64, steps: f64) -> u64 {
 /// packed sign words are emitted directly (bit 1 ⇔ `acc_j ≥ 0`, the
 /// [`crate::QuantScheme::Bipolar`] convention) and the dense `f64`
 /// accumulator is never materialized. The sign test
-/// `2·weighted_j ≥ Σ_k g_k` runs in exact integers, so the result
+/// `2·w_j ≥ Σ_k g_k` runs in exact integers, so the result
 /// bit-matches bipolar-quantizing the dense kernel's output.
 ///
 /// Returns `None` if any input is NaN: the dense path poisons the whole
@@ -251,125 +256,50 @@ fn quantize_index(raw: f64, steps: f64) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if `input.len() != im_t.features()` or `levels < 2` (the
-/// encoder validates both).
+/// Same contract as [`scalar_encode_level_sliced`].
 pub fn scalar_encode_packed(
     im_t: &TransposedItemMemory,
     input: &[f64],
     levels: usize,
 ) -> Option<BipolarHv> {
-    scalar_encode_packed_batch(im_t, &[input], levels)
-        .map(|mut out| out.pop().expect("one query in, one hypervector out"))
-}
-
-/// Batch form of [`scalar_encode_packed`]: every query's level-grid
-/// digit masks are built up front, then each transposed item-memory row
-/// is streamed *once* across the whole batch. The item-memory traffic —
-/// `D_hv × ⌈D_iv/64⌉` words, the dominant memory term of Eq. (2a) — is
-/// paid per batch instead of per query.
-///
-/// Returns `None` if any query contains NaN (see
-/// [`scalar_encode_packed`]); an empty batch yields an empty vector.
-///
-/// # Panics
-///
-/// Panics if any query's length differs from `im_t.features()` or
-/// `levels < 2`.
-pub fn scalar_encode_packed_batch(
-    im_t: &TransposedItemMemory,
-    inputs: &[&[f64]],
-    levels: usize,
-) -> Option<Vec<BipolarHv>> {
-    assert!(levels >= 2, "need at least two levels");
-    for input in inputs {
-        assert_eq!(input.len(), im_t.features, "feature count mismatch");
-        if input.iter().any(|v| v.is_nan()) {
-            return None;
-        }
+    assert_eq!(input.len(), im_t.features, "feature count mismatch");
+    if input.iter().any(|v| v.is_nan()) {
+        return None;
     }
-    if inputs.is_empty() {
-        return Some(Vec::new());
-    }
-    let steps = (levels - 1) as f64;
-    let max_index = (levels - 1) as u64;
-    let bits = (u64::BITS - max_index.leading_zeros()) as usize;
-    let f_words = im_t.f_words;
-    let hv_words = im_t.dim.div_ceil(WORD_BITS);
-
-    // Phase 1: quantize every query and slice its grid indices into
-    // digit masks (one `bits × f_words` block per query) plus the
-    // per-query constant Σ_k g_k. Allocated per batch, not per query.
-    let mut masks = vec![0u64; inputs.len() * bits * f_words];
-    let mut totals = Vec::with_capacity(inputs.len());
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
-        for (input, qmasks) in inputs.iter().zip(masks.chunks_exact_mut(bits * f_words)) {
-            scratch.grid.clear();
-            scratch
-                .grid
-                .extend(input.iter().map(|&raw| quantize_index(raw, steps)));
-            let mut index_total: u64 = 0;
-            for (k, &g) in scratch.grid.iter().enumerate() {
-                index_total += g;
-                let (fw, fb) = (k / WORD_BITS, k % WORD_BITS);
-                let mut digits = g;
-                while digits != 0 {
-                    let b = digits.trailing_zeros() as usize;
-                    qmasks[b * f_words + fw] |= 1 << fb;
-                    digits &= digits - 1;
-                }
-            }
-            totals.push(index_total);
-        }
-    });
-
-    // Phase 2: one pass over the transposed item memory, scoring all
-    // queries against each dim-row while it is cache-hot.
-    let mut out_words = vec![0u64; inputs.len() * hv_words];
-    for (j, row) in im_t.words.chunks_exact(f_words).enumerate() {
-        let (jw, jb) = (j / WORD_BITS, j % WORD_BITS);
-        for (q, qmasks) in masks.chunks_exact(bits * f_words).enumerate() {
-            let mut weighted: u64 = 0;
-            for (b, mask) in qmasks.chunks_exact(f_words).enumerate() {
-                let mut count: u32 = 0;
-                for (rw, mw) in row.iter().zip(mask) {
-                    count += (rw & mw).count_ones();
-                }
-                weighted += u64::from(count) << b;
-            }
-            // acc_j ≥ 0 ⇔ 2·weighted ≥ Σ_k g_k: the 1/(ℓ−1) scale is
+        let total = weighted_counts(im_t, input, levels, scratch);
+        let mut words = vec![0u64; im_t.dim.div_ceil(WORD_BITS)];
+        for (word, counts) in words
+            .iter_mut()
+            .zip(scratch.counts[..im_t.dim].chunks(WORD_BITS))
+        {
+            // acc_j ≥ 0 ⇔ 2·w_j ≥ Σ_k g_k: the 1/(ℓ−1) scale is
             // positive, so the comparison happens in exact integers.
-            if 2 * weighted >= totals[q] {
-                out_words[q * hv_words + jw] |= 1 << jb;
+            for (b, &w) in counts.iter().enumerate() {
+                *word |= u64::from(2 * u64::from(w) >= total) << b;
             }
         }
-    }
-
-    Some(
-        out_words
-            .chunks_exact(hv_words)
-            .map(|words| BipolarHv::from_words(im_t.dim, words.to_vec()))
-            .collect(),
-    )
+        Some(BipolarHv::from_words(im_t.dim, words))
+    })
 }
 
 /// [`scalar_encode_level_sliced`] fused with bipolar quantization *and*
 /// dimension masking — the compiled
 /// [`EncodePlan`](crate::plan::EncodePlan) kernel for the paper's
 /// operating point (bipolar inference quantization + masked dims,
-/// §III-C). `keep_words` packs one bit per dimension (bit set ⇔ the
-/// dimension survives the obfuscation mask; `⌈dim/64⌉` words, zero tail
-/// bits).
+/// §III-C). `keep_words` packs one bit per output dimension (bit set ⇔
+/// the dimension survives the obfuscation mask; at least `⌈dim/64⌉`
+/// words, zero tail bits), and `kept` holds the byte planes of exactly
+/// the kept columns, in index order (what an `EncodePlan` compiles, or
+/// the whole item memory when nothing is masked).
 ///
-/// Masked dimensions are emitted as `0.0` *without ever accumulating
-/// them*: the whole `bits × ⌈D_iv/64⌉` popcount phase — the dominant
-/// cost of Eq. (2a) — is skipped for every masked dimension, which is
-/// where the compiled plan's speedup over encode-then-obfuscate comes
-/// from. Kept dimensions run the exact-integer sign test
-/// `2·weighted_j ≥ Σ_k g_k` of [`scalar_encode_packed`], so the output
-/// bit-matches `obfuscate(encode(input))` under
-/// [`crate::QuantScheme::Bipolar`] (whose result is independent of the
-/// σ threshold).
+/// Masked dimensions are emitted as `0.0` and never computed: the
+/// weighted counts run over the kept columns only. Kept dimensions run
+/// the exact-integer sign test `2·w_j ≥ Σ_k g_k` of
+/// [`scalar_encode_packed`], so the output bit-matches
+/// `obfuscate(encode(input))` under [`crate::QuantScheme::Bipolar`]
+/// (whose result is independent of the σ threshold).
 ///
 /// Returns `None` if any input is NaN — the generic composition then
 /// defines the semantics (NaN poisons the accumulator and the bipolar
@@ -377,74 +307,243 @@ pub fn scalar_encode_packed_batch(
 ///
 /// # Panics
 ///
-/// Panics if `input.len() != im_t.features()`, `levels < 2`, or
-/// `keep_words` is shorter than `⌈dim/64⌉` (the plan compiler
-/// guarantees all three).
+/// Panics if `input.len() != kept.features()`, `keep_words` is shorter
+/// than `⌈dim/64⌉`, its first `⌈dim/64⌉` words do not set exactly
+/// `kept.dim()` bits, or `levels` breaks the contract of
+/// [`scalar_encode_level_sliced`] (the plan compiler guarantees all of
+/// them).
 pub fn scalar_encode_bipolar_masked(
-    im_t: &TransposedItemMemory,
+    kept: &TransposedItemMemory,
     input: &[f64],
     levels: usize,
     keep_words: &[u64],
+    dim: usize,
 ) -> Option<Vec<f64>> {
-    assert_eq!(input.len(), im_t.features, "feature count mismatch");
-    assert!(levels >= 2, "need at least two levels");
-    assert!(
-        keep_words.len() >= im_t.dim.div_ceil(WORD_BITS),
-        "keep mask shorter than the dimension"
+    assert_eq!(input.len(), kept.features, "feature count mismatch");
+    let keep_words = &keep_words[..dim.div_ceil(WORD_BITS)];
+    assert_eq!(
+        keep_words
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>(),
+        kept.dim,
+        "keep mask does not match the kept columns"
     );
     if input.iter().any(|v| v.is_nan()) {
         return None;
     }
-    let steps = (levels - 1) as f64;
-    let max_index = (levels - 1) as u64;
-    let bits = (u64::BITS - max_index.leading_zeros()) as usize;
-    let f_words = im_t.f_words;
-
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
-
-        // Phase 1: grid indices and digit masks, exactly as in
-        // `scalar_encode_level_sliced`.
-        scratch.grid.clear();
-        scratch
-            .grid
-            .extend(input.iter().map(|&raw| quantize_index(raw, steps)));
-        scratch.masks.clear();
-        scratch.masks.resize(bits * f_words, 0);
-        let mut index_total: u64 = 0;
-        for (k, &g) in scratch.grid.iter().enumerate() {
-            index_total += g;
-            let (fw, fb) = (k / WORD_BITS, k % WORD_BITS);
-            let mut digits = g;
-            while digits != 0 {
-                let b = digits.trailing_zeros() as usize;
-                scratch.masks[b * f_words + fw] |= 1 << fb;
-                digits &= digits - 1;
+        let total = weighted_counts(kept, input, levels, scratch);
+        let mut counts = scratch.counts[..kept.dim].iter();
+        let mut acc = vec![0.0; dim];
+        for (w, &keep) in keep_words.iter().enumerate() {
+            let mut bits = keep;
+            while bits != 0 {
+                let j = w * WORD_BITS + bits.trailing_zeros() as usize;
+                // Kept columns and set bits are equinumerous (asserted
+                // above), in the same index order.
+                let w_j = *counts.next().expect("one count per kept column");
+                // acc_j ≥ 0 ⇔ 2·w_j ≥ Σ_k g_k (positive 1/(ℓ−1) scale),
+                // then Bipolar maps `≥ 0` to +1 — all in exact integers.
+                acc[j] = if 2 * u64::from(w_j) >= total {
+                    1.0
+                } else {
+                    -1.0
+                };
+                bits &= bits - 1;
             }
-        }
-
-        // Phase 2: popcount accumulation for *kept* dimensions only.
-        let total = index_total;
-        let mut acc = Vec::with_capacity(im_t.dim);
-        for (j, row) in im_t.words.chunks_exact(f_words).enumerate() {
-            if keep_words[j / WORD_BITS] >> (j % WORD_BITS) & 1 == 0 {
-                acc.push(0.0);
-                continue;
-            }
-            let mut weighted: u64 = 0;
-            for (b, mask) in scratch.masks.chunks_exact(f_words).enumerate() {
-                let mut count: u32 = 0;
-                for (rw, mw) in row.iter().zip(mask) {
-                    count += (rw & mw).count_ones();
-                }
-                weighted += u64::from(count) << b;
-            }
-            // acc_j ≥ 0 ⇔ 2·weighted ≥ Σ_k g_k (positive 1/(ℓ−1) scale),
-            // then Bipolar maps `≥ 0` to +1 — all in exact integers.
-            acc.push(if 2 * weighted >= total { 1.0 } else { -1.0 });
         }
         Some(acc)
     })
+}
+
+/// Computes `w_j = Σ_k g_k·T_j[k]` exactly for every column of `im`
+/// into `scratch.counts` (padded to whole 32-column blocks; the padding
+/// counts are 0), where `g_k = round(clamp(input_k)·(ℓ−1))`, and
+/// returns `Σ_k g_k`.
+///
+/// Builds one 16-entry table per nibble of features, then looks every
+/// column's nibbles up in them. The AVX2 arm runs while one plane's
+/// contribution `8·(ℓ−1)` fits its `u16` lanes (`ℓ ≤ 8,192`); above
+/// that, or without AVX2, the scalar arm runs. Both are exact integer
+/// arithmetic, so they agree bit for bit.
+///
+/// # Panics
+///
+/// Panics if `levels < 2` or `features·(levels−1) > u32::MAX`: every
+/// table entry and count is bounded by that product.
+fn weighted_counts(
+    im: &TransposedItemMemory,
+    input: &[f64],
+    levels: usize,
+    scratch: &mut KernelScratch,
+) -> u64 {
+    assert!(levels >= 2, "need at least two levels");
+    assert!(
+        im.features
+            .checked_mul(levels - 1)
+            .is_some_and(|n| n <= u32::MAX as usize),
+        "features·(levels−1) must fit 32-bit counts"
+    );
+    let total = nibble_tables(input, levels, im.planes, &mut scratch.tables);
+    scratch.counts.clear();
+    scratch
+        .counts
+        .resize(im.dim.div_ceil(PLANE_LANES) * PLANE_LANES, 0);
+    #[cfg(target_arch = "x86_64")]
+    if levels <= AVX2_MAX_LEVELS && avx2_available() {
+        scratch.table_bytes.clear();
+        scratch
+            .table_bytes
+            .extend(scratch.tables.iter().map(|table| {
+                // Entries are at most 4·(ℓ−1) < 2^16: two bytes each.
+                let mut split = [0u8; 32];
+                for (v, &entry) in table.iter().enumerate() {
+                    split[v] = entry as u8;
+                    split[16 + v] = (entry >> 8) as u8;
+                }
+                split
+            }));
+        let flush_every = u16::MAX as usize / (PLANE_FEATURES * (levels - 1));
+        // SAFETY: `avx2_available` verified the AVX2 requirement, the
+        // arm's only precondition: its loads and stores are bounded by
+        // array types.
+        unsafe {
+            weighted_counts_avx2(
+                &im.bytes,
+                im.planes,
+                &scratch.table_bytes,
+                flush_every,
+                &mut scratch.counts,
+            )
+        };
+        return total;
+    }
+    weighted_counts_scalar(&im.bytes, im.planes, &scratch.tables, &mut scratch.counts);
+    total
+}
+
+/// Fills `tables` with the query's `2·planes` nibble tables — entry `v`
+/// of table `n` is `Σ g_{4n+i}` over the set bits `i` of `v`, features
+/// past the input counting 0 — and returns `Σ_k g_k`.
+fn nibble_tables(input: &[f64], levels: usize, planes: usize, tables: &mut Vec<[u32; 16]>) -> u64 {
+    let steps = (levels - 1) as f64;
+    let mut total = 0u64;
+    let mut nibbles = input.chunks(PLANE_FEATURES / 2);
+    tables.clear();
+    tables.extend((0..2 * planes).map(|_| {
+        let mut table = [0u32; 16];
+        for (i, &raw) in nibbles.next().unwrap_or_default().iter().enumerate() {
+            let g = quantize_index(raw, steps);
+            total += g;
+            // Entries with bit `i` set add g_i to the entry without it;
+            // the caller bounds every sum by features·(ℓ−1) ≤ u32::MAX.
+            for v in 0..1 << i {
+                table[1 << i | v] = table[v] + g as u32;
+            }
+        }
+        table
+    }));
+    total
+}
+
+/// Scalar arm of [`weighted_counts`]: per column, one table lookup per
+/// nibble of every plane.
+fn weighted_counts_scalar(bytes: &[u8], planes: usize, tables: &[[u32; 16]], counts: &mut [u32]) {
+    let (blocks, _) = counts.as_chunks_mut::<PLANE_LANES>();
+    for (block, out) in bytes.chunks_exact(planes * PLANE_LANES).zip(blocks) {
+        let (block, _) = block.as_chunks::<PLANE_LANES>();
+        for (c, w) in out.iter_mut().enumerate() {
+            let mut sum = 0u32;
+            for (plane, pair) in block.iter().zip(tables.chunks_exact(2)) {
+                let byte = plane[c];
+                sum += pair[0][usize::from(byte & 0x0F)] + pair[1][usize::from(byte >> 4)];
+            }
+            *w = sum;
+        }
+    }
+}
+
+/// AVX2 arm of [`weighted_counts`]: for each 32-column block, every
+/// plane's low and high nibbles index their tables with two `vpshufb`
+/// each (one for the entries' low bytes, one for their high bytes), and
+/// the byte pairs are interleaved into `u16` lanes and added. The `u16`
+/// sums are widened into `u32` accumulators every `flush_every` planes,
+/// before `flush_every·8·(ℓ−1)` could exceed `u16::MAX`. The unpacks
+/// work within 128-bit halves, so the accumulators hold columns
+/// `{0–3, 16–19}`, `{4–7, 20–23}`, `{8–11, 24–27}`, `{12–15, 28–31}`,
+/// and one cross-half permute per output vector restores column order.
+/// Every raw load and store addresses a fixed-size array (a plane, a
+/// table, eight counts), so no shape of the arguments can take it out of
+/// bounds; [`weighted_counts`] passes one table per nibble and one
+/// count per padded column.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn weighted_counts_avx2(
+    bytes: &[u8],
+    planes: usize,
+    tables: &[[u8; 32]],
+    flush_every: usize,
+    counts: &mut [u32],
+) {
+    use std::arch::x86_64::*;
+    let low_nibble = _mm256_set1_epi8(0x0F);
+    let zero = _mm256_setzero_si256();
+    let (blocks, _) = counts.as_chunks_mut::<PLANE_LANES>();
+    for (block, out) in bytes.chunks_exact(planes * PLANE_LANES).zip(blocks) {
+        let mut wide = [zero; 4];
+        let (block, _) = block.as_chunks::<PLANE_LANES>();
+        for (run, run_tables) in block
+            .chunks(flush_every)
+            .zip(tables.chunks(2 * flush_every))
+        {
+            let mut narrow = [zero; 2];
+            for (plane, pair) in run.iter().zip(run_tables.chunks_exact(2)) {
+                // SAFETY: `plane` is a `[u8; 32]`: exactly the 32 bytes
+                // the unaligned load reads.
+                let v = unsafe { _mm256_loadu_si256(plane.as_ptr().cast()) };
+                let lo = _mm256_and_si256(v, low_nibble);
+                let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(v), low_nibble);
+                for (index, table) in [lo, hi].into_iter().zip(pair) {
+                    // SAFETY: `table` is a `[u8; 32]`; the two 16-byte
+                    // loads read its low-byte and high-byte halves.
+                    let (low, high) = unsafe {
+                        (
+                            _mm256_broadcastsi128_si256(_mm_loadu_si128(table.as_ptr().cast())),
+                            _mm256_broadcastsi128_si256(_mm_loadu_si128(
+                                table.as_ptr().add(16).cast(),
+                            )),
+                        )
+                    };
+                    let low = _mm256_shuffle_epi8(low, index);
+                    let high = _mm256_shuffle_epi8(high, index);
+                    narrow[0] = _mm256_add_epi16(narrow[0], _mm256_unpacklo_epi8(low, high));
+                    narrow[1] = _mm256_add_epi16(narrow[1], _mm256_unpackhi_epi8(low, high));
+                }
+            }
+            wide[0] = _mm256_add_epi32(wide[0], _mm256_unpacklo_epi16(narrow[0], zero));
+            wide[1] = _mm256_add_epi32(wide[1], _mm256_unpackhi_epi16(narrow[0], zero));
+            wide[2] = _mm256_add_epi32(wide[2], _mm256_unpacklo_epi16(narrow[1], zero));
+            wide[3] = _mm256_add_epi32(wide[3], _mm256_unpackhi_epi16(narrow[1], zero));
+        }
+        let ordered = [
+            _mm256_permute2x128_si256::<0x20>(wide[0], wide[1]),
+            _mm256_permute2x128_si256::<0x20>(wide[2], wide[3]),
+            _mm256_permute2x128_si256::<0x31>(wide[0], wide[1]),
+            _mm256_permute2x128_si256::<0x31>(wide[2], wide[3]),
+        ];
+        let (chunks, _) = out.as_chunks_mut::<8>();
+        for (chunk, v) in chunks.iter_mut().zip(ordered) {
+            // SAFETY: `chunk` is a `[u32; 8]`: exactly the 32 bytes the
+            // unaligned store writes.
+            unsafe { _mm256_storeu_si256(chunk.as_mut_ptr().cast(), v) };
+        }
+    }
 }
 
 /// True when the dot/popcount kernels of this module will dispatch to
@@ -763,9 +862,12 @@ unsafe fn dot_sign_dense_avx2<const R: usize>(words: &[u64], rows: [&[f64]; R]) 
 /// `Σ_w popcount(a_w ⊕ b_w)` over the shorter slice — the Hamming
 /// kernel of the packed predict path.
 ///
-/// Dispatches to an AVX2 variant (256-bit XOR, scalar `POPCNT`
-/// extraction — see `docs/PERF.md`); both arms are pure integer
-/// arithmetic and trivially agree.
+/// Dispatches to an AVX2 variant (256-bit XOR; see `docs/PERF.md`);
+/// both arms are pure integer arithmetic and trivially agree. Neither
+/// emits a `POPCNT` instruction: the default x86-64 target lacks the
+/// `popcnt` feature, so `count_ones` compiles to a shift-and-mask
+/// (SWAR) count in the scalar arm and is vectorized into a `vpshufb`
+/// nibble lookup in the AVX2 arm.
 pub fn xor_popcount(a: &[u64], b: &[u64]) -> u64 {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
@@ -782,8 +884,9 @@ fn xor_popcount_scalar(a: &[u64], b: &[u64]) -> u64 {
         .sum()
 }
 
-/// AVX2 arm of [`xor_popcount`]: XOR four words per 256-bit op, count
-/// with scalar `POPCNT` (no AVX-512 `VPOPCNTDQ` dependence).
+/// AVX2 arm of [`xor_popcount`]: XOR four words per 256-bit op, then
+/// count with `count_ones`, which the compiler vectorizes into a
+/// `vpshufb` nibble lookup (no `POPCNT`, no AVX-512 `VPOPCNTDQ`).
 ///
 /// # Safety
 ///
@@ -1044,7 +1147,7 @@ impl ClassMatrix {
 /// Scoring a packed query is then pure word arithmetic:
 /// `dot_l = Σ_w s_lw · (valid_w − 2·popcount(q_w ⊕ σ_lw))` — tail bits
 /// of both operands are zero, so the XOR never counts them — at
-/// 64 dimensions per `XOR` + `POPCNT` instead of one `f64` add per
+/// 64 dimensions per `XOR` + popcount instead of one `f64` add per
 /// dimension. For ±1 rows every partial sum is a small exact integer,
 /// so the scores bit-match the dense path (asserted by the parity
 /// proptests in `tests/properties.rs`).
@@ -1280,18 +1383,32 @@ mod tests {
     use crate::basis::BasisGenerator;
     use crate::hypervector::BipolarHv;
 
+    /// Bit `k` of column `j` of a byte-plane set.
+    fn plane_bit(t: &TransposedItemMemory, j: usize, k: usize) -> bool {
+        t.bytes[t.offset(j, k / PLANE_FEATURES)] >> (k % PLANE_FEATURES) & 1 == 1
+    }
+
     #[test]
     fn transposed_item_memory_matches_signs() {
         let im = BasisGenerator::new(3).item_memory(70, 130).unwrap();
         let t = TransposedItemMemory::from_item_memory(&im);
         assert_eq!(t.features(), 70);
         assert_eq!(t.dim(), 130);
-        for j in 0..130 {
-            let row = t.row(j);
+        // 9 planes × 5 blocks of 32 columns; padding stays clear.
+        assert_eq!(t.bytes.len(), 9 * 5 * PLANE_LANES);
+        for j in 0..160 {
+            for k in 0..72 {
+                let expected = j < 130 && k < 70 && im.base(k).sign(j) > 0.0;
+                assert_eq!(plane_bit(&t, j, k), expected, "dim {j} feature {k}");
+            }
+        }
+        // A kept-column subset holds the same bits, renumbered in order.
+        let keep = [0x8000_0000_0000_0005u64, 0x1, 0];
+        let kept = t.kept_columns(&keep);
+        assert_eq!(kept.dim(), 4);
+        for (c, j) in [0, 2, 63, 64].into_iter().enumerate() {
             for k in 0..70 {
-                let bit = (row[k / 64] >> (k % 64)) & 1;
-                let expected = u64::from(im.base(k).sign(j) > 0.0);
-                assert_eq!(bit, expected, "dim {j} feature {k}");
+                assert_eq!(plane_bit(&kept, c, k), plane_bit(&t, j, k), "column {j}");
             }
         }
     }
@@ -1502,24 +1619,16 @@ mod tests {
         let im = BasisGenerator::new(21).item_memory(23, 150).unwrap();
         let t = TransposedItemMemory::from_item_memory(&im);
         let levels = 12;
-        let inputs: Vec<Vec<f64>> = (0..5)
-            .map(|q| {
-                (0..23)
-                    .map(|k| ((q * 23 + k) as f64 * 0.17).sin().abs())
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[f64]> = inputs.iter().map(|v| v.as_slice()).collect();
-        let batch = scalar_encode_packed_batch(&t, &refs, levels).expect("no NaN");
-        assert_eq!(batch.len(), inputs.len());
-        for (input, packed) in inputs.iter().zip(&batch) {
-            let dense = scalar_encode_level_sliced(&t, input, levels);
+        for q in 0..5 {
+            let input: Vec<f64> = (0..23)
+                .map(|k| ((q * 23 + k) as f64 * 0.17).sin().abs())
+                .collect();
+            let packed = scalar_encode_packed(&t, &input, levels).expect("no NaN");
+            let dense = scalar_encode_level_sliced(&t, &input, levels);
             for (j, &v) in dense.iter().enumerate() {
                 let expected = if v >= 0.0 { 1.0 } else { -1.0 };
-                assert_eq!(packed.sign(j), expected, "dim {j}");
+                assert_eq!(packed.sign(j), expected, "query {q}, dim {j}");
             }
-            let single = scalar_encode_packed(&t, input, levels).expect("no NaN");
-            assert_eq!(&single, packed, "single-query path must match batch");
         }
     }
 
@@ -1543,8 +1652,10 @@ mod tests {
                 keep[j / 64] |= 1 << (j % 64);
             }
         }
+        let kept = t.kept_columns(&keep);
         let input: Vec<f64> = (0..19).map(|k| (k as f64 * 0.29).sin().abs()).collect();
-        let fused = scalar_encode_bipolar_masked(&t, &input, levels, &keep).expect("no NaN input");
+        let fused =
+            scalar_encode_bipolar_masked(&kept, &input, levels, &keep, dim).expect("no NaN input");
         let dense = scalar_encode_level_sliced(&t, &input, levels);
         for (j, (&f, &d)) in fused.iter().zip(&dense).enumerate() {
             let expected = if j % 3 == 0 {
@@ -1559,7 +1670,7 @@ mod tests {
         // NaN input falls back to the generic composition.
         let mut poisoned = input.clone();
         poisoned[3] = f64::NAN;
-        assert!(scalar_encode_bipolar_masked(&t, &poisoned, levels, &keep).is_none());
+        assert!(scalar_encode_bipolar_masked(&kept, &poisoned, levels, &keep, dim).is_none());
     }
 
     #[test]
@@ -1730,6 +1841,188 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A byte-plane set whose feature `k` is set at column `j` exactly
+    /// when `bit(k, j)`.
+    fn planes_with(
+        features: usize,
+        dim: usize,
+        bit: impl Fn(usize, usize) -> bool,
+    ) -> TransposedItemMemory {
+        let mut t = TransposedItemMemory::zeroed(features, dim);
+        for j in 0..dim {
+            for k in (0..features).filter(|&k| bit(k, j)) {
+                let at = t.offset(j, k / PLANE_FEATURES);
+                t.bytes[at] |= 1 << (k % PLANE_FEATURES);
+            }
+        }
+        t
+    }
+
+    /// Shapes around the nibble, plane, block and word boundaries, the
+    /// ISOLET and MNIST feature counts (784 features at ℓ = 100 flush
+    /// the AVX2 arm's u16 lanes once per block), and levels on either
+    /// side of the AVX2 arm's bound. Miri gets a short list.
+    fn weighted_count_shapes() -> (&'static [usize], &'static [usize], &'static [usize]) {
+        if cfg!(miri) {
+            (&[1, 5, 9, 65], &[1, 33], &[2, 100, 8_193])
+        } else {
+            (
+                &[1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 617, 784],
+                &[1, 31, 32, 33, 64, 65, 10_000],
+                &[2, 3, 16, 100, 1_000, 8_192, 8_193],
+            )
+        }
+    }
+
+    #[test]
+    fn weighted_count_arms_match_a_direct_sum() {
+        if !avx2_dispatch() {
+            eprintln!("no AVX2 arm on this host: the dispatcher runs the scalar arm");
+        }
+        let (features_list, dims, levels_list) = weighted_count_shapes();
+        let hash = |k: usize, j: usize| {
+            let mut x = (k as u64) << 32 ^ j as u64 ^ 0x9E37_79B9_7F4A_7C15;
+            x ^= x >> 31;
+            x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x ^ x >> 29
+        };
+        let mut scratch = KernelScratch::default();
+        for &features in features_list {
+            for &dim in dims {
+                // Column 0 is all ones: with every g_k at ℓ−1 it reaches
+                // the largest count the shape allows.
+                let t = planes_with(features, dim, |k, j| j == 0 || hash(k, j) & 1 == 1);
+                for &levels in levels_list {
+                    let steps = (levels - 1) as f64;
+                    let top: Vec<f64> = vec![1.0; features];
+                    let spread: Vec<f64> = (0..features)
+                        .map(|k| (hash(k, dim + levels) % levels as u64) as f64 / steps)
+                        .collect();
+                    for input in [&top, &spread] {
+                        let g: Vec<u64> = input.iter().map(|&x| quantize_index(x, steps)).collect();
+                        let want: Vec<u32> = (0..dim)
+                            .map(|j| {
+                                let w: u64 = (0..features)
+                                    .filter(|&k| plane_bit(&t, j, k))
+                                    .map(|k| g[k])
+                                    .sum();
+                                w as u32
+                            })
+                            .collect();
+                        let shape = format!("{features} features × {dim} columns, ℓ = {levels}");
+
+                        let total = weighted_counts(&t, input, levels, &mut scratch);
+                        assert_eq!(total, g.iter().sum::<u64>(), "{shape}");
+                        assert_eq!(
+                            &scratch.counts[..dim],
+                            want.as_slice(),
+                            "dispatched, {shape}"
+                        );
+                        assert!(scratch.counts[dim..].iter().all(|&w| w == 0), "{shape}");
+
+                        let mut tables = Vec::new();
+                        nibble_tables(input, levels, t.planes, &mut tables);
+                        let mut counts = vec![u32::MAX; scratch.counts.len()];
+                        weighted_counts_scalar(&t.bytes, t.planes, &tables, &mut counts);
+                        assert_eq!(&counts[..dim], want.as_slice(), "scalar, {shape}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 48 }))]
+
+        #[test]
+        fn encode_plan_bit_matches_obfuscate_encode_at_every_mask_size(
+            values in proptest::collection::vec(0.0f64..1.0, 1..80),
+            dim in 1usize..300,
+            levels in 2usize..9_000,
+            seed in 0u64..1_000,
+        ) {
+            use crate::encoder::{Encoder, EncoderConfig, ScalarEncoder};
+            use crate::obfuscate::{ObfuscateConfig, Obfuscator};
+            use crate::plan::EncodePlan;
+            use crate::quantize::QuantScheme;
+
+            let enc = ScalarEncoder::new(
+                EncoderConfig::new(values.len(), dim).with_levels(levels).with_seed(seed),
+            ).unwrap();
+            let encoded = enc.encode(&values).unwrap();
+            for masked in [0, 1, dim / 2, dim - 1] {
+                if masked >= dim {
+                    continue;
+                }
+                let obfuscator = Obfuscator::new(
+                    dim,
+                    ObfuscateConfig::new(QuantScheme::Bipolar)
+                        .with_masked_dims(masked)
+                        .with_seed(seed ^ 0x5A),
+                ).unwrap();
+                let plan = EncodePlan::from_obfuscator(&enc, &obfuscator).unwrap();
+                proptest::prop_assert_eq!(
+                    plan.apply(&enc, &values).unwrap(),
+                    obfuscator.obfuscate(&encoded).unwrap()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn encode_plan_refuses_an_encoder_it_was_not_compiled_for() {
+        use crate::encoder::{EncoderConfig, ScalarEncoder};
+        use crate::error::HdError;
+        use crate::obfuscate::{ObfuscateConfig, Obfuscator};
+        use crate::plan::EncodePlan;
+        use crate::quantize::QuantScheme;
+
+        let config = EncoderConfig::new(6, 200).with_levels(20).with_seed(1);
+        let enc = ScalarEncoder::new(config.clone()).unwrap();
+        let x = [0.5; 6];
+        for (scheme, masked) in [
+            (QuantScheme::Bipolar, 0),
+            (QuantScheme::Bipolar, 50),
+            (QuantScheme::Ternary, 50),
+        ] {
+            let obfuscate = ObfuscateConfig::new(scheme).with_masked_dims(masked);
+            let plan = EncodePlan::compile(&enc, obfuscate).unwrap();
+            assert!(plan.apply(&enc, &x).is_ok());
+            // Same dimension, another basis, grid or feature count.
+            for other in [
+                config.clone().with_seed(2),
+                config.clone().with_levels(21),
+                EncoderConfig::new(7, 200).with_levels(20).with_seed(1),
+            ] {
+                let features = other.features;
+                let stranger = ScalarEncoder::new(other).unwrap();
+                assert_eq!(
+                    plan.apply(&stranger, &vec![0.5; features]),
+                    Err(HdError::EncoderMismatch),
+                    "{scheme}, {masked} masked"
+                );
+            }
+            // Another dimension keeps its own error.
+            let wide = ScalarEncoder::new(EncoderConfig::new(6, 300).with_seed(1)).unwrap();
+            assert_eq!(
+                plan.apply(&wide, &x),
+                Err(HdError::DimensionMismatch {
+                    expected: 200,
+                    actual: 300
+                })
+            );
+            // So does an obfuscator sized for another dimension.
+            let narrow = Obfuscator::new(100, obfuscate).unwrap();
+            assert_eq!(
+                EncodePlan::from_obfuscator(&enc, &narrow).unwrap_err(),
+                HdError::DimensionMismatch {
+                    expected: 200,
+                    actual: 100
+                }
+            );
         }
     }
 }

@@ -17,11 +17,11 @@
 //!   Eq. (2b) ([`LevelEncoder`]).
 //! * [`model`] — HD training (Eq. 3), retraining (Eq. 5) and inference
 //!   (Eq. 4) through the model's cached [`ModelPlan`].
-//! * [`kernels`] — the throughput layer: level-sliced popcount encode
-//!   over a bit-sliced transposed item memory (dense, packed, and
-//!   batch-packed forms), word-parallel (CSA) majority accumulation for
+//! * [`kernels`] — the throughput layer: nibble-table encode over a
+//!   byte-plane transposed item memory (dense, packed, and masked
+//!   forms), word-parallel (CSA) majority accumulation for
 //!   the record encoding, blocked, branchless query×class scoring, and
-//!   the packed-native `XOR`+`POPCNT` scoring path
+//!   the packed-native `XOR`+popcount scoring path
 //!   ([`kernels::PackedClassMatrix`]) with runtime-dispatched AVX2
 //!   kernel arms. The naive paths are retained as `*_reference` methods
 //!   for parity testing.

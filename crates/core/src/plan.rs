@@ -3,11 +3,13 @@
 //! Every decision that is fully determined once a model or an edge
 //! exists is made **once**, here, instead of per request:
 //!
-//! * [`EncodePlan`] — the client-side encode∘obfuscate transform as one
-//!   precomputed keep-mask table. Under [`QuantScheme::Bipolar`] (the
-//!   paper's inference operating point, §III-C) it drives the fused
-//!   [`kernels::scalar_encode_bipolar_masked`] kernel, which never
-//!   accumulates masked dimensions at all; other schemes run one fused
+//! * [`EncodePlan`] — the client-side encode∘obfuscate transform,
+//!   compiled against its [`ScalarEncoder`] into one precomputed
+//!   keep-mask table. Under [`QuantScheme::Bipolar`] (the paper's
+//!   inference operating point, §III-C) it drives the fused
+//!   [`kernels::scalar_encode_bipolar_masked`] kernel over the byte
+//!   planes of the kept columns only, compiled once, so a masked
+//!   dimension is never computed; other schemes run one fused
 //!   quantize+mask output pass over the encode kernel's accumulator.
 //!   Either way the permutation is materialized exactly once, at
 //!   compile time (pinned by [`crate::obfuscate::permutation_build_count`]).
@@ -31,10 +33,10 @@
 
 use std::sync::Arc;
 
-use crate::encoder::{Encoder, ScalarEncoder};
+use crate::encoder::{Encoder, EncoderConfig, ScalarEncoder};
 use crate::error::HdError;
 use crate::hypervector::{BipolarHv, Hypervector};
-use crate::kernels::{self, ClassMatrix, PackedClassMatrix};
+use crate::kernels::{self, ClassMatrix, PackedClassMatrix, TransposedItemMemory};
 use crate::model::{HdModel, Prediction};
 use crate::obfuscate::{ObfuscateConfig, Obfuscator};
 use crate::pool;
@@ -80,7 +82,7 @@ impl SimdPath {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKernel {
     /// The class rows factor into `sign × scale` word blocks: score
-    /// packed queries with pure `XOR` + `POPCNT` word arithmetic over
+    /// packed queries with pure `XOR` + popcount word arithmetic over
     /// `hv_words` words per class.
     PackedPopcount {
         /// Packed words per class row (`⌈dim/64⌉`).
@@ -116,45 +118,63 @@ impl PlanKernel {
     }
 }
 
-/// The client-side encode∘obfuscate transform, compiled to one
-/// precomputed keep-mask table.
+/// The client-side encode∘obfuscate transform, compiled against one
+/// [`ScalarEncoder`].
 ///
 /// Compilation materializes the obfuscation permutation exactly once
 /// (the same seeded shuffle as [`Obfuscator::new`], so masks are
-/// bit-identical) and stores it as a packed keep bitmap.
-/// [`EncodePlan::apply`] is then a single table-driven pass:
+/// bit-identical) and stores it as a packed keep bitmap. A
+/// [`QuantScheme::Bipolar`] plan with masked dimensions also copies the
+/// byte planes of the encoder's *kept* columns
+/// ([`TransposedItemMemory`]), so applying it never computes a masked
+/// dimension. [`EncodePlan::apply`] is then a single table-driven pass:
 /// bit-identical to `obfuscator.obfuscate(&encoder.encode(input)?)`
-/// with no per-call permutation work and — under
-/// [`QuantScheme::Bipolar`] — no accumulation of masked dimensions at
-/// all.
+/// with no per-call permutation work.
 #[derive(Debug, Clone)]
 pub struct EncodePlan {
     scheme: QuantScheme,
-    dim: usize,
+    /// The configuration of the encoder the plan was compiled against.
+    encoder: EncoderConfig,
     masked_dims: usize,
     /// One bit per dimension; set ⇔ the dimension survives the mask.
     /// `⌈dim/64⌉` words, zero tail bits.
     keep_words: Vec<u64>,
+    /// The kept columns' byte planes: present for a Bipolar plan with
+    /// masked dimensions (an unmasked one runs on the encoder's own).
+    kept: Option<TransposedItemMemory>,
 }
 
 impl EncodePlan {
-    /// Compiles the plan for queries of dimension `dim` — one
-    /// permutation build, at compile time.
+    /// Compiles the plan for `encoder`'s queries — one permutation
+    /// build, at compile time.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Obfuscator::new`]:
-    /// [`HdError::EmptyDimension`] if `dim == 0`,
+    /// Same contract as [`Obfuscator::new`] at the encoder's dimension:
     /// [`HdError::InvalidConfig`] if `masked_dims >= dim`.
-    pub fn compile(dim: usize, config: ObfuscateConfig) -> Result<Self, HdError> {
-        let obfuscator = Obfuscator::new(dim, config)?;
-        Ok(Self::from_obfuscator(&obfuscator))
+    pub fn compile(encoder: &ScalarEncoder, config: ObfuscateConfig) -> Result<Self, HdError> {
+        let obfuscator = Obfuscator::new(encoder.dim(), config)?;
+        Self::from_obfuscator(encoder, &obfuscator)
     }
 
     /// Compiles the plan from an already-constructed obfuscator without
     /// re-materializing the permutation.
-    pub fn from_obfuscator(obfuscator: &Obfuscator) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`HdError::DimensionMismatch`] if the obfuscator's dimension
+    /// differs from the encoder's.
+    pub fn from_obfuscator(
+        encoder: &ScalarEncoder,
+        obfuscator: &Obfuscator,
+    ) -> Result<Self, HdError> {
         let dim = obfuscator.dim();
+        if dim != encoder.dim() {
+            return Err(HdError::DimensionMismatch {
+                expected: encoder.dim(),
+                actual: dim,
+            });
+        }
         let hv_words = dim.div_ceil(WORD_BITS);
         let mut keep_words = vec![u64::MAX; hv_words];
         let tail = dim % WORD_BITS;
@@ -168,12 +188,17 @@ impl EncodePlan {
                 *word &= !(1u64 << (j % WORD_BITS));
             }
         }
-        Self {
-            scheme: obfuscator.config().scheme,
-            dim,
-            masked_dims: obfuscator.masked_indices().len(),
+        let scheme = obfuscator.config().scheme;
+        let masked_dims = obfuscator.masked_indices().len();
+        let kept = (scheme == QuantScheme::Bipolar && masked_dims > 0)
+            .then(|| encoder.item_memory_transposed().kept_columns(&keep_words));
+        Ok(Self {
+            scheme,
+            encoder: encoder.config().clone(),
+            masked_dims,
             keep_words,
-        }
+            kept,
+        })
     }
 
     /// The quantization scheme baked into the plan.
@@ -183,7 +208,7 @@ impl EncodePlan {
 
     /// Query dimensionality the plan was compiled for.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.encoder.dim
     }
 
     /// Number of dimensions the mask nullifies.
@@ -201,26 +226,31 @@ impl EncodePlan {
     /// table-driven pass — bit-identical to
     /// `obfuscator.obfuscate(&encoder.encode(input)?)`.
     ///
-    /// Under [`QuantScheme::Bipolar`] the fused masked kernel skips the
-    /// entire accumulation of masked dimensions (the quantized sign is
-    /// σ-independent, so nothing about a masked dimension is ever
-    /// needed); NaN inputs fall back to the generic composition, whose
-    /// NaN semantics are the contract. Other schemes need the full
-    /// accumulator for the σ estimate, so they run the encode kernel
-    /// and fuse quantization + masking into one output pass.
+    /// Under [`QuantScheme::Bipolar`] the fused masked kernel computes
+    /// the kept dimensions only (the quantized sign is σ-independent,
+    /// so nothing about a masked dimension is ever needed); NaN inputs
+    /// fall back to the generic composition, whose NaN semantics are
+    /// the contract. Other schemes need the full accumulator for the σ
+    /// estimate, so they run the encode kernel and fuse quantization +
+    /// masking into one output pass.
     ///
     /// # Errors
     ///
     /// [`HdError::DimensionMismatch`] if the encoder's output dimension
-    /// differs from the compiled plan's, and
-    /// [`HdError::FeatureCountMismatch`] for a wrong input length.
+    /// differs from the compiled plan's, [`HdError::EncoderMismatch`]
+    /// if its configuration otherwise differs from the one the plan was
+    /// compiled against, and [`HdError::FeatureCountMismatch`] for a
+    /// wrong input length.
     pub fn apply(&self, encoder: &ScalarEncoder, input: &[f64]) -> Result<Hypervector, HdError> {
         let config = encoder.config();
-        if config.dim != self.dim {
+        if config.dim != self.encoder.dim {
             return Err(HdError::DimensionMismatch {
-                expected: self.dim,
+                expected: self.encoder.dim,
                 actual: config.dim,
             });
+        }
+        if *config != self.encoder {
+            return Err(HdError::EncoderMismatch);
         }
         if input.len() != config.features {
             return Err(HdError::FeatureCountMismatch {
@@ -229,11 +259,16 @@ impl EncodePlan {
             });
         }
         if self.scheme == QuantScheme::Bipolar {
+            let planes = match &self.kept {
+                Some(kept) => kept,
+                None => encoder.item_memory_transposed(),
+            };
             if let Some(acc) = kernels::scalar_encode_bipolar_masked(
-                encoder.item_memory_transposed(),
+                planes,
                 input,
                 config.levels,
                 &self.keep_words,
+                config.dim,
             ) {
                 return Ok(Hypervector::from_vec(acc));
             }
@@ -379,7 +414,7 @@ impl ModelPlan {
     /// [`Obfuscator`] quantization step.
     ///
     /// Under [`PlanKernel::PackedPopcount`] scoring is pure `XOR` +
-    /// `POPCNT` word arithmetic, bit-exact against the dense scores for
+    /// popcount word arithmetic, bit-exact against the dense scores for
     /// ±1 rows. Otherwise the per-class dot selects signs branchlessly
     /// from the packed words ([`kernels::dot_sign_dense`]) against the
     /// dense rows: mathematically the score of
@@ -476,7 +511,7 @@ impl ModelPlan {
     pub fn describe(&self) -> String {
         match self.kernel() {
             PlanKernel::PackedPopcount { hv_words, simd } => format!(
-                "packed-popcount: {} classes × {hv_words} words (dim {}), xor+popcnt, {} arms",
+                "packed-popcount: {} classes × {hv_words} words (dim {}), xor+popcount, {} arms",
                 self.num_classes(),
                 self.dim(),
                 simd.label()
@@ -632,7 +667,7 @@ mod tests {
                 .with_masked_dims(90)
                 .with_seed(4);
             let ob = Obfuscator::new(300, cfg).unwrap();
-            let plan = EncodePlan::compile(300, cfg).unwrap();
+            let plan = EncodePlan::compile(&enc, cfg).unwrap();
             assert_eq!(plan.masked_dims(), 90);
             let input = [0.15, 0.5, 0.85, 0.3, 0.7, 0.05];
             let generic = ob.obfuscate(&enc.encode(&input).unwrap()).unwrap();
@@ -652,7 +687,7 @@ mod tests {
             .with_masked_dims(50)
             .with_seed(2);
         let ob = Obfuscator::new(200, cfg).unwrap();
-        let plan = EncodePlan::compile(200, cfg).unwrap();
+        let plan = EncodePlan::compile(&enc, cfg).unwrap();
         let input = [0.1, f64::NAN, 0.3, 0.4, 0.5, 0.6];
         let generic = ob.obfuscate(&enc.encode(&input).unwrap()).unwrap();
         let fused = plan.apply(&enc, &input).unwrap();
@@ -663,9 +698,9 @@ mod tests {
     fn encode_plan_validates_like_the_generic_path() {
         let (enc, _) = trained_model(200, 17);
         let cfg = ObfuscateConfig::new(QuantScheme::Bipolar);
-        assert!(EncodePlan::compile(0, cfg).is_err());
-        assert!(EncodePlan::compile(8, cfg.with_masked_dims(8)).is_err());
-        let plan = EncodePlan::compile(200, cfg).unwrap();
+        let tiny = ScalarEncoder::new(EncoderConfig::new(6, 8)).unwrap();
+        assert!(EncodePlan::compile(&tiny, cfg.with_masked_dims(8)).is_err());
+        let plan = EncodePlan::compile(&enc, cfg).unwrap();
         assert_eq!(
             plan.apply(&enc, &[0.5; 4]),
             Err(HdError::FeatureCountMismatch {
@@ -673,7 +708,8 @@ mod tests {
                 actual: 4
             })
         );
-        let other = EncodePlan::compile(100, cfg).unwrap();
+        let narrow = ScalarEncoder::new(EncoderConfig::new(6, 100).with_seed(17)).unwrap();
+        let other = EncodePlan::compile(&narrow, cfg).unwrap();
         assert!(matches!(
             other.apply(&enc, &[0.5; 6]),
             Err(HdError::DimensionMismatch { .. })

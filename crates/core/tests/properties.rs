@@ -522,7 +522,7 @@ proptest! {
                     .with_masked_dims(masked_dims)
                     .with_seed(seed ^ 0xA5),
             ).unwrap();
-            let plan = EncodePlan::from_obfuscator(&obfuscator);
+            let plan = EncodePlan::from_obfuscator(&enc, &obfuscator).unwrap();
             let fused = plan.apply(&enc, &values).unwrap();
             let generic = obfuscator.obfuscate(&enc.encode(&values).unwrap()).unwrap();
             prop_assert_eq!(fused, generic);

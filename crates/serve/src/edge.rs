@@ -9,7 +9,7 @@
 //! [`ClientEdge::prepare_packed`] (bit-packed, bipolar-unmasked
 //! obfuscation — the 1-bit/dim wire representation).
 
-use privehd_core::kernels::{scalar_encode_packed, scalar_encode_packed_batch};
+use privehd_core::kernels::scalar_encode_packed;
 use privehd_core::{
     BipolarHv, EncodePlan, Encoder, EncoderConfig, HdError, Hypervector, ObfuscateConfig,
     Obfuscator, QuantScheme, ScalarEncoder,
@@ -42,10 +42,10 @@ pub struct ClientEdge {
     encoder: ScalarEncoder,
     obfuscator: Obfuscator,
     /// The encode∘obfuscate transform compiled once at construction
-    /// ([`EncodePlan::from_obfuscator`], so the permutation built for
-    /// `obfuscator` is reused, not re-materialized): [`ClientEdge::prepare`]
-    /// is a single table-driven pass, bit-identical to the generic
-    /// composition.
+    /// against `encoder` ([`EncodePlan::from_obfuscator`], so the
+    /// permutation built for `obfuscator` is reused, not
+    /// re-materialized): [`ClientEdge::prepare`] is a single
+    /// table-driven pass, bit-identical to the generic composition.
     plan: EncodePlan,
 }
 
@@ -65,7 +65,7 @@ impl ClientEdge {
     ) -> Result<Self, ServeError> {
         let encoder = ScalarEncoder::new(encoder_config)?;
         let obfuscator = Obfuscator::new(encoder.dim(), obfuscate_config)?;
-        let plan = EncodePlan::from_obfuscator(&obfuscator);
+        let plan = EncodePlan::from_obfuscator(&encoder, &obfuscator)?;
         Ok(Self {
             encoder,
             obfuscator,
@@ -78,33 +78,22 @@ impl ClientEdge {
     ///
     /// Runs the [`EncodePlan`] compiled at construction: one
     /// table-driven pass (for bipolar obfuscation, masked dimensions are
-    /// never even accumulated), bit-identical to
-    /// `obfuscator().obfuscate(&encoder().encode(features)?)`.
+    /// never computed), bit-identical to
+    /// `obfuscator().obfuscate(&encoder().encode(features)?)` for finite
+    /// features.
     ///
     /// # Errors
     ///
-    /// Propagates feature-count/dimension errors as [`ServeError::Model`].
+    /// Propagates feature-count errors as [`ServeError::Model`], and
+    /// refuses a NaN feature value the same way
+    /// ([`HdError::NonFinite`]): a quantizing obfuscation would
+    /// otherwise turn the poisoned encoding into a confident query (a
+    /// bipolar edge sends every kept dimension as `−1`).
     pub fn prepare(&self, features: &[f64]) -> Result<Hypervector, ServeError> {
+        if features.iter().any(|v| v.is_nan()) {
+            return Err(nan_feature_error());
+        }
         Ok(self.plan.apply(&self.encoder, features)?)
-    }
-
-    /// Prepares a batch of feature vectors: the whole batch is encoded
-    /// through [`Encoder::encode_batch`] (which fans chunks out over the
-    /// `privehd_core` pool's scoped lanes), then obfuscated.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first *encoding* error (in input order), then the
-    /// first *obfuscation* error — the two phases run batch-wide, not
-    /// interleaved per input. (For a constructed `ClientEdge` the
-    /// obfuscator is sized to the encoder, so in practice only encoding
-    /// errors occur.)
-    pub fn prepare_batch(&self, inputs: &[Vec<f64>]) -> Result<Vec<Hypervector>, ServeError> {
-        let encoded = self.encoder.encode_batch(inputs)?;
-        encoded
-            .iter()
-            .map(|h| Ok(self.obfuscator.obfuscate(h)?))
-            .collect()
     }
 
     /// Encodes raw features straight into the bit-packed bipolar wire
@@ -112,9 +101,9 @@ impl ClientEdge {
     /// encoding or its `f64` quantization.
     ///
     /// The fused kernel ([`scalar_encode_packed`]) resolves each
-    /// dimension's sign with integer popcount arithmetic, so the result
+    /// dimension's sign in exact integer arithmetic, so the result
     /// equals `prepare(features)` bipolar-quantized, bit for bit — but
-    /// at a fraction of the encode cost and 1/64th the payload.
+    /// with no `f64` accumulator and 1/64th the payload.
     ///
     /// Only edges configured with [`QuantScheme::Bipolar`] and **zero
     /// masked dimensions** can prepare packed queries: a masked
@@ -132,29 +121,6 @@ impl ClientEdge {
         scalar_encode_packed(
             self.encoder.item_memory_transposed(),
             features,
-            self.encoder.config().levels,
-        )
-        .ok_or_else(nan_feature_error)
-    }
-
-    /// Batch form of [`ClientEdge::prepare_packed`]: amortizes the
-    /// item-memory traffic across the whole batch (each transposed row
-    /// streams once per batch instead of once per query).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ClientEdge::prepare_packed`]; a NaN anywhere
-    /// in the batch fails the whole call (batch-wide, like
-    /// [`ClientEdge::prepare_batch`]'s phases).
-    pub fn prepare_batch_packed(&self, inputs: &[Vec<f64>]) -> Result<Vec<BipolarHv>, ServeError> {
-        self.require_packable()?;
-        for x in inputs {
-            self.require_feature_count(x)?;
-        }
-        let slices: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-        scalar_encode_packed_batch(
-            self.encoder.item_memory_transposed(),
-            &slices,
             self.encoder.config().levels,
         )
         .ok_or_else(nan_feature_error)
@@ -216,9 +182,7 @@ impl ClientEdge {
 }
 
 fn nan_feature_error() -> ServeError {
-    ServeError::Model(HdError::InvalidConfig(
-        "packed preparation rejects NaN feature values".to_owned(),
-    ))
+    ServeError::Model(HdError::NonFinite("features"))
 }
 
 #[cfg(test)]
@@ -266,29 +230,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_preparation_agrees_with_single() {
-        let e = edge(32);
-        let inputs: Vec<Vec<f64>> = (0..10)
-            .map(|i| (0..6).map(|k| ((i + k) % 7) as f64 / 6.0).collect())
-            .collect();
-        let batch = e.prepare_batch(&inputs).unwrap();
-        for (x, b) in inputs.iter().zip(&batch) {
-            assert_eq!(&e.prepare(x).unwrap(), b);
-        }
-    }
-
-    #[test]
     fn packed_preparation_matches_dense_prepare() {
         // Unmasked bipolar edge: the fused packed encode must equal the
         // dense encode ∘ obfuscate path sign for sign.
         let e = edge(0);
-        let inputs: Vec<Vec<f64>> = (0..8)
-            .map(|i| (0..6).map(|k| ((3 * i + k) % 11) as f64 / 10.0).collect())
-            .collect();
-        let batch = e.prepare_batch_packed(&inputs).unwrap();
-        for (x, p) in inputs.iter().zip(&batch) {
-            assert_eq!(&e.prepare_packed(x).unwrap(), p, "single == batch");
-            assert_eq!(p.to_dense(), e.prepare(x).unwrap(), "packed == dense");
+        for i in 0..8 {
+            let x: Vec<f64> = (0..6).map(|k| ((3 * i + k) % 11) as f64 / 10.0).collect();
+            let packed = e.prepare_packed(&x).unwrap();
+            assert_eq!(packed.to_dense(), e.prepare(&x).unwrap(), "packed == dense");
         }
     }
 
@@ -302,7 +251,6 @@ mod tests {
         )
         .unwrap();
         assert!(ternary.prepare_packed(&[0.5; 6]).is_err());
-        assert!(ternary.prepare_batch_packed(&[vec![0.5; 6]]).is_err());
     }
 
     #[test]
@@ -312,9 +260,32 @@ mod tests {
         let mut x = vec![0.5; 6];
         x[3] = f64::NAN;
         assert!(e.prepare_packed(&x).is_err(), "NaN feature");
-        assert!(
-            e.prepare_batch_packed(&[vec![0.5; 6], x]).is_err(),
-            "NaN fails the whole batch"
+    }
+
+    #[test]
+    fn quantizing_edges_refuse_nan_features() {
+        // Encoded, a NaN feature poisons every dimension; quantized, it
+        // would leave as a confident query (Bipolar sends each kept
+        // dimension as −1, Ternary all zeros). Every scheme refuses it.
+        let mut x = vec![0.5; 6];
+        x[3] = f64::NAN;
+        for scheme in QuantScheme::ALL {
+            for masked in [0, 256] {
+                let e = ClientEdge::new(
+                    EncoderConfig::new(6, 512).with_seed(9),
+                    ObfuscateConfig::new(scheme).with_masked_dims(masked),
+                )
+                .unwrap();
+                assert_eq!(
+                    e.prepare(&x),
+                    Err(ServeError::Model(HdError::NonFinite("features"))),
+                    "{scheme}, {masked} masked"
+                );
+            }
+        }
+        assert_eq!(
+            edge(0).prepare_packed(&x),
+            Err(ServeError::Model(HdError::NonFinite("features")))
         );
     }
 }

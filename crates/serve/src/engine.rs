@@ -275,7 +275,7 @@ impl ServeConfigBuilder {
 /// ([`privehd_core::ModelPlan::predict_packed`]) — never densified. That
 /// is the packed-native serving contract: a 10k-dim packed query costs
 /// ~1.25 KiB on the queue instead of ~78 KiB dense, and classification
-/// runs on `XOR`+`POPCNT` words instead of `f64` lanes.
+/// runs on `XOR`+popcount words instead of `f64` lanes.
 ///
 /// Both [`Hypervector`] and [`BipolarHv`] convert with `From`/`Into`,
 /// so [`ServeEngine::submit`] accepts either directly.

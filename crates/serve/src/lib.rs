@@ -29,7 +29,7 @@
 //!   [`ServeError::Internal`]. One submit surface for every
 //!   representation: queries submitted bit-packed ([`QueryVec::Packed`])
 //!   stay packed end to end and are scored by the compiled plan's
-//!   `XOR`+`POPCNT` kernel ([`privehd_core::ModelPlan::predict_packed`]);
+//!   `XOR`+popcount kernel ([`privehd_core::ModelPlan::predict_packed`]);
 //!   dense submissions can opt into the same kernel via
 //!   [`ServeConfig::packed_fastpath`].
 //! * [`ClientEdge`] — the device-side `ScalarEncoder` ∘ `Obfuscator`

@@ -413,6 +413,45 @@ fn nan_raw_feature_answers_model_error_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn nan_raw_feature_through_a_masked_bipolar_edge_answers_model_error() {
+    // Quantized, a NaN-poisoned encoding is a confident query: this
+    // edge would send its 128 kept dimensions as −1 and the engine
+    // would answer it `ok`. The edge must refuse it as a model error.
+    let edge = privehd_serve::ClientEdge::new(
+        privehd_core::EncoderConfig::new(8, DIM).with_seed(11),
+        privehd_core::ObfuscateConfig::new(privehd_core::QuantScheme::Bipolar)
+            .with_masked_dims(DIM / 2),
+    )
+    .unwrap();
+    let engine = ServeEngine::start(trained_registry(), ServeConfig::default()).unwrap();
+    let server = WireServer::start(
+        "127.0.0.1:0",
+        engine.handle(),
+        WireConfig::default().with_edge(ModelId::default(), edge),
+    )
+    .unwrap();
+    let mut client = WireClient::connect(server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut features = [0.5; 8];
+    features[3] = f64::NAN;
+    let err = client.call_raw(&ModelId::default(), &features).unwrap_err();
+    let WireClientError::Fault(fault) = err else {
+        panic!("expected a fault, got {err}");
+    };
+    assert_eq!(fault.status, WireStatus::ModelError);
+    assert!(
+        fault.detail.contains("non-finite value in features"),
+        "{fault}"
+    );
+    // The same connection keeps serving finite queries.
+    client.call_raw(&ModelId::default(), &[0.9; 8]).unwrap();
+    server.shutdown();
+    engine.shutdown();
+}
+
+#[test]
 fn connection_cap_refuses_extras() {
     let engine = ServeEngine::start(trained_registry(), ServeConfig::default()).unwrap();
     let server = WireServer::start(

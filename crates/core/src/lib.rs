@@ -26,8 +26,7 @@
 //!   kernel arms. The naive paths are retained as `*_reference` methods
 //!   for parity testing.
 //! * [`pool`] — a small worker pool: batch encode/predict fan their
-//!   chunks over scoped threads beside the caller, and fire-and-forget
-//!   jobs queue in one FIFO drained by persistent workers.
+//!   chunks over scoped threads beside the caller.
 //! * [`quantize`] — the Prive-HD encoding quantizations of Eq. (13):
 //!   bipolar, ternary, biased ternary and 2-bit, plus the empirical value
 //!   distribution used by the sensitivity formula of Eq. (14).

@@ -1,89 +1,23 @@
-//! A small worker pool for data-parallel kernels and fire-and-forget
-//! jobs, built from two plain mechanisms:
-//!
-//! * [`ThreadPool::run`] and [`ThreadPool::map`] fan indexed tasks over
-//!   [`std::thread::scope`] lanes — [`ThreadPool::threads`] scoped
-//!   threads plus the caller — that claim indices from a shared counter.
-//!   The scope joins every lane before `run` returns, so tasks may borrow
-//!   the caller's stack, and a nested `run` opens its own scope, so it
-//!   waits on no other lane and cannot deadlock.
-//! * [`ThreadPool::spawn`] pushes onto one FIFO that the persistent
-//!   workers drain in order. Each job runs under `catch_unwind`: a
-//!   panicking job costs only itself, never its worker or the jobs queued
-//!   behind it.
+//! A small worker pool for data-parallel kernels: [`ThreadPool::run`]
+//! and [`ThreadPool::map`] fan indexed tasks over [`std::thread::scope`]
+//! lanes — [`ThreadPool::threads`] scoped threads plus the caller — that
+//! claim indices from a shared counter. The scope joins every lane
+//! before `run` returns, so tasks may borrow the caller's stack, and a
+//! nested `run` opens its own scope, so it waits on no other lane and
+//! cannot deadlock. The pool keeps no threads between calls.
 //!
 //! Scoped lanes are fresh threads, so per-thread state such as the
 //! kernels' encode scratch is set up once per `run` on them.
 
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, OnceLock};
 
-/// A boxed fire-and-forget job for the persistent workers.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// The spawn FIFO, shared by submitters and the persistent workers.
-#[derive(Default)]
-struct Queue {
-    state: Mutex<QueueState>,
-    /// Signalled on every push and on close.
-    ready: Condvar,
-}
-
-#[derive(Default)]
-struct QueueState {
-    jobs: VecDeque<Job>,
-    /// Set on pool drop; workers exit once it is set *and* `jobs` is
-    /// empty, so jobs queued before the drop still run.
-    closed: bool,
-}
-
-impl Queue {
-    /// Locks the queue, recovering from poisoning: it is a plain FIFO
-    /// plus a flag, valid at every step, and jobs never run under the
-    /// lock.
-    fn lock(&self) -> MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Blocks until a job is queued; `None` once the pool has closed and
-    /// every queued job has been taken.
-    fn pop(&self) -> Option<Job> {
-        let mut state = self.lock();
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            let woken = self.ready.wait(state);
-            state = woken.unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// A persistent worker's loop: runs queued jobs in FIFO order until
-    /// the pool closes and the queue is drained.
-    fn work(&self) {
-        while let Some(job) = self.pop() {
-            // The panic hook has already reported a panicking job;
-            // containing it keeps this worker, and every job queued
-            // behind it, alive.
-            let _ = catch_unwind(AssertUnwindSafe(job));
-        }
-    }
-}
-
-/// A worker pool: scoped lanes for indexed task batches
-/// ([`ThreadPool::run`]) and persistent workers for fire-and-forget
-/// jobs ([`ThreadPool::spawn`]).
+/// A lane count for indexed task batches ([`ThreadPool::run`]).
 ///
 /// Most callers want the shared [`global`] pool; constructing a private
 /// pool is mainly useful in tests and benchmarks that need an exact
-/// thread count.
+/// lane count.
 ///
 /// # Examples
 ///
@@ -98,42 +32,23 @@ impl Queue {
 /// });
 /// assert_eq!(hits.load(Ordering::Relaxed), 100);
 /// ```
+#[derive(Debug)]
 pub struct ThreadPool {
-    queue: Arc<Queue>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("threads", &self.workers.len())
-            .finish_non_exhaustive()
-    }
+    threads: usize,
 }
 
 impl ThreadPool {
-    /// Spawns a pool with `threads` persistent workers; every
-    /// [`ThreadPool::run`] also fans out over that many scoped lanes
-    /// beside its caller. Zero is allowed: `run` and
-    /// [`ThreadPool::spawn`] then execute inline on the caller.
+    /// A pool whose every [`ThreadPool::run`] fans out over `threads`
+    /// scoped lanes beside its caller. Zero is allowed: `run` then
+    /// executes inline on the caller.
     pub fn new(threads: usize) -> Self {
-        let queue = Arc::new(Queue::default());
-        let workers = (0..threads)
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                std::thread::Builder::new()
-                    .name(format!("privehd-pool-{i}"))
-                    .spawn(move || queue.work())
-                    .expect("failed to spawn pool worker")
-            })
-            .collect();
-        Self { queue, workers }
+        Self { threads }
     }
 
-    /// Number of worker threads (the caller adds one more lane to every
-    /// `run`).
+    /// Number of scoped lanes a `run` opens (the caller adds one more
+    /// lane to every `run`).
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.threads
     }
 
     /// Executes `f(0) … f(tasks − 1)`, fanning the indices out over
@@ -175,25 +90,6 @@ impl ThreadPool {
         });
     }
 
-    /// Queues one fire-and-forget `job` for a persistent worker,
-    /// returning immediately; workers take jobs in submission order.
-    /// With zero workers the job runs inline on the caller — same
-    /// degradation contract as [`ThreadPool::run`].
-    ///
-    /// Unlike [`ThreadPool::run`] there is no completion barrier: a job
-    /// that must signal completion does so itself (e.g. through a
-    /// channel or a waker). A panicking job ends only itself. Jobs
-    /// queued before the pool drops are executed before the workers
-    /// exit.
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        if self.workers.is_empty() {
-            job();
-            return;
-        }
-        self.queue.lock().jobs.push_back(Box::new(job));
-        self.queue.ready.notify_one();
-    }
-
     /// Like [`ThreadPool::run`] but collects one `R` per task, in task
     /// order.
     ///
@@ -220,21 +116,9 @@ impl ThreadPool {
     }
 }
 
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.queue.lock().closed = true;
-        self.queue.ready.notify_all();
-        for worker in self.workers.drain(..) {
-            // Workers contain job panics and recover the queue lock, so
-            // none ends in a panic that this join could report.
-            let _ = worker.join();
-        }
-    }
-}
-
 /// The shared process-wide pool, created on first use with
-/// `available_parallelism() − 1` workers: the caller of
-/// [`ThreadPool::run`] is the remaining lane.
+/// `available_parallelism() − 1` lanes: the caller of
+/// [`ThreadPool::run`] is the remaining one.
 pub fn global() -> &'static ThreadPool {
     static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
     GLOBAL.get_or_init(|| {
@@ -246,7 +130,9 @@ pub fn global() -> &'static ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
 
     #[test]
     fn zero_worker_pool_runs_inline() {
@@ -348,80 +234,6 @@ mod tests {
             });
         });
         assert_eq!(hits.load(Ordering::Relaxed), 32);
-    }
-
-    #[test]
-    fn spawn_runs_fire_and_forget_jobs_on_workers() {
-        let pool = ThreadPool::new(2);
-        let (tx, rx) = std::sync::mpsc::channel();
-        for i in 0..16 {
-            let tx = tx.clone();
-            pool.spawn(move || {
-                tx.send(i).expect("receiver alive");
-            });
-        }
-        let mut got: Vec<usize> = (0..16)
-            .map(|_| {
-                rx.recv_timeout(std::time::Duration::from_secs(10))
-                    .expect("spawned job ran")
-            })
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn spawn_runs_inline_with_zero_workers() {
-        let pool = ThreadPool::new(0);
-        let flag = Arc::new(AtomicUsize::new(0));
-        let f2 = Arc::clone(&flag);
-        pool.spawn(move || {
-            f2.store(7, Ordering::SeqCst);
-        });
-        // No barrier to wait on: with zero workers the job already ran
-        // inline before `spawn` returned.
-        assert_eq!(flag.load(Ordering::SeqCst), 7);
-    }
-
-    #[test]
-    fn idle_worker_steals_jobs_stuck_behind_a_busy_sibling() {
-        use std::time::Duration;
-        let pool = ThreadPool::new(2);
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<usize>();
-        // Wedge one worker on a long job...
-        pool.spawn(move || {
-            release_rx.recv_timeout(Duration::from_secs(30)).ok();
-        });
-        // ...then submit a burst. It waits in the one FIFO, which the
-        // free worker must drain rather than leave the burst stranded
-        // until the blocker finishes.
-        for i in 0..8 {
-            let tx = done_tx.clone();
-            pool.spawn(move || {
-                tx.send(i).expect("receiver alive");
-            });
-        }
-        let mut got: Vec<usize> = (0..8)
-            .map(|_| {
-                done_rx
-                    .recv_timeout(Duration::from_secs(10))
-                    .expect("burst job stranded behind the wedged worker")
-            })
-            .collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..8).collect::<Vec<_>>());
-        release_tx.send(()).expect("blocker alive");
-    }
-
-    #[test]
-    fn a_panicking_spawned_job_does_not_strand_later_jobs() {
-        let pool = ThreadPool::new(1);
-        pool.spawn(|| panic!("spawned job panics"));
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.spawn(move || tx.send(()).expect("receiver alive"));
-        rx.recv_timeout(std::time::Duration::from_secs(5))
-            .expect("the job queued behind a panicking one ran");
     }
 
     #[test]

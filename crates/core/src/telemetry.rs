@@ -43,24 +43,26 @@ use std::time::{Duration, Instant};
 
 /// One pipeline stage of the serving request path, from wire bytes to
 /// the response frame. The order here is the order a healthy request
-/// visits them in.
+/// visits them in, except [`Stage::Encode`]: a raw-features request
+/// runs it between [`Stage::BatchWait`] and [`Stage::Predict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Decoding the request frame from wire bytes (wire thread).
     WireDecode,
-    /// Admission checks and payload preparation up to queue submission
-    /// (wire thread; recorded only for requests that entered the
-    /// queue).
+    /// Admission checks up to queue submission (wire thread; recorded
+    /// only for requests that entered the queue).
     Admission,
-    /// Server-side encode ∘ obfuscate of a raw-features payload (only
-    /// on the raw path; packed queries were encoded on the device).
+    /// Server-side encode ∘ obfuscate of a raw-features payload, run by
+    /// the engine worker serving it (only on the raw path; packed
+    /// queries were encoded on the device).
     Encode,
     /// Waiting in the tenant's bounded queue until a worker takes the
     /// request in a deficit-round-robin turn.
     QueueWait,
-    /// From being taken until the request's own scoring starts: the
-    /// opt-in `max_delay` linger (about zero by default), the batch's
-    /// snapshot resolve, and the requests ahead of it in the batch.
+    /// From being taken until the request's own work (a raw payload's
+    /// encode, then scoring) starts: the opt-in `max_delay` linger
+    /// (about zero by default), the batch's snapshot resolve, and the
+    /// requests ahead of it in the batch.
     BatchWait,
     /// Resolving the batch's model snapshot from the registry (once per
     /// batch).

@@ -4,12 +4,14 @@
 //! ```text
 //!  clients ──submit──▶ [per-ModelId queue] [per-ModelId queue] …
 //!            (ModelId,       │ quota-bounded     │
-//!             query)         ▼                   ▼
+//!             query or       ▼                   ▼
+//!             raw features)
 //!              worker pool: an idle worker takes one deficit-round-
 //!              robin turn straight off the queues — that turn is its
 //!              batch (one ModelId, ≤ max_batch; opt-in max_delay linger)
 //!                     │    │    │
 //!                     ▼    ▼    ▼
+//!                   (raw features: edge encode ∘ obfuscate, then)
 //!                   predict over the batch's model snapshot
 //!                     │
 //!                     ▼  per-request reply slot, delivered exactly once
@@ -48,12 +50,23 @@
 //! requests — they complete on the version that was live when their
 //! batch started.
 //!
+//! ## Raw features
+//!
+//! The wire front-end submits a raw-features frame as its features plus
+//! the tenant's server-side [`ClientEdge`], into the same tenant queue
+//! as a packed query: it is charged to the tenant's quota and
+//! deficit-round-robin turn like any other request. The worker whose
+//! turn serves it runs [`ClientEdge::prepare`] (the
+//! [`Stage::Encode`] stage) and then scores the dense result. In-process
+//! callers submit [`QueryVec`]s only.
+//!
 //! ## Fault containment
 //!
 //! Each request is served under `catch_unwind`: a panic before its reply
-//! is delivered answers it [`ServeError::Internal`], a panic inside its
-//! reply callback is never followed by a second delivery, and the worker
-//! carries on with the rest of its batch.
+//! is delivered (in a raw request's edge as well as in scoring) answers
+//! it [`ServeError::Internal`], a panic inside its reply callback is
+//! never followed by a second delivery, and the worker carries on with
+//! the rest of its batch.
 //!
 //! ## Shutdown contract
 //!
@@ -78,6 +91,7 @@ use std::time::{Duration, Instant};
 use privehd_core::telemetry::{Stage, TelemetryConfig, TraceCtx, Tracer};
 use privehd_core::{BipolarHv, Hypervector, Prediction};
 
+use crate::edge::ClientEdge;
 use crate::error::ServeError;
 use crate::metrics::{ServeMetrics, ServeReport};
 use crate::registry::{ModelId, ServedModel, ShardedRegistry};
@@ -309,6 +323,15 @@ impl From<BipolarHv> for QueryVec {
     }
 }
 
+/// What a request carries through its tenant's queue: a query scored as
+/// it is, or a wire raw-features frame's features with the server-side
+/// edge that encodes ∘ obfuscates them on the worker serving the
+/// request.
+pub(crate) enum Payload {
+    Query(QueryVec),
+    Raw(Arc<ClientEdge>, Vec<f64>),
+}
+
 /// A completed prediction plus its serving context.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServedPrediction {
@@ -347,10 +370,11 @@ impl ReplySlot {
     }
 }
 
-/// One queued request: the target model, the query, and its reply slot.
+/// One queued request: the target model, the payload, and its reply
+/// slot.
 struct Request {
     model: ModelId,
-    query: QueryVec,
+    payload: Payload,
     trace: TraceCtx,
     submitted_at: Instant,
     /// Stamped by the worker that takes the request off its queue
@@ -429,7 +453,7 @@ fn submit_slot(
     metrics: &ServeMetrics,
     closed: &AtomicBool,
     model: &ModelId,
-    query: QueryVec,
+    payload: Payload,
     trace: TraceCtx,
     reply: ReplySlot,
 ) -> Result<(), ServeError> {
@@ -442,7 +466,7 @@ fn submit_slot(
     let now = Instant::now();
     let request = Request {
         model: model.clone(),
-        query,
+        payload,
         trace,
         submitted_at: now,
         taken_at: now,
@@ -632,7 +656,7 @@ impl SubmitHandle {
             &self.metrics,
             &self.closed,
             model,
-            query,
+            Payload::Query(query),
             trace,
             ReplySlot::Oneshot(reply),
         )?;
@@ -642,12 +666,13 @@ impl SubmitHandle {
     /// Submits with an in-process completion callback instead of a
     /// [`PendingPrediction`]: the wire front-end's reactors use this to
     /// route finished predictions straight back to their connection's
-    /// completion inbox without a polling hop. The callback runs on the
-    /// engine worker serving the request and is invoked exactly once.
+    /// completion inbox without a polling hop, for packed and raw
+    /// frames alike. The callback runs on the engine worker serving the
+    /// request and is invoked exactly once.
     pub(crate) fn submit_with(
         &self,
         model: &ModelId,
-        query: QueryVec,
+        payload: Payload,
         trace: TraceCtx,
         on_done: Box<dyn Fn(Result<ServedPrediction, ServeError>) + Send + Sync>,
     ) -> Result<(), ServeError> {
@@ -656,7 +681,7 @@ impl SubmitHandle {
             &self.metrics,
             &self.closed,
             model,
-            query,
+            payload,
             trace,
             ReplySlot::Callback(on_done),
         )
@@ -1023,27 +1048,37 @@ impl Worker {
         // Classification stays per-request (so one bad query fails only
         // its own reply), and each reply is delivered — and its latency
         // measured — the moment its own classification finishes.
+        let score = |query: &QueryVec| match &snapshot {
+            None => Err(ServeError::NoModel),
+            Some(served) => {
+                // Dispatch through the plan compiled at publish time:
+                // kernel selection (packed vs dense snapshot, SIMD arm,
+                // block size) happened once, when the plan was built —
+                // nothing is re-probed here.
+                let plan = served.plan();
+                match query {
+                    // Packed-native path: the query arrived bit-packed
+                    // and is scored by the popcount kernels without ever
+                    // materializing a dense form.
+                    QueryVec::Packed(hv) => plan.predict_packed(hv),
+                    // The auto bridge repacks strictly-bipolar dense
+                    // queries onto the popcount kernel.
+                    QueryVec::Dense(q) if packed_fastpath => plan.predict_dense_auto(q),
+                    QueryVec::Dense(q) => plan.predict_dense(q),
+                }
+                .map_err(ServeError::Model)
+            }
+        };
         let answer = |request: &Request| {
             let work_start = Instant::now();
-            let outcome: Result<Prediction, ServeError> = match &snapshot {
-                None => Err(ServeError::NoModel),
-                Some(served) => {
-                    // Dispatch through the plan compiled at publish time:
-                    // kernel selection (packed vs dense snapshot, SIMD
-                    // arm, block size) happened once, when the plan was
-                    // built — nothing is re-probed here.
-                    let plan = served.plan();
-                    match &request.query {
-                        // Packed-native path: the query arrived bit-packed
-                        // and is scored by the popcount kernels without
-                        // ever materializing a dense form.
-                        QueryVec::Packed(hv) => plan.predict_packed(hv),
-                        // The auto bridge repacks strictly-bipolar dense
-                        // queries onto the popcount kernel.
-                        QueryVec::Dense(q) if packed_fastpath => plan.predict_dense_auto(q),
-                        QueryVec::Dense(q) => plan.predict_dense(q),
-                    }
-                    .map_err(ServeError::Model)
+            // A raw payload first runs its edge (the encode stage), and
+            // its dense result is scored like any dense query.
+            let (outcome, predict_start) = match &request.payload {
+                Payload::Query(query) => (score(query), work_start),
+                Payload::Raw(edge, features) => {
+                    let query = edge.prepare(features);
+                    let encoded_at = Instant::now();
+                    (query.and_then(|q| score(&QueryVec::Dense(q))), encoded_at)
                 }
             };
             let done_at = Instant::now();
@@ -1055,13 +1090,18 @@ impl Worker {
             metrics.on_done(&model_counters, outcome.is_ok(), latency);
             let queue_wait = taken_at.saturating_duration_since(submitted_at);
             let batch_wait = work_start.saturating_duration_since(taken_at);
+            let ctx = request.trace;
             metrics.on_stage_for(&model_counters, Stage::QueueWait, queue_wait);
             metrics.on_stage_for(&model_counters, Stage::BatchWait, batch_wait);
-            metrics.on_stage_for(&model_counters, Stage::Predict, done_at - work_start);
-            let ctx = request.trace;
+            if let Payload::Raw(..) = request.payload {
+                let encode = predict_start - work_start;
+                metrics.on_stage_for(&model_counters, Stage::Encode, encode);
+                tracer.record(ctx, Stage::Encode, work_start, predict_start);
+            }
+            metrics.on_stage_for(&model_counters, Stage::Predict, done_at - predict_start);
             tracer.record(ctx, Stage::QueueWait, submitted_at, taken_at);
             tracer.record(ctx, Stage::BatchWait, taken_at, work_start);
-            tracer.record(ctx, Stage::Predict, work_start, done_at);
+            tracer.record(ctx, Stage::Predict, predict_start, done_at);
             tracer.record(ctx, Stage::EndToEnd, submitted_at, done_at);
             outcome.map(|prediction| ServedPrediction {
                 prediction,
@@ -1150,7 +1190,7 @@ mod tests {
         let now = Instant::now();
         Request {
             model: model.clone(),
-            query: QueryVec::Dense(query(8, 1.0)),
+            payload: Payload::Query(QueryVec::Dense(query(8, 1.0))),
             trace: Tracer::new(TelemetryConfig::default()).begin(),
             submitted_at: now,
             taken_at: now,
@@ -1294,7 +1334,7 @@ mod tests {
                 &metrics,
                 &closed,
                 id,
-                QueryVec::Dense(query(8, 1.0)),
+                Payload::Query(QueryVec::Dense(query(8, 1.0))),
                 tracer.begin(),
                 ReplySlot::Oneshot(reply),
             )
@@ -1723,7 +1763,7 @@ mod tests {
         handle
             .submit_with(
                 &ModelId::default(),
-                QueryVec::Dense(query(64, 1.0)),
+                Payload::Query(QueryVec::Dense(query(64, 1.0))),
                 handle.tracer().begin(),
                 Box::new(move |outcome| {
                     tx.send(outcome).unwrap();
@@ -1758,7 +1798,7 @@ mod tests {
         handle
             .submit_with(
                 &ModelId::default(),
-                QueryVec::Dense(query(64, 1.0)),
+                Payload::Query(QueryVec::Dense(query(64, 1.0))),
                 handle.tracer().begin(),
                 Box::new(move |outcome| {
                     counted.fetch_add(1, Ordering::SeqCst);
@@ -1905,7 +1945,7 @@ mod tests {
                                 handle
                                     .submit_with(
                                         id,
-                                        QueryVec::Dense(query(64, 1.0)),
+                                        Payload::Query(QueryVec::Dense(query(64, 1.0))),
                                         handle.tracer().begin(),
                                         Box::new(move |outcome| {
                                             let _ = tx.send((key, class, outcome));

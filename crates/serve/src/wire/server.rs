@@ -11,15 +11,14 @@
 //! lives on one reactor for its whole life — no cross-thread state
 //! beyond the handoff and completion inboxes.
 //!
-//! The heavy work never runs on a reactor. Packed frames are submitted
+//! The heavy work never runs on a reactor: the reactor only shovels
+//! and frames bytes. Packed and raw-features frames alike are submitted
 //! to the engine with a completion callback that posts the finished
-//! prediction into the owning reactor's inbox (and wakes its poller) —
-//! the reactor only shovels and frames bytes. Raw-features frames,
-//! whose server-side encode ∘ obfuscate ([`WireConfig::edges`]) is
-//! real CPU work, are offloaded onto the shared
-//! [`privehd_core::pool`] worker pool: the pool job encodes, submits,
-//! and its completion flows back through the same inbox. A raw flood
-//! therefore costs pool throughput, not reactor latency.
+//! prediction into the owning reactor's inbox (and wakes its poller).
+//! A raw frame's server-side encode ∘ obfuscate
+//! ([`WireConfig::edges`]) runs on the engine worker whose turn serves
+//! it, so a raw flood is charged to its tenant's quota and
+//! deficit-round-robin turns, never to reactor latency.
 //!
 //! Because completions arrive per request (not per connection pass),
 //! pipelined responses on one connection may be written in completion
@@ -52,9 +51,9 @@
 //! ## Observability
 //!
 //! The reactors stamp the wire-side stages of the request path —
-//! [`Stage::WireDecode`], [`Stage::Admission`], [`Stage::Encode`] (raw
-//! frames, stamped on the pool thread that ran the edge) and
-//! [`Stage::WireWrite`] — into the engine's [`crate::ServeMetrics`]
+//! [`Stage::WireDecode`], [`Stage::Admission`] and [`Stage::WireWrite`]
+//! (raw frames' [`Stage::Encode`] is the engine worker's) — into the
+//! engine's [`crate::ServeMetrics`]
 //! and its sampled trace ring, using one [`TraceCtx`] per request so a
 //! trace id spans the transport and the engine. A `Stats` request
 //! frame answers with the merged Prometheus-text exposition
@@ -74,7 +73,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::edge::ClientEdge;
-use crate::engine::{QueryVec, ServedPrediction, SubmitHandle};
+use crate::engine::{Payload, QueryVec, ServedPrediction, SubmitHandle};
 use crate::error::ServeError;
 use crate::registry::ModelId;
 use crate::wire::frame::{
@@ -107,11 +106,12 @@ pub struct WireConfig {
     pub max_in_flight: usize,
     /// Cap on the *bytes a query holds in the engine queue*, expressed
     /// as a dense dimensionality: a raw-features frame may declare at
-    /// most `max_query_dim` features (its edge-encoded query occupies
-    /// one `f64` per dimension), while a packed frame — which rides
-    /// the queue packed-native at 1 bit/dim, with no dense expansion
-    /// anywhere on its path — may declare up to `64 × max_query_dim`
-    /// dimensions, the same memory held. Decoding never allocates more
+    /// most `max_query_dim` features (it waits in the queue as its
+    /// features, one `f64` each, and is encoded only by the worker
+    /// serving it), while a packed frame — which rides the queue
+    /// packed-native at 1 bit/dim, with no dense expansion anywhere on
+    /// its path — may declare up to `64 × max_query_dim` dimensions,
+    /// the same memory held. Decoding never allocates more
     /// than the frame's own size; this cap bounds what admitted queries
     /// pin in the queue, since frames within
     /// [`WireConfig::max_body_bytes`] could otherwise declare millions
@@ -130,11 +130,11 @@ pub struct WireConfig {
     /// and drain deadlines.
     pub poll_interval: Duration,
     /// Server-side edge pipelines for [`QueryPayload::Raw`] frames,
-    /// keyed by model id: raw features for `id` run encode ∘ obfuscate
-    /// through `edges[id]` (on the worker pool, off the reactor)
-    /// before submission. Models without an entry answer
+    /// keyed by model id: raw features for `id` are queued with
+    /// `edges[id]`, and the engine worker serving them runs its encode ∘
+    /// obfuscate before scoring. Models without an entry answer
     /// [`WireStatus::UnsupportedPayload`] to raw frames.
-    pub edges: HashMap<ModelId, ClientEdge>,
+    pub edges: HashMap<ModelId, Arc<ClientEdge>>,
 }
 
 impl Default for WireConfig {
@@ -172,7 +172,7 @@ impl WireConfig {
     /// (builder style).
     #[must_use]
     pub fn with_edge(mut self, model: ModelId, edge: ClientEdge) -> Self {
-        self.edges.insert(model, edge);
+        self.edges.insert(model, Arc::new(edge));
         self
     }
 
@@ -287,7 +287,7 @@ impl WireConfigBuilder {
     /// (see [`WireConfig::edges`]).
     #[must_use]
     pub fn edge(mut self, model: ModelId, edge: ClientEdge) -> Self {
-        self.config.edges.insert(model, edge);
+        self.config.edges.insert(model, Arc::new(edge));
         self
     }
 
@@ -307,8 +307,8 @@ impl WireConfigBuilder {
 const LISTEN_KEY: usize = 0;
 
 /// A finished request on its way back to the connection that issued
-/// it: posted by an engine worker (packed path) or a pool job (raw
-/// path) into the owning reactor's inbox.
+/// it: posted by the engine worker that served it into the owning
+/// reactor's inbox.
 struct Completion {
     /// The connection's poller key on its owning reactor.
     key: usize,
@@ -319,7 +319,7 @@ struct Completion {
 
 /// A reactor's mailbox for work arriving from other threads: sockets
 /// handed off by the accepting reactor, and completions posted by
-/// engine workers / pool jobs. Paired with a `Poller::notify` wake.
+/// engine workers. Paired with a `Poller::notify` wake.
 #[derive(Default)]
 struct Inbox {
     conns: Vec<TcpStream>,
@@ -355,48 +355,26 @@ fn lock_inbox(inbox: &Mutex<Inbox>) -> MutexGuard<'_, Inbox> {
     inbox.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Where one request's outcome goes: its connection on the owning
-/// reactor. Built on the reactor per request; the engine callback
-/// (packed path) or the pool job (raw path) posts through it exactly
-/// once.
-#[derive(Clone)]
-struct ReplyTarget {
-    /// The connection's poller key on its owning reactor.
+/// The engine completion callback for one request: posts its outcome
+/// into the owning reactor's inbox, addressed to the connection's
+/// poller key, and wakes the reactor. It runs on the engine worker
+/// serving the request, exactly once.
+fn reply_callback(
+    rctx: &ReactorCtx,
     key: usize,
     request_id: u64,
     ctx: TraceCtx,
-    inbox: Arc<Mutex<Inbox>>,
-    poller: Arc<Poller>,
-}
-
-impl ReplyTarget {
-    fn new(rctx: &ReactorCtx, key: usize, request_id: u64, ctx: TraceCtx) -> Self {
-        Self {
+) -> Box<dyn Fn(Result<ServedPrediction, ServeError>) + Send + Sync> {
+    let (inbox, poller) = (Arc::clone(&rctx.inbox), Arc::clone(&rctx.poller));
+    Box::new(move |outcome| {
+        lock_inbox(&inbox).completions.push(Completion {
             key,
             request_id,
             ctx,
-            inbox: Arc::clone(&rctx.inbox),
-            poller: Arc::clone(&rctx.poller),
-        }
-    }
-
-    /// Posts `outcome` into the owning reactor's inbox and wakes it.
-    fn post(&self, outcome: Result<ServedPrediction, ServeError>) {
-        lock_inbox(&self.inbox).completions.push(Completion {
-            key: self.key,
-            request_id: self.request_id,
-            ctx: self.ctx,
             outcome,
         });
-        let _ = self.poller.notify();
-    }
-
-    /// A clone of this target boxed as the engine's completion
-    /// callback, which runs on the engine worker serving the request.
-    fn callback(&self) -> Box<dyn Fn(Result<ServedPrediction, ServeError>) + Send + Sync> {
-        let target = self.clone();
-        Box::new(move |outcome| target.post(outcome))
-    }
+        let _ = poller.notify();
+    })
 }
 
 /// The `Event` expressing interest `want` (readable, writable) for
@@ -621,8 +599,8 @@ struct Conn {
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
     written: usize,
-    /// Requests submitted (or offloaded to the pool) and not yet
-    /// answered; their results arrive as [`Completion`]s.
+    /// Requests submitted and not yet answered; their results arrive as
+    /// [`Completion`]s.
     in_flight: usize,
     /// The (readable, writable) interest currently registered with the
     /// poller; updated on transitions only.
@@ -868,18 +846,14 @@ impl Conn {
         progress
     }
 
-    /// Admission, payload preparation, and submission for one request.
+    /// Admission and submission for one request.
     ///
-    /// Packed frames submit from the reactor with a completion
-    /// callback pointing at this reactor's inbox; raw frames are
-    /// offloaded to the worker pool (edge encode ∘ obfuscate, then the
-    /// same submit-with-callback), so the reactor never runs encode
-    /// CPU work. On successful submission the engine worker path
-    /// stamps [`Stage::Admission`] (the whole span from frame-decoded
-    /// to engine-accepted, which on the raw path *contains* the
-    /// [`Stage::Encode`] span recorded around the server-side edge).
-    /// Rejected requests stamp nothing — the stage histograms
-    /// decompose served traffic.
+    /// Packed and raw frames submit from the reactor with a completion
+    /// callback pointing at this reactor's inbox; a raw frame carries
+    /// its model's edge, which the engine worker serving it runs. On
+    /// successful submission the reactor stamps [`Stage::Admission`]
+    /// (frame-decoded to engine-accepted). Rejected requests stamp
+    /// nothing — the stage histograms decompose served traffic.
     fn handle_request(&mut self, req: RequestFrame, ctx: TraceCtx, rctx: &ReactorCtx) {
         let admit_start = Instant::now();
         let handle = &rctx.handle;
@@ -902,8 +876,8 @@ impl Conn {
         // Admission accounts for bytes *held* after submission, not a
         // frame's declared dimensionality: a packed query stays packed
         // (1 bit/dim) through the queue, so it may carry 64× the
-        // dimensions of a raw frame (whose edge-encoded query occupies
-        // one f64 per dimension) for the same queue memory.
+        // dimensions of a raw frame (whose features wait in the queue
+        // at one f64 each) for the same queue memory.
         let (query_dim, dim_cap) = match &payload {
             QueryPayload::Packed(hv) => (hv.dim(), config.max_query_dim.saturating_mul(64)),
             QueryPayload::Raw(features) => (features.len(), config.max_query_dim),
@@ -919,34 +893,14 @@ impl Conn {
             );
             return;
         }
-        match payload {
+        let payload = match payload {
             // Packed-native: the frame's bit-packed words are handed to
             // the engine as-is — no to_dense() on this path, by
             // contract (a conversion-count test pins it).
-            QueryPayload::Packed(hv) => {
-                let reply = ReplyTarget::new(rctx, self.key, request_id, ctx);
-                match handle.submit_with(&model, QueryVec::Packed(hv), ctx, reply.callback()) {
-                    Ok(()) => {
-                        self.in_flight += 1;
-                        let admitted_at = Instant::now();
-                        handle.serve_metrics().on_stage(
-                            Stage::Admission,
-                            admitted_at.saturating_duration_since(admit_start),
-                        );
-                        handle
-                            .tracer()
-                            .record(ctx, Stage::Admission, admit_start, admitted_at);
-                    }
-                    Err(e) => {
-                        if matches!(e, ServeError::QueueFull | ServeError::TenantOverQuota) {
-                            metrics.on_busy();
-                        }
-                        self.queue_fault(request_id, fault_for(&e), metrics);
-                    }
-                }
-            }
-            QueryPayload::Raw(features) => {
-                if !config.edges.contains_key(&model) {
+            QueryPayload::Packed(hv) => Payload::Query(QueryVec::Packed(hv)),
+            QueryPayload::Raw(features) => match config.edges.get(&model) {
+                Some(edge) => Payload::Raw(Arc::clone(edge), features),
+                None => {
                     self.queue_fault(
                         request_id,
                         WireFault::new(
@@ -957,18 +911,26 @@ impl Conn {
                     );
                     return;
                 }
-                // Offload the edge onto the worker pool: encode is the
-                // one CPU-heavy wire stage, and running it here would
-                // add its latency to every peer on this reactor. The
-                // job posts exactly one completion (success or error),
-                // so `in_flight` always comes back down.
+            },
+        };
+        let on_done = reply_callback(rctx, self.key, request_id, ctx);
+        match handle.submit_with(&model, payload, ctx, on_done) {
+            Ok(()) => {
                 self.in_flight += 1;
-                let reply = ReplyTarget::new(rctx, self.key, request_id, ctx);
-                let handle = handle.clone();
-                let config = Arc::clone(&rctx.config);
-                privehd_core::pool::global().spawn(move || {
-                    encode_and_submit(&handle, &config, &reply, admit_start, &model, &features);
-                });
+                let admitted_at = Instant::now();
+                handle.serve_metrics().on_stage(
+                    Stage::Admission,
+                    admitted_at.saturating_duration_since(admit_start),
+                );
+                handle
+                    .tracer()
+                    .record(ctx, Stage::Admission, admit_start, admitted_at);
+            }
+            Err(e) => {
+                if matches!(e, ServeError::QueueFull | ServeError::TenantOverQuota) {
+                    metrics.on_busy();
+                }
+                self.queue_fault(request_id, fault_for(&e), metrics);
             }
         }
     }
@@ -986,14 +948,6 @@ impl Conn {
             ..
         } = completion;
         self.in_flight = self.in_flight.saturating_sub(1);
-        if matches!(
-            outcome,
-            Err(ServeError::QueueFull | ServeError::TenantOverQuota)
-        ) {
-            // Raw-path submissions reject on the pool thread and flow
-            // back here; count them as Busy exactly once.
-            metrics.on_busy();
-        }
         let outcome = match outcome {
             Ok(served) => Ok(wire_prediction(served)),
             Err(e) => Err(fault_for(&e)),
@@ -1097,57 +1051,6 @@ impl Conn {
 }
 // analyze: end-nonblocking-region
 
-/// The raw-frame pool job: server-side edge (encode ∘ obfuscate), then
-/// submit with `reply`'s completion callback. Runs on a worker-pool
-/// thread; every path posts exactly one completion so the connection's
-/// in-flight count always settles.
-fn encode_and_submit(
-    handle: &SubmitHandle,
-    config: &WireConfig,
-    reply: &ReplyTarget,
-    admit_start: Instant,
-    model: &ModelId,
-    features: &[f64],
-) {
-    // The reactor verified this entry exists before offloading; the
-    // config Arc is immutable, so a miss here means a bug — answer it
-    // as a fault rather than unwrapping on a pool thread.
-    let Some(edge) = config.edges.get(model) else {
-        reply.post(Err(ServeError::NoModel));
-        return;
-    };
-    let ctx = reply.ctx;
-    let encode_start = Instant::now();
-    let query = match edge.prepare(features) {
-        Ok(q) => q,
-        Err(e) => {
-            reply.post(Err(e));
-            return;
-        }
-    };
-    let encode_end = Instant::now();
-    handle.serve_metrics().on_stage(
-        Stage::Encode,
-        encode_end.saturating_duration_since(encode_start),
-    );
-    handle
-        .tracer()
-        .record(ctx, Stage::Encode, encode_start, encode_end);
-    match handle.submit_with(model, QueryVec::Dense(query), ctx, reply.callback()) {
-        Ok(()) => {
-            let admitted_at = Instant::now();
-            handle.serve_metrics().on_stage(
-                Stage::Admission,
-                admitted_at.saturating_duration_since(admit_start),
-            );
-            handle
-                .tracer()
-                .record(ctx, Stage::Admission, admit_start, admitted_at);
-        }
-        Err(e) => reply.post(Err(e)),
-    }
-}
-
 /// Maps an engine-side error onto the wire status vocabulary.
 fn fault_for(e: &ServeError) -> WireFault {
     match e {
@@ -1204,7 +1107,7 @@ fn run_reactor(rctx: ReactorCtx, stop: &AtomicBool) {
             accept_new(&mut conns, &mut next_key, &rctx);
         }
         // Absorb the inbox: sockets handed off by other reactors, and
-        // completions posted by engine workers / pool jobs.
+        // completions posted by engine workers.
         let (handed_off, completions) = {
             let mut guard = lock_inbox(&rctx.inbox);
             (

@@ -3,17 +3,20 @@
 //! tenant. The engine's per-tenant admission quotas bound how much of
 //! the shared queue capacity the flooder can hold, and the
 //! deficit-round-robin scheduler bounds how long a victim request can
-//! wait behind flooder backlog. Also exercises the multi-reactor
-//! ingress path (sharded accept, fd-hash pinning, cross-reactor
-//! completion handoff) with many concurrent connections.
+//! wait behind flooder backlog. Raw-features frames are held to the
+//! same quota: their server-side edge runs only on the engine worker
+//! that serves them. Also exercises the multi-reactor ingress path
+//! (sharded accept, fd-hash pinning, cross-reactor completion handoff)
+//! with many concurrent connections.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use privehd_core::{BipolarHv, HdModel, Hypervector};
+use privehd_core::telemetry::Stage;
+use privehd_core::{BipolarHv, EncoderConfig, HdModel, Hypervector, ObfuscateConfig, QuantScheme};
 use privehd_serve::wire::{WireClient, WireConfig, WireServer, WireStatus};
-use privehd_serve::{ModelId, ServeConfig, ServeEngine, ShardedRegistry};
+use privehd_serve::{ClientEdge, ModelId, ServeConfig, ServeEngine, ShardedRegistry};
 
 const DIM: usize = 256;
 
@@ -183,6 +186,102 @@ fn wire_flood_bounds_victim_p99_and_completes() {
          (unloaded p99 {unloaded_p99}ns)"
     );
 
+    server.shutdown();
+    engine.shutdown();
+}
+
+/// A raw flood is charged to its tenant's quota before any encode: four
+/// connections each pipeline 64 raw frames at one tenant (quota 4, one
+/// worker) through a half-masked bipolar edge. The flooder must see
+/// `Busy`, and the encode stage must count exactly the frames answered
+/// `ok` — a refused raw frame is never encoded.
+#[test]
+fn refused_raw_frames_are_never_encoded() {
+    const FEATURES: usize = 64;
+    const RAW_DIM: usize = 2_048;
+    const CONNS: usize = 4;
+    const FRAMES: usize = 64;
+    let flood_id = ModelId::new("raw-flood");
+    let edge = ClientEdge::new(
+        EncoderConfig::new(FEATURES, RAW_DIM).with_seed(7),
+        ObfuscateConfig::new(QuantScheme::Bipolar).with_masked_dims(RAW_DIM / 2),
+    )
+    .unwrap();
+    let mut model = HdModel::new(2, RAW_DIM).unwrap();
+    model
+        .bundle(0, &Hypervector::from_vec(vec![1.0; RAW_DIM]))
+        .unwrap();
+    model
+        .bundle(1, &Hypervector::from_vec(vec![-1.0; RAW_DIM]))
+        .unwrap();
+    let registry = Arc::new(ShardedRegistry::new());
+    registry.publish(&flood_id, model, "raw-v1").unwrap();
+    let engine = ServeEngine::start(
+        registry,
+        ServeConfig {
+            max_batch: 4,
+            workers: 1,
+            tenant_quota: 4,
+            drr_quantum: 4,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    // An in-flight cap of FRAMES admits every pipelined frame past its
+    // connection, so each `Busy` is the tenant quota's.
+    let wire = WireConfig {
+        max_in_flight: FRAMES,
+        ..WireConfig::default()
+    };
+    let server = WireServer::start(
+        "127.0.0.1:0",
+        engine.handle(),
+        wire.with_edge(flood_id.clone(), edge),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    let flooders: Vec<_> = (0..CONNS)
+        .map(|c| {
+            let flood_id = flood_id.clone();
+            std::thread::spawn(move || {
+                let mut client = WireClient::connect(addr).unwrap();
+                client
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                for i in 0..FRAMES {
+                    let features: Vec<f64> = (0..FEATURES)
+                        .map(|k| ((c + i + k) % 10) as f64 / 10.0)
+                        .collect();
+                    client.send_raw(&flood_id, &features).unwrap();
+                }
+                let (mut ok, mut busy) = (0u64, 0u64);
+                for _ in 0..FRAMES {
+                    match client.recv().unwrap().outcome {
+                        Ok(_) => ok += 1,
+                        Err(fault) => {
+                            assert_eq!(fault.status, WireStatus::Busy, "{fault}");
+                            busy += 1;
+                        }
+                    }
+                }
+                (ok, busy)
+            })
+        })
+        .collect();
+    let (mut ok, mut busy) = (0, 0);
+    for f in flooders {
+        let (o, b) = f.join().unwrap();
+        ok += o;
+        busy += b;
+    }
+
+    assert!(busy > 0, "the raw flood never saw Busy ({ok} ok)");
+    let encoded = engine.metrics().stage_latency(Stage::Encode).count();
+    assert_eq!(
+        encoded, ok,
+        "{encoded} raw frames encoded for {ok} ok replies ({busy} busy)"
+    );
     server.shutdown();
     engine.shutdown();
 }

@@ -534,6 +534,25 @@ fn stats_scrape_exposes_stage_decomposition() {
         let n: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
         assert!(n > 0, "stage {stage} has zero count:\n{text}");
     }
+    // The engine worker serving a raw request runs its edge: one encode
+    // per raw request served, never more than the end-to-end count.
+    let count = |prefix: &str| -> u64 {
+        text.lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no {prefix} series in:\n{text}"))
+            .rsplit(' ')
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap()
+    };
+    let encoded = count("privehd_serve_stage_latency_seconds_count{stage=\"encode\"}");
+    let end_to_end = count("privehd_serve_latency_seconds_count ");
+    assert_eq!(encoded, 1, "one raw request was served:\n{text}");
+    assert!(
+        encoded <= end_to_end,
+        "{encoded} encodes > {end_to_end} e2e"
+    );
     assert!(text.contains("privehd_wire_frames_total{direction=\"in\"} 9"));
     assert!(text.contains("privehd_wire_stats_served_total 1"));
     // Snapshot footprint: the served ±1 model exposes both

@@ -10,8 +10,11 @@
 //! against the generic composition it replaces. The ungated
 //! `predict_packed_float_rows` row times the plan's row-grouped packed
 //! scoring over float class rows against the one-class-at-a-time loop,
-//! and the ungated `scalar_encode_packed` row the fused encode-to-packed
-//! kernel against reference encode, bipolar quantization and packing.
+//! the ungated `predict_packed_float_rows_block` row a block of 16
+//! packed queries through `ModelPlan::predict_packed_batch` against the
+//! same 16 through `predict_packed`, and the ungated
+//! `scalar_encode_packed` row the fused encode-to-packed kernel against
+//! reference encode, bipolar quantization and packing.
 //!
 //! `--serve` mode instead measures the wire front-end over a real
 //! loopback TCP socket — synchronous round-trip p50/p99 latency,
@@ -804,6 +807,29 @@ fn main() {
     });
     results.push(Comparison {
         name: "predict_packed_float_rows",
+        unit: "query",
+        reference,
+        kernel,
+        threshold: None,
+    });
+
+    // --- A block of packed queries against the same float rows: 16
+    //     queries through the plan's column-tiled block pass
+    //     (`predict_packed_batch`, one read of the matrix per block) vs
+    //     the same 16 through `predict_packed` one at a time. Every
+    //     score is bit-identical. Ungated: no trajectory exists to set a
+    //     floor yet. ----------------------------------------------------
+    let block: Vec<&BipolarHv> = packed.iter().take(16).collect();
+    let kernel = time_per_item(samples, block.len(), || {
+        std::hint::black_box(plan.predict_packed_batch(&block));
+    });
+    let reference = time_per_item(samples, block.len(), || {
+        for q in &block {
+            std::hint::black_box(plan.predict_packed(q).expect("predict"));
+        }
+    });
+    results.push(Comparison {
+        name: "predict_packed_float_rows_block",
         unit: "query",
         reference,
         kernel,

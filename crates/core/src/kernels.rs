@@ -35,6 +35,10 @@
 //!   quad is loaded (and its sign mask built) once for the group, while
 //!   every row keeps its own accumulator in the single-row lane and
 //!   addition order, so grouped scores bit-match the one-row kernels.
+//!   A block of packed queries ([`ClassMatrix::scores_packed_block_into`])
+//!   is scored in column tiles: each query's sign masks are expanded
+//!   once per tile, and each row group's tile is streamed against the
+//!   whole block while it is L1-hot, with the same per-lane adds.
 //! * [`PackedClassMatrix`] + [`xor_popcount`] — the packed-native
 //!   inference path: class rows stored as bit-packed signs plus one
 //!   magnitude scale per 64-dim word block, scored against bit-packed
@@ -62,9 +66,10 @@
 //! kernels to them (bit-exact where the arithmetic is integer, ≤1e-9
 //! absolute where only the floating-point summation order differs).
 //!
-//! Per-query scratch (nibble tables, weighted counts, CSA planes) lives
-//! in a thread-local buffer so steady-state encoding performs no
-//! allocations beyond the returned hypervector.
+//! Per-query scratch (nibble tables, weighted counts, CSA planes, and a
+//! query block's tile masks and carried accumulators) lives in a
+//! thread-local buffer so steady-state encoding and blocked scoring
+//! perform no allocations beyond their results.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -79,10 +84,32 @@ const WORD_BITS: usize = 64;
 /// L2-resident even for a few dozen classes.
 const DIM_TILE: usize = 2_048;
 
+/// Columns per tile of the blocked packed-query pass: 512 × 8 B = 4 KB
+/// per class-row slice, so a four-row group's tile (16 KB) stays
+/// L1-resident while every query of the block streams against it.
+const SIGN_TILE: usize = 512;
+
 /// Class rows scored per pass of the float-row dot kernels: four
 /// `__m256d` accumulators hide the `fadd` latency that bounds a single
 /// chain, and leave registers for the shared query quad.
 const ROW_GROUP: usize = 4;
+
+/// `SIGN_MASKS[n][k]` is the `f64` sign bit when bit `k` of the nibble
+/// `n` of an *inverted* query word is set: XOR-ing it into a class
+/// value is [`dot_sign_dense`]'s sign select (query bit clear → `−v`).
+const SIGN_MASKS: [[u64; 4]; 16] = {
+    let mut masks = [[0u64; 4]; 16];
+    let mut n = 0;
+    while n < 16 {
+        let mut k = 0;
+        while k < 4 {
+            masks[n][k] = ((n as u64) >> k & 1) << 63;
+            k += 1;
+        }
+        n += 1;
+    }
+    masks
+};
 
 /// Features per byte plane of a [`TransposedItemMemory`].
 const PLANE_FEATURES: usize = 8;
@@ -99,7 +126,8 @@ thread_local! {
     static SCRATCH: RefCell<KernelScratch> = RefCell::new(KernelScratch::default());
 }
 
-/// Reusable per-thread buffers for the encode kernels.
+/// Reusable per-thread buffers for the encode kernels and the blocked
+/// packed-query pass.
 #[derive(Debug, Default)]
 struct KernelScratch {
     /// One 16-entry table per nibble of features (scalar encode).
@@ -111,6 +139,12 @@ struct KernelScratch {
     counts: Vec<u32>,
     /// CSA bit-planes, word-major `hv_words × planes` (level encode).
     planes: Vec<u64>,
+    /// The current column tile's sign masks, one `[u64; 4]` per quad,
+    /// query-major (blocked packed scoring).
+    sign_masks: Vec<[u64; 4]>,
+    /// One four-lane accumulator per (query, class), query-major,
+    /// carried across column tiles (blocked packed scoring).
+    sign_acc: Vec<[f64; 4]>,
 }
 
 /// Byte-plane transpose of an [`ItemMemory`], or of a subset of its
@@ -858,6 +892,82 @@ unsafe fn dot_sign_dense_avx2<const R: usize>(words: &[u64], rows: [&[f64]; R]) 
     dots
 }
 
+/// One column tile of the blocked packed-query pass: adds `±rows[r]`
+/// into `acc[r]` quad by quad (`1 ≤ R ≤ 4`), the sign of lane `k` of
+/// quad `i` taken from `masks[i][k]`. Each lane receives the adds of
+/// [`dot_sign_dense_rows`] over the same columns in the same order, so
+/// carrying `acc` from tile to tile reproduces the one-query pass. Every
+/// row must hold at least `4·masks.len()` values.
+fn sign_tile_rows<const R: usize>(masks: &[[u64; 4]], rows: [&[f64]; R], acc: &mut [[f64; 4]; R]) {
+    const { assert!(1 <= R && R <= ROW_GROUP) };
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: `avx2_available` verified the AVX2 requirement.
+        return unsafe { sign_tile_avx2(masks, rows, acc) };
+    }
+    sign_tile_scalar(masks, rows, acc);
+}
+
+/// Scalar arm of [`sign_tile_rows`]. Rows are independent, so one pass
+/// per row is already the interleaved arm's order.
+fn sign_tile_scalar<const R: usize>(
+    masks: &[[u64; 4]],
+    rows: [&[f64]; R],
+    acc: &mut [[f64; 4]; R],
+) {
+    for (row, lanes) in rows.iter().zip(acc.iter_mut()) {
+        for (quad, mask) in row.as_chunks::<4>().0.iter().zip(masks) {
+            for ((lane, &v), &sign) in lanes.iter_mut().zip(quad).zip(mask) {
+                *lane += f64::from_bits(v.to_bits() ^ sign);
+            }
+        }
+    }
+}
+
+/// AVX2 arm of [`sign_tile_rows`]: one `__m256d` per row, loaded from
+/// and stored back to its carried accumulator; each quad's mask is
+/// loaded once for all `R` rows.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sign_tile_avx2<const R: usize>(
+    masks: &[[u64; 4]],
+    rows: [&[f64]; R],
+    acc: &mut [[f64; 4]; R],
+) {
+    use std::arch::x86_64::*;
+    // The raw row loads below read every row up to `4·masks.len()`.
+    assert!(
+        rows.iter().all(|row| row.len() >= 4 * masks.len()),
+        "row shorter than its tile"
+    );
+    let mut sums = [_mm256_setzero_pd(); R];
+    for (sum, lanes) in sums.iter_mut().zip(acc.iter()) {
+        // SAFETY: `lanes` is a `[f64; 4]`: exactly the 32 bytes the
+        // unaligned load reads.
+        *sum = unsafe { _mm256_loadu_pd(lanes.as_ptr()) };
+    }
+    for (i, mask) in masks.iter().enumerate() {
+        // SAFETY: `mask` is a `[u64; 4]`: exactly the 32 bytes the
+        // unaligned load reads.
+        let signs = unsafe { _mm256_loadu_pd(mask.as_ptr().cast()) };
+        for (sum, row) in sums.iter_mut().zip(rows) {
+            // SAFETY: `4i + 3 < 4·masks.len() ≤ row.len()`, asserted for
+            // every row before the loop, keeps the load in bounds.
+            let v = unsafe { _mm256_loadu_pd(row.as_ptr().add(4 * i)) };
+            *sum = _mm256_add_pd(*sum, _mm256_xor_pd(v, signs));
+        }
+    }
+    for (lanes, sum) in acc.iter_mut().zip(sums) {
+        // SAFETY: `lanes` is a `[f64; 4]`: exactly the 32 bytes the
+        // unaligned store writes.
+        unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), sum) };
+    }
+}
+
 /// Number of mismatching sign bits between two packed bipolar rows:
 /// `Σ_w popcount(a_w ⊕ b_w)` over the shorter slice — the Hamming
 /// kernel of the packed predict path.
@@ -1120,6 +1230,104 @@ impl ClassMatrix {
     fn packed_group<const R: usize>(&self, query_words: &[u64], first: usize, dots: &mut [f64]) {
         let rows = self.row_group::<R>(first, 0..self.dim);
         dots.copy_from_slice(&dot_sign_dense_rows(query_words, rows));
+    }
+
+    /// [`ClassMatrix::scores_packed_into`] for a block of packed queries
+    /// at once: `out[q]` bit-matches `scores_packed_into(queries[q], ..)`.
+    ///
+    /// A block of one takes the one-query pass, which builds each quad's
+    /// sign mask inline. A larger block cuts the quad prefix of the
+    /// dimension axis into 512-column tiles. Per tile, every query's
+    /// sign masks are expanded once into thread-local scratch, and then
+    /// each four-row class group's tile is streamed against every query
+    /// while it is L1-hot. So the matrix is read once per block instead
+    /// of once per query, and no mask is rebuilt per row group. Each `(query, class)` pair keeps its four lanes across
+    /// tiles, and every lane receives the one-query pass's adds in the
+    /// same order; the `dim mod 4` tail and the `(l0+l1)+(l2+l3)`
+    /// reduction run after the last tile, as they do there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queries` and `out` lengths differ, or a query holds
+    /// fewer than `⌈dim/64⌉` words.
+    pub fn scores_packed_block_into(&self, queries: &[&[u64]], out: &mut [Vec<f64>]) {
+        assert_eq!(queries.len(), out.len(), "one score row per query");
+        if let ([query], [scores]) = (queries, &mut *out) {
+            return self.scores_packed_into(query, scores);
+        }
+        assert!(
+            queries.iter().all(|q| q.len() * WORD_BITS >= self.dim),
+            "query shorter than the class rows"
+        );
+        for scores in out.iter_mut() {
+            scores.clear();
+        }
+        if self.num_classes == 0 {
+            return;
+        }
+        SCRATCH.with(|scratch| self.packed_block(queries, out, &mut scratch.borrow_mut()));
+    }
+
+    /// The tiled pass of [`ClassMatrix::scores_packed_block_into`].
+    fn packed_block(&self, queries: &[&[u64]], out: &mut [Vec<f64>], scratch: &mut KernelScratch) {
+        let quads = self.dim - self.dim % 4;
+        scratch.sign_acc.clear();
+        scratch
+            .sign_acc
+            .resize(queries.len() * self.num_classes, [0.0; 4]);
+        for tile_start in (0..quads).step_by(SIGN_TILE) {
+            let cols = tile_start..(tile_start + SIGN_TILE).min(quads);
+            scratch.sign_masks.clear();
+            for words in queries {
+                scratch.sign_masks.extend(cols.clone().step_by(4).map(|i| {
+                    SIGN_MASKS[(!words[i / WORD_BITS] >> (i % WORD_BITS) & 0xF) as usize]
+                }));
+            }
+            let (masks, acc) = (&scratch.sign_masks, &mut scratch.sign_acc);
+            for first in (0..self.num_classes).step_by(ROW_GROUP) {
+                match self.num_classes - first {
+                    1 => self.sign_tile_group::<1>(first, cols.clone(), masks, acc),
+                    2 => self.sign_tile_group::<2>(first, cols.clone(), masks, acc),
+                    3 => self.sign_tile_group::<3>(first, cols.clone(), masks, acc),
+                    _ => self.sign_tile_group::<4>(first, cols.clone(), masks, acc),
+                }
+            }
+        }
+        let carried = scratch.sign_acc.chunks_exact(self.num_classes);
+        for ((words, scores), acc) in queries.iter().zip(out).zip(carried) {
+            let tail_signs =
+                (quads < self.dim).then(|| !words[quads / WORD_BITS] >> (quads % WORD_BITS));
+            scores.extend(acc.iter().enumerate().map(|(l, &lanes)| {
+                let mut lanes = lanes;
+                if let Some(nw) = tail_signs {
+                    for (b, &v) in self.class_row(l)[quads..].iter().enumerate() {
+                        lanes[b] += f64::from_bits(v.to_bits() ^ ((nw >> b & 1) << 63));
+                    }
+                }
+                (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+            }));
+            self.normalize(scores);
+        }
+    }
+
+    /// Streams classes `first..first + R`, restricted to the tile `cols`,
+    /// against every query's expanded tile masks (`masks`, query-major),
+    /// into the queries' carried accumulators (`acc`, query-major).
+    fn sign_tile_group<const R: usize>(
+        &self,
+        first: usize,
+        cols: Range<usize>,
+        masks: &[[u64; 4]],
+        acc: &mut [[f64; 4]],
+    ) {
+        let rows = self.row_group::<R>(first, cols.clone());
+        let per_query = masks.chunks_exact(cols.len() / 4);
+        for (masks, acc) in per_query.zip(acc.chunks_exact_mut(self.num_classes)) {
+            let group = acc[first..]
+                .first_chunk_mut::<R>()
+                .expect("a group's rows are classes");
+            sign_tile_rows(masks, rows, group);
+        }
     }
 
     /// Heap footprint of this snapshot in bytes (dense values, cached
@@ -1491,6 +1699,9 @@ mod tests {
         let mut scores = vec![1.0];
         m.scores_into(&[], &mut scores);
         assert!(scores.is_empty());
+        let mut blocked = vec![vec![1.0]; 2];
+        m.scores_packed_block_into(&[&[0], &[0]], &mut blocked);
+        assert!(blocked.iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -1747,6 +1958,30 @@ mod tests {
                 "dense row {r} of {R}, dim {dim}"
             );
         }
+
+        // One column tile of the blocked packed pass, over the quad
+        // prefix, onto carried (non-zero) accumulators.
+        let masks: Vec<[u64; 4]> = (0..dim / 4)
+            .map(|i| {
+                std::array::from_fn(|k| {
+                    let c = 4 * i + k;
+                    (!words.words()[c / WORD_BITS] >> (c % WORD_BITS) & 1) << 63
+                })
+            })
+            .collect();
+        let carried = spread_values(4 * R, dim as u64 + 11);
+        let start: [[f64; 4]; R] =
+            std::array::from_fn(|r| std::array::from_fn(|k| carried[4 * r + k]));
+        let (mut dispatched, mut scalar) = (start, start);
+        sign_tile_rows(&masks, rows, &mut dispatched);
+        sign_tile_scalar(&masks, rows, &mut scalar);
+        for r in 0..R {
+            assert_eq!(
+                bits(&dispatched[r]),
+                bits(&scalar[r]),
+                "sign tile row {r} of {R}, dim {dim}"
+            );
+        }
     }
 
     #[test]
@@ -1832,6 +2067,65 @@ mod tests {
                     let refs: Vec<&[f64]> = queries[..block].iter().map(Vec::as_slice).collect();
                     let mut out = vec![Vec::new(); block];
                     m.scores_block_into(&refs, &mut out);
+                    for (q, (got, want)) in out.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            bits(got),
+                            bits(want),
+                            "block {block}, query {q}, {num_classes} × {dim}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Query blocks, class counts and dims (around the quad, word and
+    /// column-tile boundaries) of the blocked packed parity test. Miri
+    /// runs only the scalar arm, and slowly, so it gets short lists.
+    fn packed_block_shapes() -> (&'static [usize], &'static [usize], &'static [usize]) {
+        const T: usize = SIGN_TILE;
+        if cfg!(miri) {
+            (&[1, 2, 5], &[1, 5], &[3, 65, T + 1])
+        } else {
+            (
+                &[1, 2, 3, 5, 17, 33],
+                &[1, 2, 3, 4, 5, 9],
+                &[1, 3, 4, 63, 64, 65, T - 1, T, T + 1, 2 * T + 3, 10_000],
+            )
+        }
+    }
+
+    #[test]
+    fn packed_block_scores_bit_match_the_one_query_pass() {
+        let (blocks, class_counts, dims) = packed_block_shapes();
+        let most = blocks.iter().copied().max().unwrap_or(1);
+        for &dim in dims {
+            let queries: Vec<BipolarHv> = (0..most)
+                .map(|q| BipolarHv::random(dim, (q * 131 + dim) as u64))
+                .collect();
+            for &num_classes in class_counts {
+                let mut classes: Vec<Hypervector> = (0..num_classes)
+                    .map(|c| Hypervector::from_vec(spread_values(dim, (c * 613 + dim) as u64)))
+                    .collect();
+                // One never-trained class, unless it would be the only one.
+                if num_classes > 1 {
+                    classes[num_classes / 2] = Hypervector::from_vec(vec![0.0; dim]);
+                }
+                let m = ClassMatrix::from_classes(&classes);
+                let want: Vec<Vec<f64>> = queries
+                    .iter()
+                    .map(|q| {
+                        let mut scores = Vec::new();
+                        m.scores_packed_into(q.words(), &mut scores);
+                        scores
+                    })
+                    .collect();
+                for &block in blocks {
+                    let words: Vec<&[u64]> =
+                        queries[..block].iter().map(BipolarHv::words).collect();
+                    // Stale contents must not leak into the scores.
+                    let mut out = vec![vec![7.0; 3]; block];
+                    m.scores_packed_block_into(&words, &mut out);
                     for (q, (got, want)) in out.iter().zip(&want).enumerate() {
                         assert_eq!(
                             bits(got),

@@ -48,6 +48,12 @@ const WORD_BITS: usize = 64;
 /// one class row is streamed against this many queries while hot.
 const PREDICT_BLOCK: usize = 8;
 
+/// Most packed queries per column-tiled pass over float class rows.
+/// Past about 16 the per-query cost is flat (the matrix is already read
+/// once per block), while the pass's thread-local tile masks grow by
+/// 4 KB per query.
+const PACKED_BLOCK: usize = 16;
+
 /// Which arm the runtime-dispatched dot/popcount kernels take on this
 /// host — probed once at plan-compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -429,11 +435,58 @@ impl ModelPlan {
     pub fn predict_packed(&self, query: &BipolarHv) -> Result<Prediction, HdError> {
         self.check_query(query.dim())?;
         let mut scores = Vec::new();
-        match &self.packed {
-            Some(packed) => packed.scores_packed_into(query.words(), &mut scores),
-            None => self.dense.scores_packed_into(query.words(), &mut scores),
-        }
+        self.scores_packed(&[query.words()], std::slice::from_mut(&mut scores));
         prediction_from_scores(scores)
+    }
+
+    /// [`ModelPlan::predict_packed`] for a batch of packed queries, one
+    /// result per query in order; [`ModelPlan::predict_packed`] is its
+    /// one-query case. Each query is checked on its own, so a
+    /// wrong-dimension query fails alone. Under
+    /// [`PlanKernel::DenseTiled`] the valid queries are scored in blocks
+    /// of up to 16 by [`ClassMatrix::scores_packed_block_into`], which
+    /// reads the class rows once per block; under
+    /// [`PlanKernel::PackedPopcount`] (about a microsecond per query)
+    /// they are scored one at a time. Either way every result is
+    /// bit-identical to [`ModelPlan::predict_packed`] on that query
+    /// alone.
+    pub fn predict_packed_batch(&self, queries: &[&BipolarHv]) -> Vec<Result<Prediction, HdError>> {
+        let checked: Vec<Result<&[u64], HdError>> = queries
+            .iter()
+            .map(|query| self.check_query(query.dim()).map(|()| query.words()))
+            .collect();
+        let valid: Vec<&[u64]> = checked
+            .iter()
+            .filter_map(|c| c.as_ref().ok().copied())
+            .collect();
+        let mut scores = vec![Vec::new(); valid.len()];
+        self.scores_packed(&valid, &mut scores);
+        let mut scores = scores.into_iter();
+        checked
+            .into_iter()
+            .map(|c| c.and_then(|_| prediction_from_scores(scores.next().unwrap_or_default())))
+            .collect()
+    }
+
+    /// Scores pre-validated packed queries into `out`, one row per
+    /// query: popcount rows one query at a time, float rows in balanced
+    /// blocks of at most [`PACKED_BLOCK`].
+    // analyze::allow(no-panic-path): `&mut [..]` is a slice type, not an index.
+    fn scores_packed(&self, queries: &[&[u64]], out: &mut [Vec<f64>]) {
+        match &self.packed {
+            Some(packed) => {
+                for (words, scores) in queries.iter().zip(out.iter_mut()) {
+                    packed.scores_packed_into(words, scores);
+                }
+            }
+            None => {
+                let blocks = queries.len().div_ceil(PACKED_BLOCK).max(1);
+                let block = queries.len().div_ceil(blocks).max(1);
+                for (words, scores) in queries.chunks(block).zip(out.chunks_mut(block)) {
+                    self.dense.scores_packed_block_into(words, scores);
+                }
+            }
+        }
     }
 
     /// Scores a dense query with the normalized dot product of Eq. (4):
@@ -657,6 +710,55 @@ mod tests {
             plan.predict_packed(&BipolarHv::random(64, 0)),
             Err(HdError::ZeroNorm)
         );
+        let block: Vec<BipolarHv> = (0..3).map(|i| BipolarHv::random(64, i)).collect();
+        let refs: Vec<&BipolarHv> = block.iter().collect();
+        assert_eq!(
+            plan.predict_packed_batch(&refs),
+            vec![Err(HdError::ZeroNorm); 3]
+        );
+    }
+
+    #[test]
+    fn packed_batch_fails_a_bad_query_alone_and_bit_matches_predict_packed() {
+        let dim = 1_283;
+        let (_, mut model) = trained_model(dim, 23);
+        for quantized in [false, true] {
+            if quantized {
+                model.quantize_classes(QuantScheme::Bipolar);
+            }
+            let plan = ModelPlan::compile(&model);
+            assert_eq!(
+                matches!(plan.kernel(), PlanKernel::PackedPopcount { .. }),
+                quantized
+            );
+            // 19 valid queries: two column-tiled blocks on float rows.
+            let mut queries: Vec<BipolarHv> =
+                (0..20).map(|i| BipolarHv::random(dim, 100 + i)).collect();
+            queries[9] = BipolarHv::random(640, 5);
+            let refs: Vec<&BipolarHv> = queries.iter().collect();
+            let got = plan.predict_packed_batch(&refs);
+            assert_eq!(got.len(), queries.len());
+            for (i, (query, got)) in queries.iter().zip(got).enumerate() {
+                if i == 9 {
+                    assert_eq!(
+                        got,
+                        Err(HdError::DimensionMismatch {
+                            expected: dim,
+                            actual: 640
+                        })
+                    );
+                    continue;
+                }
+                let (got, want) = (got.unwrap(), plan.predict_packed(query).unwrap());
+                assert_eq!(got.class, want.class, "query {i}");
+                let bits =
+                    |p: &Prediction| p.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "query {i}, quantized {quantized}");
+            }
+        }
+        assert!(ModelPlan::compile(&model)
+            .predict_packed_batch(&[])
+            .is_empty());
     }
 
     #[test]

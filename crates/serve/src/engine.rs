@@ -50,6 +50,14 @@
 //! requests — they complete on the version that was live when their
 //! batch started.
 //!
+//! A batch's packed queries, when it holds two or more, are scored
+//! together by one [`privehd_core::ModelPlan::predict_packed_batch`]
+//! call, which reads float class rows once per block instead of once per
+//! query; every score still bit-matches the query scored alone. Their
+//! replies go out in batch order when the block finishes. Dense and raw
+//! requests are then scored one at a time, each reply delivered the
+//! moment its own scoring finishes.
+//!
 //! ## Raw features
 //!
 //! The wire front-end submits a raw-features frame as its features plus
@@ -66,7 +74,10 @@
 //! is delivered (in a raw request's edge as well as in scoring) answers
 //! it [`ServeError::Internal`], a panic inside its reply callback is
 //! never followed by a second delivery, and the worker carries on with
-//! the rest of its batch.
+//! the rest of its batch. A block of packed queries is scored under one
+//! more `catch_unwind`: a panic there answers each of its requests
+//! [`ServeError::Internal`]. Every caught panic is counted in
+//! [`ServeReport::panics_contained`].
 //!
 //! ## Shutdown contract
 //!
@@ -89,11 +100,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use privehd_core::telemetry::{Stage, TelemetryConfig, TraceCtx, Tracer};
-use privehd_core::{BipolarHv, Hypervector, Prediction};
+use privehd_core::{BipolarHv, HdError, Hypervector, Prediction};
 
 use crate::edge::ClientEdge;
 use crate::error::ServeError;
-use crate::metrics::{ServeMetrics, ServeReport};
+use crate::metrics::{ModelCounters, ServeMetrics, ServeReport};
 use crate::registry::{ModelId, ServedModel, ShardedRegistry};
 
 /// Tuning knobs of the serving engine.
@@ -825,8 +836,9 @@ impl ServeEngine {
     /// Accepts dense ([`Hypervector`]) and bit-packed ([`BipolarHv`])
     /// queries alike; packed queries stay packed end to end and are
     /// scored through the published snapshot's compiled plan
-    /// ([`privehd_core::ModelPlan::predict_packed`] — the popcount
-    /// path) with no dense conversion anywhere.
+    /// ([`privehd_core::ModelPlan::predict_packed`], or one
+    /// [`privehd_core::ModelPlan::predict_packed_batch`] call for a
+    /// batch's two or more) with no dense conversion anywhere.
     ///
     /// Requests for different models accumulate in separate batches; a
     /// model nobody published answers with [`ServeError::NoModel`]
@@ -1022,10 +1034,8 @@ impl Worker {
     }
 
     fn execute_batch(&self, model: &ModelId, requests: &[Request]) {
-        let (metrics, tracer) = (&*self.metrics, &*self.tracer);
-        let packed_fastpath = self.config.packed_fastpath;
-        let size = requests.len();
-        metrics.on_batch(size);
+        let metrics = &*self.metrics;
+        metrics.on_batch(requests.len());
         // One snapshot per batch: a concurrent publish (or withdraw) of
         // this model affects later batches, never this one, and other
         // models' batches resolve their own snapshots independently. The
@@ -1033,115 +1043,232 @@ impl Worker {
         let resolve_start = Instant::now();
         let snapshot: Option<Arc<ServedModel>> = self.registry.get(model);
         let resolve_end = Instant::now();
-        let model_counters = metrics.model_counters(model);
+        let counters = metrics.model_counters(model);
         if let Some(served) = &snapshot {
             // Snapshot footprint gauges: publish compiled the plan, so
             // these accessors only read cached sizes — no serving work.
             let plan = served.plan();
             metrics.set_model_memory(
-                &model_counters,
+                &counters,
                 plan.dense_memory_bytes() as u64,
                 plan.packed_memory_bytes().unwrap_or(0) as u64,
             );
         }
-
-        // Classification stays per-request (so one bad query fails only
-        // its own reply), and each reply is delivered — and its latency
-        // measured — the moment its own classification finishes.
-        let score = |query: &QueryVec| match &snapshot {
-            None => Err(ServeError::NoModel),
-            Some(served) => {
-                // Dispatch through the plan compiled at publish time:
-                // kernel selection (packed vs dense snapshot, SIMD arm,
-                // block size) happened once, when the plan was built —
-                // nothing is re-probed here.
-                let plan = served.plan();
-                match query {
-                    // Packed-native path: the query arrived bit-packed
-                    // and is scored by the popcount kernels without ever
-                    // materializing a dense form.
-                    QueryVec::Packed(hv) => plan.predict_packed(hv),
-                    // The auto bridge repacks strictly-bipolar dense
-                    // queries onto the popcount kernel.
-                    QueryVec::Dense(q) if packed_fastpath => plan.predict_dense_auto(q),
-                    QueryVec::Dense(q) => plan.predict_dense(q),
-                }
-                .map_err(ServeError::Model)
-            }
+        let batch = Batch {
+            metrics,
+            tracer: &self.tracer,
+            model,
+            snapshot,
+            counters,
+            size: requests.len(),
+            packed_fastpath: self.config.packed_fastpath,
         };
-        let answer = |request: &Request| {
-            let work_start = Instant::now();
-            // A raw payload first runs its edge (the encode stage), and
-            // its dense result is scored like any dense query.
-            let (outcome, predict_start) = match &request.payload {
-                Payload::Query(query) => (score(query), work_start),
-                Payload::Raw(edge, features) => {
-                    let query = edge.prepare(features);
-                    let encoded_at = Instant::now();
-                    (query.and_then(|q| score(&QueryVec::Dense(q))), encoded_at)
-                }
-            };
-            let done_at = Instant::now();
-            let (submitted_at, taken_at) = (request.submitted_at, request.taken_at);
-            let latency = done_at.saturating_duration_since(submitted_at);
-            // End-to-end first, stage rows after: a reader snapshotting
-            // mid-request then always observes per-stage counts ≤ the
-            // end-to-end count — the invariant the consistency test pins.
-            metrics.on_done(&model_counters, outcome.is_ok(), latency);
-            let queue_wait = taken_at.saturating_duration_since(submitted_at);
-            let batch_wait = work_start.saturating_duration_since(taken_at);
-            let ctx = request.trace;
-            metrics.on_stage_for(&model_counters, Stage::QueueWait, queue_wait);
-            metrics.on_stage_for(&model_counters, Stage::BatchWait, batch_wait);
-            if let Payload::Raw(..) = request.payload {
-                let encode = predict_start - work_start;
-                metrics.on_stage_for(&model_counters, Stage::Encode, encode);
-                tracer.record(ctx, Stage::Encode, work_start, predict_start);
-            }
-            metrics.on_stage_for(&model_counters, Stage::Predict, done_at - predict_start);
-            tracer.record(ctx, Stage::QueueWait, submitted_at, taken_at);
-            tracer.record(ctx, Stage::BatchWait, taken_at, work_start);
-            tracer.record(ctx, Stage::Predict, predict_start, done_at);
-            tracer.record(ctx, Stage::EndToEnd, submitted_at, done_at);
-            outcome.map(|prediction| ServedPrediction {
-                prediction,
-                model: model.clone(),
-                model_version: snapshot.as_ref().map_or(0, |s| s.version),
-                batch_size: size,
-                latency,
+
+        // Two or more packed queries are scored in one block, which reads
+        // float class rows once for all of them; their replies go out in
+        // batch order when the block finishes. Every other request is
+        // scored on its own, so one bad query fails only its own reply,
+        // and its reply is delivered — and its latency measured — the
+        // moment its own classification finishes.
+        let (blocked, queries): (Vec<&Request>, Vec<&BipolarHv>) = requests
+            .iter()
+            .filter_map(|request| match &request.payload {
+                Payload::Query(QueryVec::Packed(hv)) => Some((request, hv)),
+                _ => None,
             })
-        };
-        let serve_one = |request: &Request| {
-            // Exactly-once guard, set just before the reply is handed to
-            // its slot: a panic before that still owes the request its
-            // answer; a panic after it came from the slot itself (a reply
-            // callback), which has had its one delivery.
-            let mut handed_over = false;
-            let served = panic::catch_unwind(AssertUnwindSafe(|| {
-                let reply = answer(request);
-                handed_over = true;
-                request.reply.deliver(reply);
-            }));
-            if served.is_err() && !handed_over {
-                metrics.on_done(&model_counters, false, request.submitted_at.elapsed());
-                let fault = Err(ServeError::Internal);
-                let _ = panic::catch_unwind(AssertUnwindSafe(|| request.reply.deliver(fault)));
+            .unzip();
+        let block = match &batch.snapshot {
+            Some(served) if queries.len() >= 2 => {
+                batch.serve_block(&blocked, &queries, |queries| {
+                    served.plan().predict_packed_batch(queries)
+                });
+                true
             }
+            _ => false,
         };
-
-        requests.iter().for_each(serve_one);
+        for request in requests {
+            if block && matches!(request.payload, Payload::Query(QueryVec::Packed(_))) {
+                continue;
+            }
+            batch.serve_guarded(request, || batch.answer(request));
+        }
         // Recorded after the batch is served, so the stage's count stays
         // ≤ the end-to-end count at any snapshot (one resolve per batch,
         // and batches ≤ requests).
         let resolve = resolve_end.saturating_duration_since(resolve_start);
-        metrics.on_stage_for(&model_counters, Stage::SnapshotResolve, resolve);
+        metrics.on_stage_for(&batch.counters, Stage::SnapshotResolve, resolve);
         if let Some(first) = requests.first() {
-            tracer.record(
+            self.tracer.record(
                 first.trace,
                 Stage::SnapshotResolve,
                 resolve_start,
                 resolve_end,
             );
+        }
+    }
+}
+
+/// One batch's serving context: the registry snapshot its requests are
+/// scored against and what their replies and metrics are stamped with.
+struct Batch<'a> {
+    metrics: &'a ServeMetrics,
+    tracer: &'a Tracer,
+    model: &'a ModelId,
+    snapshot: Option<Arc<ServedModel>>,
+    counters: Arc<ModelCounters>,
+    size: usize,
+    packed_fastpath: bool,
+}
+
+impl Batch<'_> {
+    /// Scores one query through the plan compiled at publish time:
+    /// kernel selection (packed vs dense snapshot, SIMD arm, block size)
+    /// happened once, when the plan was built — nothing is re-probed
+    /// here.
+    fn score(&self, query: &QueryVec) -> Result<Prediction, ServeError> {
+        let Some(served) = &self.snapshot else {
+            return Err(ServeError::NoModel);
+        };
+        let plan = served.plan();
+        match query {
+            // Packed-native path: the query arrived bit-packed and is
+            // scored without ever materializing a dense form.
+            QueryVec::Packed(hv) => plan.predict_packed(hv),
+            // The auto bridge repacks strictly-bipolar dense queries
+            // onto the popcount kernel.
+            QueryVec::Dense(q) if self.packed_fastpath => plan.predict_dense_auto(q),
+            QueryVec::Dense(q) => plan.predict_dense(q),
+        }
+        .map_err(ServeError::Model)
+    }
+
+    /// Serves one request on its own. A raw payload first runs its edge
+    /// (the encode stage), and its dense result is scored like any dense
+    /// query.
+    fn answer(&self, request: &Request) -> Result<ServedPrediction, ServeError> {
+        let work_start = Instant::now();
+        let (outcome, predict_start) = match &request.payload {
+            Payload::Query(query) => (self.score(query), work_start),
+            Payload::Raw(edge, features) => {
+                let query = edge.prepare(features);
+                let encoded_at = Instant::now();
+                (
+                    query.and_then(|q| self.score(&QueryVec::Dense(q))),
+                    encoded_at,
+                )
+            }
+        };
+        self.finish(request, outcome, work_start, predict_start, Instant::now())
+    }
+
+    /// Scores the packed `queries` of the `blocked` requests (paired in
+    /// batch order) with one call of `score`, then delivers each request
+    /// its reply, in order. Each blocked request's `batch_wait` ends when
+    /// the block starts and its `predict` spans the whole block. A panic
+    /// in `score` is counted once and answers every blocked request
+    /// [`ServeError::Internal`].
+    fn serve_block(
+        &self,
+        blocked: &[&Request],
+        queries: &[&BipolarHv],
+        score: impl FnOnce(&[&BipolarHv]) -> Vec<Result<Prediction, HdError>>,
+    ) {
+        let start = Instant::now();
+        let scored = panic::catch_unwind(AssertUnwindSafe(|| score(queries)));
+        let done_at = Instant::now();
+        let Ok(results) = scored else {
+            self.metrics.on_panic_contained();
+            for request in blocked {
+                self.answer_internal(request);
+            }
+            return;
+        };
+        let mut results = results.into_iter();
+        for request in blocked {
+            let outcome = results
+                .next()
+                .map_or(Err(ServeError::Internal), |r| r.map_err(ServeError::Model));
+            self.serve_guarded(request, || {
+                self.finish(request, outcome, start, start, done_at)
+            });
+        }
+    }
+
+    /// Stamps a served request's metrics and spans and builds its reply:
+    /// `work_start..predict_start` is its encode stage (raw payloads
+    /// only), `predict_start..done_at` its predict stage.
+    fn finish(
+        &self,
+        request: &Request,
+        outcome: Result<Prediction, ServeError>,
+        work_start: Instant,
+        predict_start: Instant,
+        done_at: Instant,
+    ) -> Result<ServedPrediction, ServeError> {
+        let (metrics, tracer, counters) = (self.metrics, self.tracer, &*self.counters);
+        let (submitted_at, taken_at) = (request.submitted_at, request.taken_at);
+        let latency = done_at.saturating_duration_since(submitted_at);
+        // End-to-end first, stage rows after: a reader snapshotting
+        // mid-request then always observes per-stage counts ≤ the
+        // end-to-end count — the invariant the consistency test pins.
+        metrics.on_done(counters, outcome.is_ok(), latency);
+        let queue_wait = taken_at.saturating_duration_since(submitted_at);
+        let batch_wait = work_start.saturating_duration_since(taken_at);
+        let ctx = request.trace;
+        metrics.on_stage_for(counters, Stage::QueueWait, queue_wait);
+        metrics.on_stage_for(counters, Stage::BatchWait, batch_wait);
+        if let Payload::Raw(..) = request.payload {
+            let encode = predict_start - work_start;
+            metrics.on_stage_for(counters, Stage::Encode, encode);
+            tracer.record(ctx, Stage::Encode, work_start, predict_start);
+        }
+        metrics.on_stage_for(counters, Stage::Predict, done_at - predict_start);
+        tracer.record(ctx, Stage::QueueWait, submitted_at, taken_at);
+        tracer.record(ctx, Stage::BatchWait, taken_at, work_start);
+        tracer.record(ctx, Stage::Predict, predict_start, done_at);
+        tracer.record(ctx, Stage::EndToEnd, submitted_at, done_at);
+        outcome.map(|prediction| ServedPrediction {
+            prediction,
+            model: self.model.clone(),
+            model_version: self.snapshot.as_ref().map_or(0, |s| s.version),
+            batch_size: self.size,
+            latency,
+        })
+    }
+
+    /// Delivers `request` the reply `produce` builds, exactly once.
+    /// The guard is set just before the reply is handed to its slot: a
+    /// panic before that still owes the request its answer
+    /// ([`ServeError::Internal`]); a panic after it came from the slot
+    /// itself (a reply callback), which has had its one delivery. Every
+    /// caught panic is counted.
+    fn serve_guarded(
+        &self,
+        request: &Request,
+        produce: impl FnOnce() -> Result<ServedPrediction, ServeError>,
+    ) {
+        let mut handed_over = false;
+        let served = panic::catch_unwind(AssertUnwindSafe(|| {
+            let reply = produce();
+            handed_over = true;
+            request.reply.deliver(reply);
+        }));
+        if served.is_err() {
+            self.metrics.on_panic_contained();
+            if !handed_over {
+                self.answer_internal(request);
+            }
+        }
+    }
+
+    /// Answers `request` [`ServeError::Internal`] after a panic cost it
+    /// its real reply.
+    fn answer_internal(&self, request: &Request) {
+        let latency = request.submitted_at.elapsed();
+        self.metrics.on_done(&self.counters, false, latency);
+        let fault = Err(ServeError::Internal);
+        if panic::catch_unwind(AssertUnwindSafe(|| request.reply.deliver(fault))).is_err() {
+            self.metrics.on_panic_contained();
         }
     }
 }
@@ -1781,16 +1908,31 @@ mod tests {
         engine.shutdown();
     }
 
-    #[test]
-    fn a_panicking_reply_callback_is_contained_to_its_own_request() {
-        // One worker and a 20 ms linger, so a request whose callback
-        // panics rides first in the same batch as a healthy request.
+    /// One worker and a 20 ms linger, so a request whose callback panics
+    /// rides first in the same batch as a healthy request: dense
+    /// queries, or packed ones scored as one block against float rows.
+    fn panicking_callback_is_contained(packed: bool) {
         let config = ServeConfig {
             workers: 1,
             max_delay: Duration::from_millis(20),
             ..ServeConfig::default()
         };
-        let engine = ServeEngine::start(registry(64), config).unwrap();
+        let reg = registry(64);
+        if packed {
+            let snapshot = reg.get(&ModelId::default()).unwrap();
+            assert!(matches!(
+                snapshot.plan().kernel(),
+                privehd_core::PlanKernel::DenseTiled { .. }
+            ));
+        }
+        let q = |sign: f64| {
+            if packed {
+                QueryVec::Packed(BipolarHv::from_signs(&[sign; 64]))
+            } else {
+                QueryVec::Dense(query(64, sign))
+            }
+        };
+        let engine = ServeEngine::start(reg, config).unwrap();
         let handle = engine.handle();
         let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
@@ -1798,7 +1940,7 @@ mod tests {
         handle
             .submit_with(
                 &ModelId::default(),
-                Payload::Query(QueryVec::Dense(query(64, 1.0))),
+                Payload::Query(q(1.0)),
                 handle.tracer().begin(),
                 Box::new(move |outcome| {
                     counted.fetch_add(1, Ordering::SeqCst);
@@ -1807,7 +1949,7 @@ mod tests {
                 }),
             )
             .unwrap();
-        let healthy = engine.submit_default(query(64, -1.0)).unwrap().wait();
+        let healthy = engine.submit_default(q(-1.0)).unwrap().wait();
         let healthy = healthy.expect("the panic took the healthy request down with it");
         assert_eq!(healthy.prediction.class, 1);
         assert_eq!(healthy.batch_size, 2, "both requests rode one batch");
@@ -1823,9 +1965,57 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 1);
 
         // The worker survived and keeps serving.
-        assert_eq!(engine.predict(query(64, 1.0)).unwrap().prediction.class, 0);
+        assert_eq!(engine.predict(q(1.0)).unwrap().prediction.class, 0);
         let report = engine.shutdown();
         assert_eq!((report.completed, report.failed), (3, 0));
+        assert_eq!(report.panics_contained, 1, "packed: {packed}");
+    }
+
+    #[test]
+    fn a_panicking_reply_callback_is_contained_to_its_own_request() {
+        panicking_callback_is_contained(false);
+        panicking_callback_is_contained(true);
+    }
+
+    #[test]
+    fn a_panic_while_scoring_a_block_answers_each_request_internal_once() {
+        let metrics = ServeMetrics::new();
+        let tracer = Tracer::new(TelemetryConfig::default());
+        let model = ModelId::default();
+        let batch = Batch {
+            metrics: &metrics,
+            tracer: &tracer,
+            model: &model,
+            snapshot: registry(64).get(&model),
+            counters: metrics.model_counters(&model),
+            size: 3,
+            packed_fastpath: false,
+        };
+        let (tx, rx) = mpsc::channel();
+        let requests: Vec<Request> = (0..3)
+            .map(|i| {
+                let tx = tx.clone();
+                let mut request = test_request(&model);
+                request.reply = ReplySlot::Callback(Box::new(move |outcome| {
+                    tx.send((i, outcome)).unwrap();
+                    // The last reply callback panics as well.
+                    assert!(i < 2, "reply callback failed");
+                }));
+                request
+            })
+            .collect();
+        let queries: Vec<BipolarHv> = (0..3).map(|i| BipolarHv::random(64, i)).collect();
+        let blocked: Vec<&Request> = requests.iter().collect();
+        let refs: Vec<&BipolarHv> = queries.iter().collect();
+        batch.serve_block(&blocked, &refs, |_| panic!("kernel fault"));
+        let answers: Vec<_> = rx.try_iter().collect();
+        assert_eq!(answers.len(), 3, "each blocked request is answered once");
+        for (i, (key, outcome)) in answers.into_iter().enumerate() {
+            assert_eq!((key, outcome), (i, Err(ServeError::Internal)));
+        }
+        // The block's panic, then the panicking reply callback.
+        let report = metrics.report(Duration::from_secs(1));
+        assert_eq!((report.failed, report.panics_contained), (3, 2));
     }
 
     /// Four classes with 1..=4 bundled random rows each: integer rows
@@ -1859,8 +2049,8 @@ mod tests {
     /// (packed, bipolar-dense and real-dense queries) before awaiting
     /// any reply, checks every reply bit for bit against the served
     /// plan scoring the same query alone, and returns the largest batch.
-    fn burst_matches_single_query_plan(max_delay: Duration) -> usize {
-        let dim = 512;
+    /// Also returns the largest batch any float-row packed reply rode in.
+    fn burst_matches_single_query_plan(dim: usize, max_delay: Duration) -> (usize, usize) {
         let (float_id, sign_id) = (ModelId::new("float-rows"), ModelId::new("sign-rows"));
         let reg = Arc::new(ShardedRegistry::new());
         reg.publish(&float_id, float_row_model(dim), "f1").unwrap();
@@ -1887,7 +2077,7 @@ mod tests {
             })
             .collect();
         let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-        let mut largest = 0;
+        let (mut largest, mut blocked) = (0, 0);
         for (id, q, pending) in burst {
             let served = pending.wait().unwrap();
             let snapshot = reg.get(&id).unwrap();
@@ -1901,16 +2091,26 @@ mod tests {
             assert_eq!(got.score.to_bits(), want.score.to_bits(), "{id}");
             assert_eq!(bits(&got.scores), bits(&want.scores), "{id}");
             largest = largest.max(served.batch_size);
+            if id == float_id && matches!(q, QueryVec::Packed(_)) {
+                blocked = blocked.max(served.batch_size);
+            }
         }
         engine.shutdown();
-        largest
+        (largest, blocked)
     }
 
     #[test]
     fn batched_replies_are_bit_identical_to_single_query_scoring() {
-        burst_matches_single_query_plan(Duration::ZERO);
-        let largest = burst_matches_single_query_plan(Duration::from_millis(50));
+        burst_matches_single_query_plan(512, Duration::ZERO);
+        let (largest, _) = burst_matches_single_query_plan(512, Duration::from_millis(50));
         assert!(largest > 1, "the 50 ms linger never batched the burst");
+        // 1,283 dims cross the packed block pass's 512-column tile and
+        // end mid-word. A batch is a run of one tenant's queue, and every
+        // third float-row request is packed, so a float-row packed reply
+        // from a batch of 6 or more was scored in a block.
+        burst_matches_single_query_plan(1_283, Duration::ZERO);
+        let (_, blocked) = burst_matches_single_query_plan(1_283, Duration::from_millis(50));
+        assert!(blocked >= 6, "no float-row packed block formed: {blocked}");
     }
 
     #[test]

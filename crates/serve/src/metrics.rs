@@ -344,6 +344,9 @@ pub struct ServeMetrics {
     batches: AtomicU64,
     batched_queries: AtomicU64,
     batch_sizes: BatchSizeHistogram,
+    /// Panics engine workers caught and contained: one per panic, in a
+    /// scored block, one request's scoring or edge, or a reply callback.
+    panics_contained: AtomicU64,
     latency: LatencyHistogram,
     stages: StageSet,
     per_model: RwLock<HashMap<ModelId, Arc<ModelCounters>>>,
@@ -371,6 +374,7 @@ impl Default for ServeMetrics {
             batches: AtomicU64::new(0),
             batched_queries: AtomicU64::new(0),
             batch_sizes: BatchSizeHistogram::default(),
+            panics_contained: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             stages: StageSet::default(),
             per_model: RwLock::new(HashMap::new()),
@@ -445,6 +449,13 @@ impl ServeMetrics {
         self.batched_queries
             .fetch_add(size as u64, Ordering::Relaxed);
         self.batch_sizes.record(size);
+    }
+
+    /// Counts one panic an engine worker caught (see
+    /// [`ServeReport::panics_contained`]).
+    pub(crate) fn on_panic_contained(&self) {
+        // Relaxed: independent statistics counter.
+        self.panics_contained.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one finished request against a pre-fetched per-model row
@@ -569,6 +580,8 @@ impl ServeMetrics {
             // Relaxed: as above.
             failed: self.failed.load(Ordering::Relaxed),
             batches,
+            // Relaxed: as above.
+            panics_contained: self.panics_contained.load(Ordering::Relaxed),
             mean_batch_size: if batches == 0 {
                 0.0
             } else {
@@ -681,6 +694,11 @@ pub struct ServeReport {
     pub failed: u64,
     /// Batches dispatched to the worker pool.
     pub batches: u64,
+    /// Panics engine workers caught and contained, one per panic: in a
+    /// scored block of packed queries (which answers each of its
+    /// requests [`crate::ServeError::Internal`]), in one request's
+    /// scoring or edge, or in a reply callback.
+    pub panics_contained: u64,
     /// Mean dispatched batch size.
     pub mean_batch_size: f64,
     /// Completed queries per second of wall-clock time.

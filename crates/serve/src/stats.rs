@@ -90,6 +90,15 @@ pub fn prometheus_text(
     out.push_str("# HELP privehd_serve_batches_total Batches dispatched to the worker pool.\n");
     out.push_str("# TYPE privehd_serve_batches_total counter\n");
     out.push_str(&format!("privehd_serve_batches_total {}\n", serve.batches));
+    out.push_str(
+        "# HELP privehd_serve_panics_contained_total Panics engine workers caught \
+         and answered instead of dying (a scored block, one request, or a reply callback).\n",
+    );
+    out.push_str("# TYPE privehd_serve_panics_contained_total counter\n");
+    out.push_str(&format!(
+        "privehd_serve_panics_contained_total {}\n",
+        serve.panics_contained
+    ));
     out.push_str("# TYPE privehd_serve_batch_size_mean gauge\n");
     out.push_str(&format!(
         "privehd_serve_batch_size_mean {:.3}\n",
@@ -256,6 +265,7 @@ mod tests {
         m.on_stage_for(&row, Stage::QueueWait, Duration::from_micros(40));
         m.on_stage_for(&row, Stage::Predict, Duration::from_micros(70));
         m.set_model_memory(&row, 80_000, 1_250);
+        m.on_panic_contained();
         m.report(Duration::from_secs(2))
     }
 
@@ -271,6 +281,7 @@ mod tests {
         ));
         assert!(text.contains("privehd_serve_stage_latency_seconds_count{stage=\"predict\"} 1"));
         assert!(text.contains("privehd_serve_latency_sum_saturated 0"));
+        assert!(text.contains("privehd_serve_panics_contained_total 1"));
         // Snapshot footprint gauges: one line per representation.
         assert!(text.contains(",repr=\"dense\"} 80000"), "{text}");
         assert!(text.contains(",repr=\"packed\"} 1250"), "{text}");

@@ -549,6 +549,8 @@ fn stats_scrape_exposes_stage_decomposition() {
     let encoded = count("privehd_serve_stage_latency_seconds_count{stage=\"encode\"}");
     let end_to_end = count("privehd_serve_latency_seconds_count ");
     assert_eq!(encoded, 1, "one raw request was served:\n{text}");
+    // Nothing panicked, and the series says so rather than being absent.
+    assert_eq!(count("privehd_serve_panics_contained_total "), 0);
     assert!(
         encoded <= end_to_end,
         "{encoded} encodes > {end_to_end} e2e"

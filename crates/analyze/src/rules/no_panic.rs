@@ -12,6 +12,17 @@ pub const NAME: &str = "no-panic-path";
 /// Macros that panic by construction.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
+/// Keywords the lexer reports as identifiers but that never name an
+/// indexable value, so a `[` after them opens a type, array or pattern
+/// (`&mut [u8]`, `for x in [1, 2]`, `return [a, b]`). `self` and
+/// `await` are left out: `self[i]` and `fut.await[i]` do index.
+const NON_INDEXABLE_KEYWORDS: &[&str] = &[
+    "as", "async", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern", "false",
+    "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub", "ref",
+    "return", "static", "struct", "super", "trait", "true", "type", "unsafe", "use", "where",
+    "while", "yield",
+];
+
 /// Checks one in-scope file for panic-capable constructs outside
 /// test regions and suppressions.
 pub fn check(file: &SourceFile) -> Vec<Diagnostic> {
@@ -47,7 +58,11 @@ pub fn check(file: &SourceFile) -> Vec<Diagnostic> {
                 t.text
             ))
         } else if t.text == "["
-            && prev.is_some_and(|p| p.kind == TokKind::Ident || p.text == ")" || p.text == "]")
+            && prev.is_some_and(|p| {
+                (p.kind == TokKind::Ident && !NON_INDEXABLE_KEYWORDS.contains(&p.text.as_str()))
+                    || p.text == ")"
+                    || p.text == "]"
+            })
         {
             Some(
                 "slice index can panic on the serve path; use `.get(..)` or prove the bound \
@@ -89,10 +104,10 @@ mod tests {
 
     #[test]
     fn slice_indexing_is_flagged_but_types_and_attrs_are_not() {
-        let src = "#[derive(Debug)]\nstruct S { a: [u8; 4] }\nfn f(b: &[u8]) -> u8 {\n    let x = [1, 2];\n    b[0]\n}\n";
+        let src = "#[derive(Debug)]\nstruct S { a: [u8; 4] }\nfn f(b: &[u8], out: &mut [u8]) -> u8 {\n    let x = [1, 2];\n    for y in [1, 2] {}\n    b[0]\n}\n";
         let diags = check(&parse(src));
         assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].line, 5);
+        assert_eq!(diags[0].line, 6);
     }
 
     #[test]

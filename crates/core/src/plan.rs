@@ -471,7 +471,6 @@ impl ModelPlan {
     /// Scores pre-validated packed queries into `out`, one row per
     /// query: popcount rows one query at a time, float rows in balanced
     /// blocks of at most [`PACKED_BLOCK`].
-    // analyze::allow(no-panic-path): `&mut [..]` is a slice type, not an index.
     fn scores_packed(&self, queries: &[&[u64]], out: &mut [Vec<f64>]) {
         match &self.packed {
             Some(packed) => {

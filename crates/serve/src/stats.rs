@@ -214,6 +214,8 @@ pub fn prometheus_text(
             ("privehd_wire_decode_errors_total", w.decode_errors),
             ("privehd_wire_busy_rejections_total", w.busy_rejections),
             ("privehd_wire_stats_served_total", w.stats_served),
+            ("privehd_wire_reactor_passes_total", w.reactor_passes),
+            ("privehd_wire_reply_notifies_total", w.reply_notifies),
         ] {
             out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
         }
@@ -321,6 +323,8 @@ mod tests {
             busy_rejections: 2,
             idle_closed: 0,
             stats_served: 1,
+            reactor_passes: 12,
+            reply_notifies: 4,
         };
         let trace = vec![SpanEvent {
             trace: TraceId(7),
@@ -332,6 +336,8 @@ mod tests {
         let text = prometheus_text(&sample_report(), Some(&wire), &trace);
         assert!(text.contains("privehd_wire_frames_total{direction=\"in\"} 10"));
         assert!(text.contains("privehd_wire_stats_served_total 1"));
+        assert!(text.contains("privehd_wire_reactor_passes_total 12"));
+        assert!(text.contains("privehd_wire_reply_notifies_total 4"));
         assert!(
             text.contains(
                 "# slowtrace trace=7 stage=predict start_ns=100 end_ns=350 dur_ns=250 slow=true"

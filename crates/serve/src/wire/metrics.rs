@@ -22,6 +22,8 @@ pub struct WireMetrics {
     busy_rejections: AtomicU64,
     idle_closed: AtomicU64,
     stats_served: AtomicU64,
+    reactor_passes: AtomicU64,
+    reply_notifies: AtomicU64,
 }
 
 impl WireMetrics {
@@ -81,6 +83,17 @@ impl WireMetrics {
         self.stats_served.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub(crate) fn on_reactor_pass(&self) {
+        // Relaxed: independent advisory counter.
+        self.reactor_passes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn on_reply_notify(&self) {
+        // Relaxed: independent advisory counter; the wakeup itself is
+        // ordered by the inbox lock, not by this count.
+        self.reply_notifies.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Point-in-time snapshot of every counter.
     pub fn report(&self) -> WireReport {
         WireReport {
@@ -97,6 +110,9 @@ impl WireMetrics {
             busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
             idle_closed: self.idle_closed.load(Ordering::Relaxed),
             stats_served: self.stats_served.load(Ordering::Relaxed),
+            // Relaxed: as above.
+            reactor_passes: self.reactor_passes.load(Ordering::Relaxed),
+            reply_notifies: self.reply_notifies.load(Ordering::Relaxed),
         }
     }
 }
@@ -126,6 +142,12 @@ pub struct WireReport {
     /// load, so it is counted here and **not** in
     /// [`WireReport::frames_in`] / [`WireReport::responses_out`].
     pub stats_served: u64,
+    /// Reactor loop passes (one per poller wait), summed over reactors.
+    pub reactor_passes: u64,
+    /// Poller wakeups sent by engine completions. A completion notifies
+    /// only when its reactor's inbox held no other completion, so under
+    /// load this stays well below the replies written.
+    pub reply_notifies: u64,
 }
 
 impl std::fmt::Display for WireReport {
@@ -134,7 +156,7 @@ impl std::fmt::Display for WireReport {
             f,
             "wire: {} conns accepted ({} refused, {} open, {} idle-closed), \
              {} frames in, {} responses out, {} decode errors, {} busy rejections, \
-             {} stats served",
+             {} stats served, {} reactor passes, {} reply notifies",
             self.accepted,
             self.refused,
             self.open,
@@ -143,7 +165,9 @@ impl std::fmt::Display for WireReport {
             self.responses_out,
             self.decode_errors,
             self.busy_rejections,
-            self.stats_served
+            self.stats_served,
+            self.reactor_passes,
+            self.reply_notifies
         )
     }
 }
@@ -168,6 +192,9 @@ mod tests {
         m.on_busy();
         m.on_idle_close();
         m.on_stats_served();
+        m.on_reactor_pass();
+        m.on_reactor_pass();
+        m.on_reply_notify();
         let r = m.report();
         assert_eq!(
             r,
@@ -181,10 +208,16 @@ mod tests {
                 busy_rejections: 1,
                 idle_closed: 1,
                 stats_served: 1,
+                reactor_passes: 2,
+                reply_notifies: 1,
             }
         );
         let text = r.to_string();
         assert!(text.contains("2 conns accepted"), "{text}");
         assert!(text.contains("1 busy rejections"), "{text}");
+        assert!(
+            text.contains("2 reactor passes, 1 reply notifies"),
+            "{text}"
+        );
     }
 }

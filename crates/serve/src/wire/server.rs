@@ -4,21 +4,24 @@
 //! [`WireConfig::reactors`] reactor threads, each driving its own
 //! epoll-backed [`polling::Poller`] (the vendored readiness layer —
 //! there is no async runtime in this workspace). Every reactor
-//! registers the shared listener, so accepts are sharded: whichever
-//! reactor wakes first wins the `accept` race, and the new connection
-//! is pinned to reactor `fd % reactors` (handed off through that
-//! reactor's inbox when another reactor accepted it). A connection
+//! registers the shared listener, so accepts are sharded: a reactor
+//! calls `accept` only on a pass whose wait reported the listener
+//! readable, whichever reactor wakes first wins the race, and the new
+//! connection is pinned to reactor `fd % reactors` (handed off through
+//! that reactor's inbox when another reactor accepted it). A connection
 //! lives on one reactor for its whole life — no cross-thread state
 //! beyond the handoff and completion inboxes.
 //!
 //! The heavy work never runs on a reactor: the reactor only shovels
 //! and frames bytes. Packed and raw-features frames alike are submitted
 //! to the engine with a completion callback that posts the finished
-//! prediction into the owning reactor's inbox (and wakes its poller).
-//! A raw frame's server-side encode ∘ obfuscate
-//! ([`WireConfig::edges`]) runs on the engine worker whose turn serves
-//! it, so a raw flood is charged to its tenant's quota and
-//! deficit-round-robin turns, never to reactor latency.
+//! prediction into the owning reactor's inbox, and wakes its poller
+//! only when that inbox held no completions: a burst of replies costs
+//! the reactor one wakeup, not one per reply. A raw frame's
+//! server-side encode ∘ obfuscate ([`WireConfig::edges`]) runs on the
+//! engine worker whose turn serves it, so a raw flood is charged to its
+//! tenant's quota and deficit-round-robin turns, never to reactor
+//! latency.
 //!
 //! Because completions arrive per request (not per connection pass),
 //! pipelined responses on one connection may be written in completion
@@ -43,10 +46,11 @@
 //! * Idle connections (no traffic, nothing in flight) close after
 //!   [`WireConfig::idle_timeout`].
 //! * [`WireServer::shutdown`] drains gracefully: every reactor stops
-//!   accepting and reading, finishes its in-flight requests, flushes
-//!   response buffers, then closes. If the engine shuts down first,
-//!   in-flight requests resolve to [`WireStatus::Closed`] faults and
-//!   the drain still completes.
+//!   accepting (it stops watching the listener, so a connection pending
+//!   in the backlog cannot keep its wait returning) and reading,
+//!   finishes its in-flight requests, flushes response buffers, then
+//!   closes. If the engine shuts down first, in-flight requests resolve
+//!   to [`WireStatus::Closed`] faults and the drain still completes.
 //!
 //! ## Observability
 //!
@@ -317,20 +321,59 @@ struct Completion {
     outcome: Result<ServedPrediction, ServeError>,
 }
 
-/// A reactor's mailbox for work arriving from other threads: sockets
-/// handed off by the accepting reactor, and completions posted by
-/// engine workers. Paired with a `Poller::notify` wake.
+/// Work arriving at a reactor from other threads: sockets handed off
+/// by the accepting reactor, and completions posted by engine workers.
 #[derive(Default)]
 struct Inbox {
     conns: Vec<TcpStream>,
     completions: Vec<Completion>,
 }
 
-/// Another reactor, as seen from the accepting one: enough to hand a
-/// socket over and wake it.
-struct ReactorPeer {
-    poller: Arc<Poller>,
-    inbox: Arc<Mutex<Inbox>>,
+/// A reactor's poller and inbox, shared with the other reactors (which
+/// hand it sockets) and with the completion callbacks (which post it
+/// replies).
+struct Mailbox {
+    poller: Poller,
+    inbox: Mutex<Inbox>,
+    metrics: Arc<WireMetrics>,
+}
+
+impl Mailbox {
+    /// Locks the inbox, recovering from poisoning: an inbox holds plain
+    /// `Vec`s whose partial state is safe to continue with, and a
+    /// poisoned inbox must not wedge every completion behind it.
+    fn lock(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Posts a finished request, waking the reactor only when this push
+    /// made the completions non-empty. A push behind others rides the
+    /// wakeup already owed to the first: the reactor takes the whole
+    /// vector under this lock after its wait has consumed the wakeup,
+    /// so a completion pushed after that take finds the vector empty
+    /// and notifies again.
+    fn post(&self, completion: Completion) {
+        let first = {
+            let mut inbox = self.lock();
+            inbox.completions.push(completion);
+            inbox.completions.len() == 1
+        };
+        if first {
+            self.metrics.on_reply_notify();
+            let _ = self.poller.notify();
+        }
+    }
+
+    /// Hands an accepted socket to this reactor and wakes it.
+    fn hand_off(&self, stream: TcpStream) {
+        self.lock().conns.push(stream);
+        let _ = self.poller.notify();
+    }
+
+    /// Takes everything posted since the last take.
+    fn take(&self) -> Inbox {
+        std::mem::take(&mut *self.lock())
+    }
 }
 
 /// Everything one reactor thread needs, bundled so helpers take one
@@ -343,37 +386,28 @@ struct ReactorCtx {
     config: Arc<WireConfig>,
     metrics: Arc<WireMetrics>,
     conn_count: Arc<AtomicUsize>,
-    poller: Arc<Poller>,
-    inbox: Arc<Mutex<Inbox>>,
-    peers: Vec<ReactorPeer>,
-}
-
-/// Locks a reactor inbox, recovering from poisoning: an inbox holds
-/// plain `Vec`s whose partial state is safe to continue with, and a
-/// poisoned inbox must not wedge every completion behind it.
-fn lock_inbox(inbox: &Mutex<Inbox>) -> MutexGuard<'_, Inbox> {
-    inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    mailbox: Arc<Mailbox>,
+    peers: Vec<Arc<Mailbox>>,
 }
 
 /// The engine completion callback for one request: posts its outcome
-/// into the owning reactor's inbox, addressed to the connection's
-/// poller key, and wakes the reactor. It runs on the engine worker
-/// serving the request, exactly once.
+/// into the owning reactor's mailbox, addressed to the connection's
+/// poller key. It runs on the engine worker serving the request,
+/// exactly once.
 fn reply_callback(
     rctx: &ReactorCtx,
     key: usize,
     request_id: u64,
     ctx: TraceCtx,
 ) -> Box<dyn Fn(Result<ServedPrediction, ServeError>) + Send + Sync> {
-    let (inbox, poller) = (Arc::clone(&rctx.inbox), Arc::clone(&rctx.poller));
+    let mailbox = Arc::clone(&rctx.mailbox);
     Box::new(move |outcome| {
-        lock_inbox(&inbox).completions.push(Completion {
+        mailbox.post(Completion {
             key,
             request_id,
             ctx,
             outcome,
         });
-        let _ = poller.notify();
     })
 }
 
@@ -395,8 +429,7 @@ pub struct WireServer {
     stop: Arc<AtomicBool>,
     metrics: Arc<WireMetrics>,
     conn_count: Arc<AtomicUsize>,
-    pollers: Vec<Arc<Poller>>,
-    inboxes: Vec<Arc<Mutex<Inbox>>>,
+    mailboxes: Vec<Arc<Mailbox>>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -404,7 +437,7 @@ impl fmt::Debug for WireServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WireServer")
             .field("addr", &self.addr)
-            .field("reactors", &self.pollers.len())
+            .field("reactors", &self.mailboxes.len())
             .finish_non_exhaustive()
     }
 }
@@ -469,24 +502,18 @@ impl WireServer {
         let metrics = Arc::new(WireMetrics::new());
         let conn_count = Arc::new(AtomicUsize::new(0));
         let n = config.reactors;
-        let mut pollers = Vec::with_capacity(n);
-        let mut inboxes = Vec::with_capacity(n);
+        let mut mailboxes = Vec::with_capacity(n);
         for _ in 0..n {
             let poller = Poller::new()
                 .map_err(|e| ServeError::Transport(format!("poller setup failed: {e}")))?;
-            pollers.push(Arc::new(poller));
-            inboxes.push(Arc::new(Mutex::new(Inbox::default())));
+            mailboxes.push(Arc::new(Mailbox {
+                poller,
+                inbox: Mutex::new(Inbox::default()),
+                metrics: Arc::clone(&metrics),
+            }));
         }
         let mut threads = Vec::with_capacity(n);
-        for (index, (poller, inbox)) in pollers.iter().zip(&inboxes).enumerate() {
-            let peers = pollers
-                .iter()
-                .zip(&inboxes)
-                .map(|(p, i)| ReactorPeer {
-                    poller: Arc::clone(p),
-                    inbox: Arc::clone(i),
-                })
-                .collect();
+        for (index, mailbox) in mailboxes.iter().enumerate() {
             let rctx = ReactorCtx {
                 index,
                 listener: Arc::clone(&listener),
@@ -494,9 +521,8 @@ impl WireServer {
                 config: Arc::clone(&config),
                 metrics: Arc::clone(&metrics),
                 conn_count: Arc::clone(&conn_count),
-                poller: Arc::clone(poller),
-                inbox: Arc::clone(inbox),
-                peers,
+                mailbox: Arc::clone(mailbox),
+                peers: mailboxes.clone(),
             };
             let stop_flag = Arc::clone(&stop);
             let spawned = std::thread::Builder::new()
@@ -508,8 +534,8 @@ impl WireServer {
                     // Release: pairs with the reactors' Acquire loads;
                     // makes this stop visible before they are woken.
                     stop.store(true, Ordering::Release);
-                    for p in &pollers {
-                        let _ = p.notify();
+                    for m in &mailboxes {
+                        let _ = m.poller.notify();
                     }
                     for t in threads {
                         let _ = t.join();
@@ -523,8 +549,7 @@ impl WireServer {
             stop,
             metrics,
             conn_count,
-            pollers,
-            inboxes,
+            mailboxes,
             threads,
         })
     }
@@ -556,8 +581,8 @@ impl WireServer {
         // Release: pairs with the reactors' Acquire load of `stop`;
         // writes before shutdown are visible to them.
         self.stop.store(true, Ordering::Release);
-        for p in &self.pollers {
-            let _ = p.notify();
+        for m in &self.mailboxes {
+            let _ = m.poller.notify();
         }
         for t in self.threads.drain(..) {
             // analyze::allow(no-panic-path): re-raising a reactor
@@ -569,8 +594,8 @@ impl WireServer {
         // A socket accepted on reactor A and handed to reactor B can
         // land in B's inbox after B exited its loop: release those
         // slots here so the open-connection gauge ends at zero.
-        for inbox in &self.inboxes {
-            let mut guard = lock_inbox(inbox);
+        for mailbox in &self.mailboxes {
+            let mut guard = mailbox.lock();
             for stream in guard.conns.drain(..) {
                 drop(stream);
                 // Relaxed: plain admission counter; no data is
@@ -1075,46 +1100,54 @@ fn wire_prediction(served: ServedPrediction) -> WirePrediction {
     }
 }
 
-/// One reactor's readiness loop: wait, accept (shared listener race),
-/// absorb handoffs and completions from the inbox, pump every pinned
-/// connection, reap the dead, drain on stop.
+/// One reactor's readiness loop: wait, accept when the listener is
+/// ready (shared listener race), absorb handoffs and completions from
+/// the inbox, pump every pinned connection, reap the dead, drain on
+/// stop.
 // analyze: nonblocking-region — the loop body multiplexes all peers
 // pinned to this reactor; only the poller wait below may block.
 fn run_reactor(rctx: ReactorCtx, stop: &AtomicBool) {
+    let poller = &rctx.mailbox.poller;
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_key: usize = LISTEN_KEY + 1;
     let mut events: Vec<Event> = Vec::new();
     let mut drain_deadline: Option<Instant> = None;
     // Every reactor registers the shared nonblocking listener: accept
     // readiness wakes them all, the accept() winner takes the socket,
-    // the losers see WouldBlock (level-triggered, so nothing is lost).
-    let _ = rctx
-        .poller
-        .add(&*rctx.listener, Event::readable(LISTEN_KEY));
+    // the losers see WouldBlock (level-triggered, so a connection still
+    // pending is reported again on the next wait).
+    let _ = poller.add(&*rctx.listener, Event::readable(LISTEN_KEY));
     loop {
-        // Acquire: pairs with the Release store in `WireServer::join`.
-        let draining = stop.load(Ordering::Acquire);
-        if draining && drain_deadline.is_none() {
-            drain_deadline = Some(Instant::now() + rctx.config.drain_timeout);
-        }
         // analyze::allow(nonblocking-region): the poller wait IS the
         // loop's single intended blocking point — bounded by
         // poll_interval (the timer tick for idle/linger/drain
         // deadlines) and woken early by readiness or `notify`.
         let timeout = Some(rctx.config.poll_interval);
-        let _ = rctx.poller.wait(&mut events, timeout);
-        if !draining {
+        let _ = poller.wait(&mut events, timeout);
+        rctx.metrics.on_reactor_pass();
+        // Acquire: pairs with the Release store in `WireServer::join`.
+        // Loaded after the wait, so the wakeup `join` sends after its
+        // store always reaches a pass that sees the stop: the drain
+        // never waits for the tick to begin.
+        let draining = stop.load(Ordering::Acquire);
+        if draining && drain_deadline.is_none() {
+            drain_deadline = Some(Instant::now() + rctx.config.drain_timeout);
+            // A draining reactor accepts nothing, and a connection
+            // pending in the backlog would report the level-triggered
+            // listener readable on every wait: stop watching it.
+            let _ = poller.delete(&*rctx.listener);
+        }
+        if !draining && events.iter().any(|e| e.key == LISTEN_KEY) {
             accept_new(&mut conns, &mut next_key, &rctx);
         }
         // Absorb the inbox: sockets handed off by other reactors, and
-        // completions posted by engine workers.
-        let (handed_off, completions) = {
-            let mut guard = lock_inbox(&rctx.inbox);
-            (
-                std::mem::take(&mut guard.conns),
-                std::mem::take(&mut guard.completions),
-            )
-        };
+        // completions posted by engine workers. Taken after the wait
+        // consumed any wakeup, so a completion posted after this take
+        // finds the inbox empty and wakes the next wait.
+        let Inbox {
+            conns: handed_off,
+            completions,
+        } = rctx.mailbox.take();
         for stream in handed_off {
             if draining {
                 // Accepted before the stop, handed off after: close it
@@ -1148,9 +1181,8 @@ fn run_reactor(rctx: ReactorCtx, stop: &AtomicBool) {
             }
         }
     }
-    let _ = rctx.poller.delete(&*rctx.listener);
     for (_, conn) in conns.drain() {
-        let _ = rctx.poller.delete(&conn.stream);
+        let _ = poller.delete(&conn.stream);
         release_conn_slot(&rctx);
     }
 }
@@ -1188,8 +1220,7 @@ fn accept_new(conns: &mut HashMap<usize, Conn>, next_key: &mut usize, rctx: &Rea
                 if target == rctx.index {
                     register_conn(stream, conns, next_key, rctx);
                 } else if let Some(peer) = rctx.peers.get(target) {
-                    lock_inbox(&peer.inbox).conns.push(stream);
-                    let _ = peer.poller.notify();
+                    peer.hand_off(stream);
                 } else {
                     // Unreachable (target < peers.len() by the modulo)
                     // but total: keep the connection here.
@@ -1214,7 +1245,12 @@ fn register_conn(
     let key = *next_key;
     *next_key += 1;
     let mut conn = Conn::new(stream, key);
-    if rctx.poller.add(&conn.stream, Event::readable(key)).is_err() {
+    if rctx
+        .mailbox
+        .poller
+        .add(&conn.stream, Event::readable(key))
+        .is_err()
+    {
         release_conn_slot(rctx);
         return;
     }
@@ -1226,19 +1262,20 @@ fn register_conn(
 /// and re-registers interest for live ones whose wanted readiness
 /// changed.
 fn reap_and_update(conns: &mut HashMap<usize, Conn>, rctx: &ReactorCtx, draining: bool) {
+    let poller = &rctx.mailbox.poller;
     conns.retain(|_, conn| {
         if conn.dead {
-            let _ = rctx.poller.delete(&conn.stream);
+            let _ = poller.delete(&conn.stream);
             release_conn_slot(rctx);
             return false;
         }
         let want = conn.desired_interest(draining);
         if want != conn.interest {
             let event = event_for(conn.key, want);
-            if rctx.poller.modify(&conn.stream, event).is_err() {
+            if poller.modify(&conn.stream, event).is_err() {
                 // The poller lost track of this socket; it can never
                 // wake us again, so reclaim the slot.
-                let _ = rctx.poller.delete(&conn.stream);
+                let _ = poller.delete(&conn.stream);
                 release_conn_slot(rctx);
                 return false;
             }

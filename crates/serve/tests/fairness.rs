@@ -290,8 +290,18 @@ fn refused_raw_frames_are_never_encoded() {
 /// concurrent connections, every connection lands on some reactor via
 /// the fd-hash handoff, every request completes with the right answer,
 /// and shutdown drains cleanly (open-connection gauge back to zero).
+///
+/// No accept or reply may wait for the poll tick. The tick is 30 s
+/// here, so the whole exchange and drain must finish within 5 s on
+/// wakeups alone: accepts follow listener readiness, and pipelined
+/// bursts queue completions behind one another in a reactor's inbox,
+/// where only the first of them wakes the reactor. The last round
+/// trips are lone requests on a quiet server, whose replies nothing
+/// but their own wakeup can deliver.
 #[test]
 fn multi_reactor_ingress_serves_all_connections_and_drains() {
+    let started = Instant::now();
+    let budget = Duration::from_secs(5);
     let engine = ServeEngine::start(
         Arc::new(ShardedRegistry::with_model(trained_model(), "mr-v1").unwrap()),
         ServeConfig {
@@ -307,6 +317,7 @@ fn multi_reactor_ingress_serves_all_connections_and_drains() {
         engine.handle(),
         WireConfig {
             reactors: 3,
+            poll_interval: Duration::from_secs(30),
             ..WireConfig::default()
         },
     )
@@ -315,11 +326,25 @@ fn multi_reactor_ingress_serves_all_connections_and_drains() {
 
     const CONNS: usize = 12;
     const PER_CONN: usize = 20;
+    const BURSTS: usize = 4;
+    const BURST: usize = 16;
     let workers: Vec<_> = (0..CONNS)
         .map(|_| {
             std::thread::spawn(move || {
                 let mut client = WireClient::connect(addr).unwrap();
+                // A reply stranded until the 30 s tick fails here, not
+                // by hanging the test.
+                client.set_read_timeout(Some(budget)).unwrap();
                 let query = positive_query();
+                for _ in 0..BURSTS {
+                    for _ in 0..BURST {
+                        client.send_packed(&ModelId::default(), &query).unwrap();
+                    }
+                    for _ in 0..BURST {
+                        let served = client.recv().unwrap().outcome.unwrap();
+                        assert_eq!(served.class, 0);
+                    }
+                }
                 for _ in 0..PER_CONN {
                     let served = client.call_packed(&ModelId::default(), &query).unwrap();
                     assert_eq!(served.class, 0);
@@ -330,10 +355,25 @@ fn multi_reactor_ingress_serves_all_connections_and_drains() {
     for w in workers {
         w.join().unwrap();
     }
+    // Every other connection is done: one more, alone.
+    let mut client = WireClient::connect(addr).unwrap();
+    client.set_read_timeout(Some(budget)).unwrap();
+    for _ in 0..PER_CONN {
+        let served = client
+            .call_packed(&ModelId::default(), &positive_query())
+            .unwrap();
+        assert_eq!(served.class, 0);
+    }
+    drop(client);
 
     let report = server.shutdown();
-    assert_eq!(report.accepted, CONNS as u64);
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < budget,
+        "exchange and drain took {elapsed:?}: something waited for the poll tick"
+    );
+    assert_eq!(report.accepted, CONNS as u64 + 1);
     assert_eq!(report.open, 0, "all connections must be released on drain");
-    assert!(report.responses_out >= (CONNS * PER_CONN) as u64);
+    assert!(report.responses_out >= (CONNS * (PER_CONN + BURSTS * BURST) + PER_CONN) as u64);
     engine.shutdown();
 }

@@ -557,6 +557,15 @@ fn stats_scrape_exposes_stage_decomposition() {
     );
     assert!(text.contains("privehd_wire_frames_total{direction=\"in\"} 9"));
     assert!(text.contains("privehd_wire_stats_served_total 1"));
+    // Reactor wake counters: at least one reply woke its reactor, and
+    // no reply woke it more than once.
+    assert!(count("privehd_wire_reactor_passes_total ") > 0);
+    let notifies = count("privehd_wire_reply_notifies_total ");
+    let replies = count("privehd_wire_frames_total{direction=\"out\"} ");
+    assert!(
+        (1..=replies).contains(&notifies),
+        "{notifies} reply notifies for {replies} replies:\n{text}"
+    );
     // Snapshot footprint: the served ±1 model exposes both
     // representations, and the packed one is the ~64× smaller of the
     // two (the whole point of 1-bit serving).

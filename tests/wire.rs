@@ -281,8 +281,9 @@ fn shutdown_drains_in_flight_wire_requests() {
     )
     .unwrap();
     let server = WireServer::start("127.0.0.1:0", engine.handle(), WireConfig::default()).unwrap();
+    let addr = server.local_addr();
 
-    let mut client = WireClient::connect(server.local_addr()).unwrap();
+    let mut client = WireClient::connect(addr).unwrap();
     let prepared = tenant.edge.prepare(&tenant.inputs[0]).unwrap();
     let packed = BipolarHv::from_signs(prepared.as_slice());
     let n = 8usize;
@@ -293,6 +294,12 @@ fn shutdown_drains_in_flight_wire_requests() {
     // while the 100 ms batching window still holds them in flight.
     std::thread::sleep(Duration::from_millis(20));
     let server_thread = std::thread::spawn(move || server.shutdown());
+    // A client that connects once the drain has begun is never
+    // accepted. Its connection waits in the listener backlog, and the
+    // draining reactors must stop watching the listener rather than
+    // wake for it on every pass until the drain settles.
+    std::thread::sleep(Duration::from_millis(5));
+    let _late = std::net::TcpStream::connect(addr).unwrap();
     let mut answered = 0usize;
     for _ in 0..n {
         let resp = client.recv().unwrap();
@@ -303,5 +310,10 @@ fn shutdown_drains_in_flight_wire_requests() {
     let wire_report = server_thread.join().unwrap();
     assert_eq!(wire_report.frames_in, n as u64);
     assert_eq!(wire_report.responses_out, n as u64);
+    assert!(
+        wire_report.reactor_passes < 1_000,
+        "the drain spun: {} reactor passes",
+        wire_report.reactor_passes
+    );
     engine.shutdown();
 }

@@ -1,9 +1,8 @@
-//! `perfsuite` — kernel-vs-reference speedup measurements, plus a wire
-//! round-trip suite.
+//! `perfsuite` — kernel-vs-reference speedup measurements.
 //!
-//! Default mode times the tuned `privehd_core::kernels` paths against
-//! the retained naive reference implementations at the paper's
-//! operating point (ISOLET: `D_iv = 617`, `D_hv = 10 000`,
+//! It times the tuned `privehd_core::kernels` paths against the
+//! retained naive reference implementations at the paper's operating
+//! point (ISOLET: `D_iv = 617`, `D_hv = 10 000`,
 //! `ℓ_iv = 100`, 26 classes), single-threaded, and writes the results
 //! to `BENCH_kernels.json`. The `plan_compile_encode_obfuscate` row
 //! gates the fused encode∘obfuscate pass of `privehd_core::plan`
@@ -14,44 +13,31 @@
 //! packed queries through `ModelPlan::predict_packed_batch` against the
 //! same 16 through `predict_packed`, and the ungated
 //! `scalar_encode_packed` row the fused encode-to-packed kernel against
-//! reference encode, bipolar quantization and packing.
-//!
-//! `--serve` mode instead measures the wire front-end over a real
-//! loopback TCP socket — synchronous round-trip p50/p99 latency,
-//! pipelined frames/sec, the per-stage latency decomposition scraped
-//! from the server's `Stats` frame (decode, admission, encode, queue,
-//! batch-wait, snapshot-resolve, predict, write), and the e2e p50
-//! cost of span tracing versus a tracing-disabled engine — and writes
-//! `BENCH_serve.json`. The serve suite is report-only (no floor gate
-//! yet: no trajectory exists to gate against), so
-//! `--check`/`--floor-scale` apply to the kernel suite only.
+//! reference encode, bipolar quantization and packing. The serving
+//! stack's end-to-end benchmark is `perfbench/`, not this binary.
 //!
 //! Usage:
 //!
 //! ```text
-//! perfsuite [--quick] [--out PATH] [--check] [--floor-scale F] [--serve]
+//! perfsuite [--quick] [--out PATH] [--check] [--floor-scale F]
 //! ```
 //!
 //! `--quick` shrinks sample counts and the batch size for CI smoke runs;
-//! `--out` overrides the output path (default `BENCH_kernels.json`, or
-//! `BENCH_serve.json` under `--serve`, in the working directory);
+//! `--out` overrides the output path (default `BENCH_kernels.json` in
+//! the working directory);
 //! `--check` exits non-zero when a kernel speedup floor is missed;
 //! `--floor-scale` multiplies the floors before checking (CI uses `0.5`
 //! so shared-runner noise cannot flake the gate while catastrophic
 //! regressions still fail).
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use privehd_bench::print_table;
 use privehd_core::kernels::{dot_sign_dense, scalar_encode_packed};
-use privehd_core::telemetry::TelemetryConfig;
 use privehd_core::{
     BipolarHv, ClassMatrix, EncodePlan, Encoder, EncoderConfig, HdModel, Hypervector, LevelEncoder,
     ObfuscateConfig, Obfuscator, PlanKernel, QuantScheme, ScalarEncoder,
 };
-use privehd_serve::wire::{WireClient, WireClientError, WireConfig, WireServer};
-use privehd_serve::{ClientEdge, ModelId, ServeConfig, ServeEngine, ShardedRegistry};
 
 /// ISOLET-shaped operating point from the paper.
 const FEATURES: usize = 617;
@@ -131,526 +117,14 @@ fn feature_vectors(count: usize, features: usize, salt: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The bundled demo model the serve suite predicts against.
-fn serve_model(classes: usize, dim: usize) -> HdModel {
-    let mut model = HdModel::new(classes, dim).expect("valid model");
-    for i in 0..(classes * 4) {
-        let hv = BipolarHv::random(dim, i as u64).to_dense();
-        model.bundle(i % classes, &hv).expect("bundle");
-    }
-    model
-}
-
-/// Sorted synchronous round-trip samples (nanoseconds): a warmup
-/// burst, then one frame in flight at a time so each sample is a full
-/// client→server→engine→client trip.
-fn sync_rtt_ns(
-    client: &mut WireClient,
-    model_id: &ModelId,
-    queries: &[BipolarHv],
-    samples: usize,
-) -> Vec<f64> {
-    for q in queries.iter().take(16) {
-        client.call_packed(model_id, q).expect("warmup call");
-    }
-    let mut rtt_ns: Vec<f64> = (0..samples)
-        .map(|i| {
-            let start = Instant::now();
-            client
-                .call_packed(model_id, &queries[i % queries.len()])
-                .expect("rtt call");
-            start.elapsed().as_nanos() as f64
-        })
-        .collect();
-    rtt_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    rtt_ns
-}
-
-/// Closed-loop pipelined throughput: keep `window` frames in flight
-/// until `frames` responses arrive; returns frames per second.
-fn pipelined_fps(
-    client: &mut WireClient,
-    model_id: &ModelId,
-    queries: &[BipolarHv],
-    frames: usize,
-    window: usize,
-) -> f64 {
-    let start = Instant::now();
-    let mut sent = 0usize;
-    let mut received = 0usize;
-    while sent < window.min(frames) {
-        client
-            .send_packed(model_id, &queries[sent % queries.len()])
-            .expect("pipelined send");
-        sent += 1;
-    }
-    while received < frames {
-        let resp = client.recv().expect("pipelined recv");
-        assert!(resp.outcome.is_ok(), "pipelined frame failed");
-        received += 1;
-        if sent < frames {
-            client
-                .send_packed(model_id, &queries[sent % queries.len()])
-                .expect("pipelined send");
-            sent += 1;
-        }
-    }
-    frames as f64 / start.elapsed().as_secs_f64()
-}
-
-/// One open-loop load point: offer `rate_qps` for `duration` without
-/// waiting for responses (unbounded concurrency, like independent
-/// clients), correlating responses by request id as they arrive, then
-/// drain. Unlike the closed-loop pipelined measurement above, latency
-/// here includes all queueing — this is the latency-under-load curve.
-fn open_loop_point(
-    addr: std::net::SocketAddr,
-    model_id: &ModelId,
-    queries: &[BipolarHv],
-    rate_qps: f64,
-    duration: Duration,
-) -> serde_json::Value {
-    let mut client = WireClient::connect(addr).expect("load-gen connect");
-    client
-        .set_read_timeout(Some(Duration::from_micros(200)))
-        .expect("read timeout");
-    let interval = Duration::from_secs_f64(1.0 / rate_qps);
-    let mut sent_at: std::collections::HashMap<u64, Instant> = std::collections::HashMap::new();
-    let record = |sent_at: &mut std::collections::HashMap<u64, Instant>,
-                  lat_ns: &mut Vec<f64>,
-                  busy: &mut usize,
-                  resp: privehd_serve::wire::ResponseFrame| {
-        if let Some(t0) = sent_at.remove(&resp.request_id) {
-            match resp.outcome {
-                Ok(_) => lat_ns.push(t0.elapsed().as_nanos() as f64),
-                Err(_) => *busy += 1,
-            }
-        }
-    };
-    let mut lat_ns: Vec<f64> = Vec::new();
-    let mut busy = 0usize;
-    let mut sent = 0usize;
-    let start = Instant::now();
-    let mut next_send = start;
-    while start.elapsed() < duration {
-        let now = Instant::now();
-        if now >= next_send {
-            let id = client
-                .send_packed(model_id, &queries[sent % queries.len()])
-                .expect("load-gen send");
-            sent_at.insert(id, Instant::now());
-            sent += 1;
-            next_send += interval;
-            continue;
-        }
-        // Only park in a timed recv when the next send is far enough
-        // away that the read timeout cannot skew the offered rate.
-        if next_send - now < Duration::from_micros(300) {
-            std::hint::spin_loop();
-            continue;
-        }
-        match client.recv() {
-            Ok(resp) => record(&mut sent_at, &mut lat_ns, &mut busy, resp),
-            Err(WireClientError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(e) => panic!("load-gen recv failed: {e}"),
-        }
-    }
-    // Drain what is still in flight.
-    client
-        .set_read_timeout(Some(Duration::from_millis(500)))
-        .expect("read timeout");
-    while !sent_at.is_empty() {
-        match client.recv() {
-            Ok(resp) => record(&mut sent_at, &mut lat_ns, &mut busy, resp),
-            Err(_) => break,
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    lat_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let q = |p: f64| {
-        if lat_ns.is_empty() {
-            0.0
-        } else {
-            lat_ns[(p * (lat_ns.len() - 1) as f64).round() as usize]
-        }
-    };
-    serde_json::json!({
-        "offered_qps": rate_qps,
-        "sent": sent,
-        "ok": lat_ns.len(),
-        "busy": busy,
-        "p50_us": q(0.50) / 1e3,
-        "p99_us": q(0.99) / 1e3,
-        "goodput_qps": lat_ns.len() as f64 / elapsed,
-    })
-}
-
-fn push_stage_field(
-    stages: &mut Vec<(String, Vec<(String, serde_json::Value)>)>,
-    stage: &str,
-    key: &str,
-    value: serde_json::Value,
-) {
-    let idx = match stages.iter().position(|(s, _)| s == stage) {
-        Some(i) => i,
-        None => {
-            stages.push((stage.to_owned(), Vec::new()));
-            stages.len() - 1
-        }
-    };
-    stages[idx].1.push((key.to_owned(), value));
-}
-
-/// Extracts `{stage: {count, p50_us, p95_us, p99_us}}` from the
-/// Prometheus text of a `Stats` scrape, keyed by stage name in the
-/// order the server emitted them.
-fn parse_stage_decomposition(text: &str) -> serde_json::Value {
-    const METRIC: &str = "privehd_serve_stage_latency_seconds";
-    let mut stages: Vec<(String, Vec<(String, serde_json::Value)>)> = Vec::new();
-    for line in text.lines() {
-        let Some(rest) = line.strip_prefix(METRIC) else {
-            continue;
-        };
-        let Some(stage) = rest
-            .split("stage=\"")
-            .nth(1)
-            .and_then(|s| s.split('"').next())
-        else {
-            continue;
-        };
-        let Some(value) = line.rsplit(' ').next().and_then(|v| v.parse::<f64>().ok()) else {
-            continue;
-        };
-        if rest.starts_with("_count") {
-            push_stage_field(
-                &mut stages,
-                stage,
-                "count",
-                serde_json::Value::Int(value as i64),
-            );
-        } else if rest.starts_with('{') {
-            let key = match rest
-                .split("quantile=\"")
-                .nth(1)
-                .and_then(|s| s.split('"').next())
-            {
-                Some("0.5") => "p50_us",
-                Some("0.95") => "p95_us",
-                Some("0.99") => "p99_us",
-                _ => continue,
-            };
-            push_stage_field(
-                &mut stages,
-                stage,
-                key,
-                serde_json::Value::Float(value * 1e6),
-            );
-        }
-    }
-    serde_json::Value::Object(
-        stages
-            .into_iter()
-            .map(|(s, fields)| (s, serde_json::Value::Object(fields)))
-            .collect(),
-    )
-}
-
-/// Wire round-trip measurements over a loopback socket: sync RTT
-/// quantiles, pipelined throughput, the per-stage latency
-/// decomposition scraped from the `Stats` frame, and the e2e p50
-/// overhead of span tracing versus a tracing-disabled engine.
-/// Report-only — there is no floor gate until a trajectory of runs
-/// exists to set one honestly.
-fn run_serve_suite(quick: bool, out_path: &str) {
-    const SERVE_DIM: usize = 4_096;
-    const SERVE_CLASSES: usize = 26;
-    const RAW_FEATURES: usize = 64;
-    let (rtt_samples, pipelined_frames, window) = if quick {
-        (300usize, 1_000usize, 32usize)
-    } else {
-        (2_000, 10_000, 32)
-    };
-    let raw_calls = if quick { 32usize } else { 128 };
-    let profile = if quick { "quick" } else { "full" };
-    // Offered-rate sweep for the latency-under-load curve (open loop).
-    let (sweep_rates, sweep_duration) = if quick {
-        (vec![1_000.0f64, 4_000.0], Duration::from_millis(300))
-    } else {
-        (
-            vec![1_000.0f64, 5_000.0, 20_000.0, 60_000.0],
-            Duration::from_secs(1),
-        )
-    };
-    // Reactor count for the multi-reactor server: at least 2 so the
-    // sharded-accept path is exercised even on a 1-core container.
-    let reactors_multi = std::thread::available_parallelism()
-        .map(|n| n.get().min(4))
-        .unwrap_or(1)
-        .max(2);
-    eprintln!(
-        "perfsuite [serve/{profile}]: D_hv={SERVE_DIM} classes={SERVE_CLASSES} \
-         rtt_samples={rtt_samples} pipelined={pipelined_frames} window={window} \
-         reactors={reactors_multi} (loopback TCP)"
-    );
-
-    let model_id = ModelId::default();
-    let queries: Vec<BipolarHv> = (0..64)
-        .map(|i| BipolarHv::random(SERVE_DIM, 1_000 + i as u64))
-        .collect();
-    let serve_config = ServeConfig {
-        max_batch: 64,
-        packed_fastpath: true,
-        ..ServeConfig::default()
-    };
-
-    // --- Baseline pass: identical engine + server with the tracing
-    //     spine disabled, sync RTTs only. Stage histograms always
-    //     record; this isolates the cost of span capture. ------------
-    let baseline_engine = ServeEngine::start(
-        Arc::new(
-            ShardedRegistry::with_model(
-                serve_model(SERVE_CLASSES, SERVE_DIM),
-                "perfsuite-baseline",
-            )
-            .expect("publish"),
-        ),
-        ServeConfig {
-            telemetry: TelemetryConfig::disabled(),
-            ..serve_config.clone()
-        },
-    )
-    .expect("baseline engine start");
-    let baseline_server = WireServer::start(
-        "127.0.0.1:0",
-        baseline_engine.handle(),
-        WireConfig {
-            max_in_flight: window.max(64),
-            ..WireConfig::default()
-        },
-    )
-    .expect("baseline wire server start");
-    let mut baseline_client =
-        WireClient::connect(baseline_server.local_addr()).expect("baseline connect");
-    let baseline_rtt = sync_rtt_ns(&mut baseline_client, &model_id, &queries, rtt_samples);
-    let baseline_p50 = baseline_rtt[(0.50 * (baseline_rtt.len() - 1) as f64).round() as usize];
-    drop(baseline_client);
-    baseline_server.shutdown();
-    baseline_engine.shutdown();
-
-    // --- Instrumented pass: default telemetry (sampling on). --------
-    let registry = Arc::new(
-        ShardedRegistry::with_model(serve_model(SERVE_CLASSES, SERVE_DIM), "perfsuite")
-            .expect("publish"),
-    );
-    let engine = ServeEngine::start(registry, serve_config).expect("engine start");
-    let edge = ClientEdge::new(
-        EncoderConfig::new(RAW_FEATURES, SERVE_DIM).with_seed(5),
-        ObfuscateConfig::new(QuantScheme::Bipolar),
-    )
-    .expect("valid edge config");
-    let server = WireServer::start(
-        "127.0.0.1:0",
-        engine.handle(),
-        WireConfig {
-            max_in_flight: window.max(64),
-            reactors: reactors_multi,
-            ..WireConfig::default()
-        }
-        .with_edge(model_id.clone(), edge),
-    )
-    .expect("wire server start");
-    let mut client = WireClient::connect(server.local_addr()).expect("connect");
-
-    let rtt_ns = sync_rtt_ns(&mut client, &model_id, &queries, rtt_samples);
-    let quantile = |q: f64| rtt_ns[((q * (rtt_ns.len() - 1) as f64).round()) as usize];
-    let (p50, p99) = (quantile(0.50), quantile(0.99));
-    let mean = rtt_ns.iter().sum::<f64>() / rtt_ns.len() as f64;
-    // Shared-runner jitter can make the traced pass land *faster* than
-    // the baseline; a negative overhead is noise, not a speedup bought
-    // by tracing. Clamp the headline number at zero and keep the raw
-    // delta plus both raw p50s in the JSON so the jitter stays visible.
-    let overhead_pct_raw = (p50 - baseline_p50) / baseline_p50 * 100.0;
-    let overhead_pct = overhead_pct_raw.max(0.0);
-
-    // Pipelined throughput on the multi-reactor server, then on a
-    // single-reactor server fronting the *same* engine, to isolate the
-    // ingress layer from the batching/compute behind it.
-    let frames_per_sec = pipelined_fps(&mut client, &model_id, &queries, pipelined_frames, window);
-    let single_server = WireServer::start(
-        "127.0.0.1:0",
-        engine.handle(),
-        WireConfig {
-            max_in_flight: window.max(64),
-            reactors: 1,
-            ..WireConfig::default()
-        },
-    )
-    .expect("single-reactor wire server start");
-    let mut single_client =
-        WireClient::connect(single_server.local_addr()).expect("single-reactor connect");
-    let single_reactor_fps = pipelined_fps(
-        &mut single_client,
-        &model_id,
-        &queries,
-        pipelined_frames,
-        window,
-    );
-    drop(single_client);
-    single_server.shutdown();
-
-    // Latency-under-load: open-loop offered-rate sweep against the
-    // multi-reactor server. Each point uses a fresh connection, so
-    // successive points land on different reactors (fd % N pinning).
-    let mut load_points = Vec::new();
-    for rate in &sweep_rates {
-        let point = open_loop_point(
-            server.local_addr(),
-            &model_id,
-            &queries,
-            *rate,
-            sweep_duration,
-        );
-        eprintln!("  open-loop @ {rate:.0} q/s: {point}");
-        load_points.push(point);
-    }
-
-    // Raw-features calls so the server-side Encode stage has samples
-    // in the decomposition.
-    for x in &feature_vectors(raw_calls, RAW_FEATURES, 3) {
-        client.call_raw(&model_id, x).expect("raw call");
-    }
-
-    // Scrape the Stats frame and lift the stage decomposition out of
-    // the Prometheus text.
-    let stats_text = client.stats().expect("stats scrape");
-    let stage_decomposition = parse_stage_decomposition(&stats_text);
-
-    drop(client);
-    let wire_report = server.shutdown();
-    engine.shutdown();
-
-    let mut rows = vec![
-        vec!["metric".to_owned(), "value".to_owned()],
-        vec!["rtt_p50".to_owned(), format!("{:.1} µs", p50 / 1e3)],
-        vec!["rtt_p99".to_owned(), format!("{:.1} µs", p99 / 1e3)],
-        vec!["rtt_mean".to_owned(), format!("{:.1} µs", mean / 1e3)],
-        vec![
-            "pipelined".to_owned(),
-            format!("{frames_per_sec:.0} frames/s (window {window}, {reactors_multi} reactors)"),
-        ],
-        vec![
-            "pipelined (1 reactor)".to_owned(),
-            format!("{single_reactor_fps:.0} frames/s (window {window})"),
-        ],
-        vec![
-            "rtt_p50 (tracing off)".to_owned(),
-            format!("{:.1} µs", baseline_p50 / 1e3),
-        ],
-        vec![
-            "tracing overhead".to_owned(),
-            format!("{overhead_pct:+.2}% e2e p50"),
-        ],
-    ];
-    for point in &load_points {
-        let field = |key: &str| {
-            if let serde_json::Value::Object(f) = point {
-                f.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-            } else {
-                None
-            }
-        };
-        let (
-            Some(serde_json::Value::Float(rate)),
-            Some(serde_json::Value::Float(p99)),
-            Some(serde_json::Value::Float(goodput)),
-        ) = (field("offered_qps"), field("p99_us"), field("goodput_qps"))
-        else {
-            continue;
-        };
-        rows.push(vec![
-            format!("open-loop @ {rate:.0} q/s"),
-            format!("p99 {p99:.1} µs, goodput {goodput:.0} q/s"),
-        ]);
-    }
-    if let serde_json::Value::Object(stages) = &stage_decomposition {
-        for (stage, fields) in stages {
-            let field = |key: &str| {
-                if let serde_json::Value::Object(f) = fields {
-                    f.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-                } else {
-                    None
-                }
-            };
-            let (Some(serde_json::Value::Float(p50)), Some(serde_json::Value::Int(count))) =
-                (field("p50_us"), field("count"))
-            else {
-                continue;
-            };
-            rows.push(vec![
-                format!("stage {stage}"),
-                format!("{p50:.1} µs p50 ({count} samples)"),
-            ]);
-        }
-    }
-    print_table(&rows);
-
-    let doc = serde_json::json!({
-        "suite": "serve",
-        "profile": profile,
-        "report_only": true,
-        "config": serde_json::json!({
-            "dim": SERVE_DIM,
-            "classes": SERVE_CLASSES,
-            "rtt_samples": rtt_samples,
-            "pipelined_frames": pipelined_frames,
-            "window": window,
-            "raw_calls": raw_calls,
-        }),
-        "results": serde_json::json!({
-            "rtt_p50_us": p50 / 1e3,
-            "rtt_p99_us": p99 / 1e3,
-            "rtt_mean_us": mean / 1e3,
-            "frames_per_sec": frames_per_sec,
-            "pipelined_multi_reactor_fps": frames_per_sec,
-            "pipelined_single_reactor_fps": single_reactor_fps,
-            "reactors_multi": reactors_multi as i64,
-            "reactors_single": 1,
-            "latency_under_load": serde_json::Value::Array(load_points.clone()),
-            "busy_rejections": wire_report.busy_rejections,
-            "stats_served": wire_report.stats_served,
-            "e2e_p50_us_tracing_disabled": baseline_p50 / 1e3,
-            "e2e_p50_us_tracing_enabled": p50 / 1e3,
-            "tracing_overhead_pct": overhead_pct,
-            "tracing_overhead_pct_raw": overhead_pct_raw,
-        }),
-        "stage_decomposition": stage_decomposition,
-    });
-    std::fs::write(out_path, format!("{doc}\n")).expect("write serve benchmark report");
-    eprintln!("wrote {out_path} (report-only)");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let serve = args.iter().any(|a| a == "--serve");
     let out_path = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
-        .map_or(
-            if serve {
-                "BENCH_serve.json"
-            } else {
-                "BENCH_kernels.json"
-            },
-            |s| s.as_str(),
-        );
-    if serve {
-        run_serve_suite(quick, out_path);
-        return;
-    }
+        .map_or("BENCH_kernels.json", |s| s.as_str());
     let floor_scale = args
         .iter()
         .position(|a| a == "--floor-scale")

@@ -1,8 +1,8 @@
 //! # privehd-bench
 //!
 //! Experiment harness for the Prive-HD reproduction: one binary per paper
-//! table/figure (see `src/bin/fig*.rs`, `src/bin/table1.rs`) plus
-//! Criterion micro-benchmarks (`benches/`).
+//! table/figure (see `src/bin/fig*.rs`, `src/bin/table1.rs`) plus the
+//! kernel benchmark `perfsuite` (`src/bin/perfsuite.rs`).
 //!
 //! The library half hosts the shared plumbing:
 //!

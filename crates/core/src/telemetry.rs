@@ -23,9 +23,7 @@
 //!   regardless of the sampling decision (slow requests are precisely
 //!   the ones worth keeping).
 //! * A disabled tracer ([`TelemetryConfig::disabled`]) records nothing
-//!   and [`Tracer::begin`] marks every context unsampled; the overhead
-//!   benchmark in `perfsuite --serve` compares against exactly this
-//!   configuration.
+//!   and [`Tracer::begin`] marks every context unsampled.
 //!
 //! ## Ring semantics (best effort, by design)
 //!
@@ -60,9 +58,8 @@ pub enum Stage {
     /// request in a deficit-round-robin turn.
     QueueWait,
     /// From being taken until the request's own work (a raw payload's
-    /// encode, then scoring) starts: the opt-in `max_delay` linger
-    /// (about zero by default), the batch's snapshot resolve, and the
-    /// requests ahead of it in the batch.
+    /// encode, then scoring) starts: the batch's snapshot resolve, and
+    /// the requests ahead of it in the batch.
     BatchWait,
     /// Resolving the batch's model snapshot from the registry (once per
     /// batch).
@@ -301,8 +298,9 @@ impl Ring {
         slot.trace.store(trace, Ordering::Relaxed);
         slot.meta.store(meta, Ordering::Relaxed);
         slot.start_ns.store(start_ns, Ordering::Relaxed);
-        slot.end_ns.store(end_ns, Ordering::Relaxed); // Relaxed: as above
-                                                      // Release: pairs with the Acquire seq load in `snapshot_into`.
+        // Relaxed: as above.
+        slot.end_ns.store(end_ns, Ordering::Relaxed);
+        // Release: pairs with the Acquire seq load in `snapshot_into`.
         slot.seq.store(seq.wrapping_add(2), Ordering::Release);
     }
 
@@ -320,11 +318,12 @@ impl Ring {
             let trace = slot.trace.load(Ordering::Relaxed);
             let meta = slot.meta.load(Ordering::Relaxed);
             let start_ns = slot.start_ns.load(Ordering::Relaxed);
-            let end_ns = slot.end_ns.load(Ordering::Relaxed); // Relaxed: as above
-                                                              // Acquire fence: orders the payload loads before the seq
-                                                              // recheck; a writer bumps seq (AcqRel) before touching the
-                                                              // payload, so an unchanged Relaxed reload proves the loads
-                                                              // above were not torn.
+            // Relaxed: as above.
+            let end_ns = slot.end_ns.load(Ordering::Relaxed);
+            // Acquire fence: orders the payload loads before the seq
+            // recheck; a writer bumps seq (AcqRel) before touching the
+            // payload, so an unchanged Relaxed reload proves the loads
+            // above were not torn.
             std::sync::atomic::fence(Ordering::Acquire);
             if slot.seq.load(Ordering::Relaxed) != s1 {
                 continue; // overwritten while reading

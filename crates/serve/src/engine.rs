@@ -8,7 +8,7 @@
 //!             raw features)
 //!              worker pool: an idle worker takes one deficit-round-
 //!              robin turn straight off the queues — that turn is its
-//!              batch (one ModelId, ≤ max_batch; opt-in max_delay linger)
+//!              batch (one ModelId, ≤ max_batch)
 //!                     │    │    │
 //!                     ▼    ▼    ▼
 //!                   (raw features: edge encode ∘ obfuscate, then)
@@ -41,12 +41,10 @@
 //! NSDI '17): a worker's turn takes whatever its tenant has queued, up
 //! to the turn's credit, and that is the batch. A lone request on an
 //! idle engine is served at once, while a saturated queue forms full
-//! batches. [`ServeConfig::max_delay`] is an opt-in linger (zero by
-//! default): a worker whose turn came up short waits up to that long for
-//! more of the same tenant's requests, flushing early when the batch
-//! fills or the engine stops. Every batch holds requests for exactly one
-//! model, resolved against one registry snapshot when it executes. A hot
-//! swap ([`ShardedRegistry::publish`]) never drops or corrupts in-flight
+//! batches; no worker waits for more requests than its turn found.
+//! Every batch holds requests for exactly one model, resolved against
+//! one registry snapshot when it executes. A hot swap
+//! ([`ShardedRegistry::publish`]) never drops or corrupts in-flight
 //! requests — they complete on the version that was live when their
 //! batch started.
 //!
@@ -83,8 +81,8 @@
 //!
 //! [`ServeEngine::shutdown`] (and `Drop`) first marks the engine
 //! closed — subsequent [`SubmitHandle::submit`] calls return
-//! [`ServeError::Closed`] — then wakes every worker. Workers cut any
-//! linger short, drain every queue and exit, so requests accepted before
+//! [`ServeError::Closed`] — then wakes every worker. Workers finish the
+//! batch in hand, drain every queue and exit, so requests accepted before
 //! shutdown get real results. Shutdown therefore completes even while
 //! clones of [`SubmitHandle`] are still alive on other threads. A
 //! request that loses the race with shutdown is answered with
@@ -117,13 +115,6 @@ pub struct ServeConfig {
     /// takes at most this many requests (and at most
     /// [`ServeConfig::drr_quantum`]).
     pub max_batch: usize,
-    /// Opt-in linger, zero (off) by default. When set, a worker whose
-    /// turn took fewer requests than its credit waits up to this long,
-    /// counted from taking the turn, for more of the same tenant's
-    /// requests; it flushes early once the batch is full or the engine
-    /// shuts down. An idle worker is never kept from a request by
-    /// another worker's linger.
-    pub max_delay: Duration,
     /// Worker threads executing batches.
     pub workers: usize,
     /// Engine-wide cap on waiting requests across every tenant; at the
@@ -162,7 +153,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_delay: Duration::ZERO,
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
@@ -236,12 +226,6 @@ impl ServeConfigBuilder {
     /// Sets [`ServeConfig::max_batch`].
     pub fn max_batch(mut self, v: usize) -> Self {
         self.config.max_batch = v;
-        self
-    }
-
-    /// Sets [`ServeConfig::max_delay`].
-    pub fn max_delay(mut self, v: Duration) -> Self {
-        self.config.max_delay = v;
         self
     }
 
@@ -390,7 +374,8 @@ struct Request {
     submitted_at: Instant,
     /// Stamped by the worker that takes the request off its queue
     /// (equal to `submitted_at` until then): `submitted_at..taken_at`
-    /// is the queue-wait stage, `taken_at..execution` the linger.
+    /// is the queue-wait stage, and `taken_at` until the request's own
+    /// work starts is the batch-wait stage.
     taken_at: Instant,
     reply: ReplySlot,
 }
@@ -418,15 +403,11 @@ struct SchedState {
     active: VecDeque<ModelId>,
     /// Waiting requests across every tenant (the `queue_depth` gauge).
     queued_total: usize,
-    /// Workers holding a short batch open (`max_delay`). While any
-    /// linger, admission wakes every waiter, so a lingering worker can
-    /// never absorb the wakeup an idle worker needed.
-    lingering: usize,
     stopped: bool,
 }
 
 /// The shared queue: per-tenant queues behind one mutex, the condvar
-/// workers wait on (idle or lingering), and the admission limits.
+/// idle workers wait on, and the admission limits.
 struct SharedQueue {
     state: Mutex<SchedState>,
     ready: Condvar,
@@ -512,14 +493,9 @@ fn submit_slot(
         st.active.push_back(model.clone());
     }
     st.queued_total += 1;
-    let lingering = st.lingering > 0;
     drop(st);
     metrics.on_submit(model);
-    if lingering {
-        shared.ready.notify_all();
-    } else {
-        shared.ready.notify_one();
-    }
+    shared.ready.notify_one();
     Ok(())
 }
 
@@ -551,28 +527,6 @@ fn drr_round(st: &mut SchedState, quantum: usize, out: &mut Vec<Request>) {
         st.queues.remove(&id);
     } else {
         st.active.push_back(id);
-    }
-}
-
-/// Tops up a lingering batch with `model`'s newly queued requests, at
-/// most `room` of them: still the same turn, spending the credit the
-/// turn left unused. A tenant emptied here leaves the map and the
-/// active ring, as in [`drr_round`].
-fn top_up(st: &mut SchedState, model: &ModelId, room: usize, out: &mut Vec<Request>) {
-    let Some(tq) = st.queues.get_mut(model) else {
-        return;
-    };
-    let take = room.min(tq.items.len());
-    let now = Instant::now();
-    out.extend(tq.items.drain(..take).map(|mut r| {
-        r.taken_at = now;
-        r
-    }));
-    let now_empty = tq.items.is_empty();
-    st.queued_total -= take;
-    if now_empty {
-        st.queues.remove(model);
-        st.active.retain(|id| id != model);
     }
 }
 
@@ -707,6 +661,14 @@ impl SubmitHandle {
     /// The engine's tracer.
     pub(crate) fn tracer(&self) -> &Tracer {
         &self.tracer
+    }
+
+    /// Records one wire stage of the request traced by `ctx`: the
+    /// global stage histogram and the sampled span, from the same two
+    /// instants.
+    pub(crate) fn stamp(&self, ctx: TraceCtx, stage: Stage, start: Instant, end: Instant) {
+        self.metrics
+            .stamp(&self.tracer, None, ctx, stage, start, end);
     }
 }
 
@@ -970,9 +932,9 @@ struct Worker {
 impl Worker {
     /// The worker loop: sleep until a request is queued, take one
     /// deficit-round-robin turn straight from the shared state — that
-    /// turn is the batch, optionally topped up by a linger — and execute
-    /// it. Once stopped, keep taking turns until every queue is empty
-    /// (requests accepted before shutdown get real results), then exit.
+    /// turn is the batch — and execute it. Once stopped, keep taking
+    /// turns until every queue is empty (requests accepted before
+    /// shutdown get real results), then exit.
     fn run(&self) {
         // One turn is one batch, so the credit never exceeds `max_batch`.
         let credit = self.config.drr_quantum.min(self.config.max_batch);
@@ -996,41 +958,11 @@ impl Worker {
                 for request in &mut batch {
                     request.taken_at = taken_at;
                 }
-                if batch.len() < credit && !self.config.max_delay.is_zero() {
-                    let deadline = taken_at + self.config.max_delay;
-                    self.linger(st, &model, credit, deadline, &mut batch);
-                }
                 model
             };
             self.execute_batch(&model, &batch);
             batch.clear();
         }
-    }
-
-    /// Holds a short batch open for more of `model`'s requests until it
-    /// reaches `credit`, `deadline` passes, or the engine stops. It waits
-    /// on the idle workers' condvar; admission wakes every waiter while
-    /// any worker lingers, so a linger never absorbs an idle worker's
-    /// wakeup.
-    fn linger(
-        &self,
-        mut st: MutexGuard<'_, SchedState>,
-        model: &ModelId,
-        credit: usize,
-        deadline: Instant,
-        batch: &mut Vec<Request>,
-    ) {
-        st.lingering += 1;
-        loop {
-            top_up(&mut st, model, credit.saturating_sub(batch.len()), batch);
-            let now = Instant::now();
-            if batch.len() >= credit || st.stopped || now >= deadline {
-                break;
-            }
-            let waited = self.shared.ready.wait_timeout(st, deadline - now);
-            st = waited.unwrap_or_else(PoisonError::into_inner).0;
-        }
-        st.lingering -= 1;
     }
 
     fn execute_batch(&self, model: &ModelId, requests: &[Request]) {
@@ -1094,11 +1026,9 @@ impl Worker {
         }
         // Recorded after the batch is served, so the stage's count stays
         // ≤ the end-to-end count at any snapshot (one resolve per batch,
-        // and batches ≤ requests).
-        let resolve = resolve_end.saturating_duration_since(resolve_start);
-        metrics.on_stage_for(&batch.counters, Stage::SnapshotResolve, resolve);
+        // and batches ≤ requests). Its span goes on the first request.
         if let Some(first) = requests.first() {
-            self.tracer.record(
+            batch.stamp(
                 first.trace,
                 Stage::SnapshotResolve,
                 resolve_start,
@@ -1205,28 +1135,22 @@ impl Batch<'_> {
         predict_start: Instant,
         done_at: Instant,
     ) -> Result<ServedPrediction, ServeError> {
-        let (metrics, tracer, counters) = (self.metrics, self.tracer, &*self.counters);
-        let (submitted_at, taken_at) = (request.submitted_at, request.taken_at);
+        let (submitted_at, ctx) = (request.submitted_at, request.trace);
         let latency = done_at.saturating_duration_since(submitted_at);
         // End-to-end first, stage rows after: a reader snapshotting
         // mid-request then always observes per-stage counts ≤ the
         // end-to-end count — the invariant the consistency test pins.
-        metrics.on_done(counters, outcome.is_ok(), latency);
-        let queue_wait = taken_at.saturating_duration_since(submitted_at);
-        let batch_wait = work_start.saturating_duration_since(taken_at);
-        let ctx = request.trace;
-        metrics.on_stage_for(counters, Stage::QueueWait, queue_wait);
-        metrics.on_stage_for(counters, Stage::BatchWait, batch_wait);
+        self.metrics
+            .on_done(&self.counters, outcome.is_ok(), latency);
+        self.stamp(ctx, Stage::QueueWait, submitted_at, request.taken_at);
+        self.stamp(ctx, Stage::BatchWait, request.taken_at, work_start);
         if let Payload::Raw(..) = request.payload {
-            let encode = predict_start - work_start;
-            metrics.on_stage_for(counters, Stage::Encode, encode);
-            tracer.record(ctx, Stage::Encode, work_start, predict_start);
+            self.stamp(ctx, Stage::Encode, work_start, predict_start);
         }
-        metrics.on_stage_for(counters, Stage::Predict, done_at - predict_start);
-        tracer.record(ctx, Stage::QueueWait, submitted_at, taken_at);
-        tracer.record(ctx, Stage::BatchWait, taken_at, work_start);
-        tracer.record(ctx, Stage::Predict, predict_start, done_at);
-        tracer.record(ctx, Stage::EndToEnd, submitted_at, done_at);
+        self.stamp(ctx, Stage::Predict, predict_start, done_at);
+        // Span only: the end-to-end histogram is `on_done`'s.
+        self.tracer
+            .record(ctx, Stage::EndToEnd, submitted_at, done_at);
         outcome.map(|prediction| ServedPrediction {
             prediction,
             model: self.model.clone(),
@@ -1234,6 +1158,14 @@ impl Batch<'_> {
             batch_size: self.size,
             latency,
         })
+    }
+
+    /// Records one engine stage of the request traced by `ctx`: the
+    /// global and the tenant's stage histograms and the sampled span,
+    /// from the same two instants.
+    fn stamp(&self, ctx: TraceCtx, stage: Stage, start: Instant, end: Instant) {
+        self.metrics
+            .stamp(self.tracer, Some(&*self.counters), ctx, stage, start, end);
     }
 
     /// Delivers `request` the reply `produce` builds, exactly once.
@@ -1274,9 +1206,85 @@ impl Batch<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use privehd_core::HdModel;
+
+    /// Parks engine workers, so a test forms batches without a timer.
+    /// Each parked worker serves one of the gate's requests, whose reply
+    /// callback reports that it entered and then blocks until the gate
+    /// opens. Whatever is submitted meanwhile queues, so once the gate
+    /// opens the next deficit-round-robin turn takes
+    /// `min(max_batch, drr_quantum, queued)` of its tenant's requests as
+    /// one batch. Dropping the gate opens it, so a failing test never
+    /// leaves a worker parked behind its engine's shutdown.
+    pub(crate) struct Gate {
+        state: Arc<(Mutex<GateState>, Condvar)>,
+    }
+
+    #[derive(Default)]
+    struct GateState {
+        entered: usize,
+        open: bool,
+    }
+
+    impl Gate {
+        /// Parks `workers` of `handle`'s engine's workers, one at a
+        /// time, each on one `query` for `model`: the engine's counts
+        /// grow by those `workers` requests. Each worker is seen to
+        /// enter before the next request is submitted, so no two of the
+        /// gate's requests share a batch.
+        pub(crate) fn park(
+            handle: &SubmitHandle,
+            workers: usize,
+            model: &ModelId,
+            query: &QueryVec,
+        ) -> Self {
+            let gate = Self {
+                state: Arc::default(),
+            };
+            for parked in 1..=workers {
+                let state = Arc::clone(&gate.state);
+                let on_done = move |_: Result<ServedPrediction, ServeError>| {
+                    let (lock, changed) = &*state;
+                    let mut st = lock.lock().unwrap_or_else(PoisonError::into_inner);
+                    st.entered += 1;
+                    changed.notify_all();
+                    while !st.open {
+                        st = changed.wait(st).unwrap_or_else(PoisonError::into_inner);
+                    }
+                };
+                let payload = Payload::Query(query.clone());
+                handle
+                    .submit_with(model, payload, handle.tracer().begin(), Box::new(on_done))
+                    .expect("the gate's request is admitted");
+                let (lock, changed) = &*gate.state;
+                let st = lock.lock().unwrap_or_else(PoisonError::into_inner);
+                let (_st, waited) = changed
+                    .wait_timeout_while(st, Duration::from_secs(10), |st| st.entered < parked)
+                    .unwrap_or_else(PoisonError::into_inner);
+                assert!(!waited.timed_out(), "worker {parked} never parked");
+            }
+            gate
+        }
+
+        /// Opens the gate: each parked worker finishes its gate request
+        /// and takes its next turn.
+        pub(crate) fn release(self) {}
+    }
+
+    impl Drop for Gate {
+        fn drop(&mut self) {
+            let (lock, changed) = &*self.state;
+            lock.lock().unwrap_or_else(PoisonError::into_inner).open = true;
+            changed.notify_all();
+        }
+    }
+
+    /// Parks `workers` workers of `engine` on the default model.
+    fn park(engine: &ServeEngine, workers: usize, query: impl Into<QueryVec>) -> Gate {
+        Gate::park(&engine.handle, workers, &ModelId::default(), &query.into())
+    }
 
     fn trained_model(dim: usize) -> HdModel {
         let mut model = HdModel::new(2, dim).unwrap();
@@ -1361,7 +1369,6 @@ mod tests {
     fn config_builder_validates_at_build_time() {
         let cfg = ServeConfig::builder()
             .max_batch(8)
-            .max_delay(Duration::from_millis(2))
             .workers(3)
             .queue_depth(128)
             .tenant_quota(16)
@@ -1370,14 +1377,11 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(cfg.max_batch, 8);
-        assert_eq!(cfg.max_delay, Duration::from_millis(2));
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.queue_depth, 128);
         assert_eq!(cfg.tenant_quota, 16);
         assert_eq!(cfg.drr_quantum, 4);
         assert!(cfg.packed_fastpath);
-        // Backlog batching: no linger unless asked for.
-        assert_eq!(ServeConfig::default().max_delay, Duration::ZERO);
 
         assert!(ServeConfig::builder().max_batch(0).build().is_err());
         assert!(ServeConfig::builder().workers(0).build().is_err());
@@ -1547,18 +1551,18 @@ mod tests {
 
     #[test]
     fn queue_overflow_sheds_load() {
-        // One worker, tiny queue, and a batch window long enough that
-        // floods back up into the queue. tenant_quota exceeds
-        // queue_depth so the global limit is what trips.
+        // One worker, parked, and a tiny queue, so a flood backs up into
+        // the queue. tenant_quota exceeds queue_depth so the global
+        // limit is what trips.
         let config = ServeConfig {
             max_batch: 2,
-            max_delay: Duration::from_millis(50),
             workers: 1,
             queue_depth: 2,
             packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(registry(64), config).unwrap();
+        let gate = park(&engine, 1, query(64, 1.0));
         let mut pending = Vec::new();
         let mut saw_full = false;
         for _ in 0..200 {
@@ -1572,6 +1576,8 @@ mod tests {
             }
         }
         assert!(saw_full, "queue never filled");
+        assert_eq!(pending.len(), 2, "the queue admits exactly its depth");
+        gate.release();
         for p in pending {
             assert!(p.wait().is_ok());
         }
@@ -1586,13 +1592,13 @@ mod tests {
         // room for everyone else.
         let config = ServeConfig {
             max_batch: 2,
-            max_delay: Duration::from_millis(50),
             workers: 1,
             queue_depth: 1_024,
             tenant_quota: 4,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(registry(64), config).unwrap();
+        let gate = park(&engine, 1, query(64, 1.0));
         let mut pending = Vec::new();
         let mut saw_quota = false;
         for _ in 0..400 {
@@ -1606,14 +1612,13 @@ mod tests {
             }
         }
         assert!(saw_quota, "tenant quota never tripped");
-        // A different tenant is still admitted (NoModel is a serving
-        // answer, not an admission refusal).
-        assert_eq!(
-            engine
-                .predict_for(&ModelId::new("other"), query(64, 1.0))
-                .unwrap_err(),
-            ServeError::NoModel
-        );
+        // A different tenant is still admitted while the flood holds its
+        // quota (NoModel is a serving answer, not an admission refusal).
+        let other = engine
+            .submit(&ModelId::new("other"), query(64, 1.0))
+            .unwrap();
+        gate.release();
+        assert_eq!(other.wait().unwrap_err(), ServeError::NoModel);
         for p in pending {
             assert!(p.wait().is_ok());
         }
@@ -1625,13 +1630,13 @@ mod tests {
     fn batches_fill_under_load() {
         let config = ServeConfig {
             max_batch: 8,
-            max_delay: Duration::from_millis(20),
             workers: 2,
             queue_depth: 256,
             packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(registry(256), config).unwrap();
+        let gate = park(&engine, 2, query(256, 1.0));
         let pending: Vec<_> = (0..64)
             .map(|i| {
                 engine
@@ -1639,6 +1644,7 @@ mod tests {
                     .unwrap()
             })
             .collect();
+        gate.release();
         let mut max_batch_seen = 0;
         for (i, p) in pending.into_iter().enumerate() {
             let served = p.wait().unwrap();
@@ -1650,7 +1656,7 @@ mod tests {
             "64 concurrent queries never co-batched (max batch {max_batch_seen})"
         );
         let report = engine.shutdown();
-        assert_eq!(report.completed, 64);
+        assert_eq!(report.completed, 64 + 2, "the burst and the gate's two");
         assert!(report.mean_batch_size > 1.0, "{report}");
     }
 
@@ -1771,22 +1777,29 @@ mod tests {
     #[test]
     fn requests_accepted_before_shutdown_are_answered() {
         // Stop drains the queues: everything accepted before shutdown
-        // resolves (successfully — not with Closed).
+        // resolves (successfully — not with Closed), even a backlog
+        // still queued behind a parked worker when shutdown begins.
         let config = ServeConfig {
             max_batch: 4,
-            max_delay: Duration::from_millis(100),
             workers: 1,
             queue_depth: 64,
             packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(registry(64), config).unwrap();
-        let _live_handle = engine.handle();
+        let live_handle = engine.handle();
+        let gate = park(&engine, 1, query(64, 1.0));
         let pending: Vec<_> = (0..16)
             .map(|_| engine.submit_default(query(64, 1.0)).unwrap())
             .collect();
-        let report = engine.shutdown();
-        assert_eq!(report.completed, 16);
+        let shutdown = std::thread::spawn(move || engine.shutdown());
+        while !live_handle.shared.lock_state().stopped {
+            std::thread::yield_now();
+        }
+        assert_eq!(live_handle.shared.lock_state().queued_total, 16);
+        gate.release();
+        let report = shutdown.join().unwrap();
+        assert_eq!(report.completed, 16 + 1, "the backlog and the gate's one");
         for p in pending {
             assert_eq!(p.wait().unwrap().prediction.class, 0);
         }
@@ -1827,7 +1840,7 @@ mod tests {
 
     #[test]
     fn sharded_engine_batches_per_model() {
-        // One flush window, two models: requests must split into
+        // One queued burst, two models: requests must split into
         // single-model batches even though they interleave in the queue.
         let reg = Arc::new(ShardedRegistry::new());
         let (a, b) = (ModelId::new("a"), ModelId::new("b"));
@@ -1835,19 +1848,20 @@ mod tests {
         reg.publish(&b, oriented_model(64, 1), "b1").unwrap();
         let config = ServeConfig {
             max_batch: 64,
-            max_delay: Duration::from_millis(20),
             workers: 2,
             queue_depth: 256,
             packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(reg, config).unwrap();
+        let gate = Gate::park(&engine.handle, 2, &a, &query(64, 1.0).into());
         let pending: Vec<_> = (0..32)
             .map(|i| {
                 let id = if i % 2 == 0 { &a } else { &b };
                 (i, engine.submit(id, query(64, 1.0)).unwrap())
             })
             .collect();
+        gate.release();
         for (i, p) in pending {
             let served = p.wait().unwrap();
             let want = if i % 2 == 0 { &a } else { &b };
@@ -1908,13 +1922,12 @@ mod tests {
         engine.shutdown();
     }
 
-    /// One worker and a 20 ms linger, so a request whose callback panics
-    /// rides first in the same batch as a healthy request: dense
-    /// queries, or packed ones scored as one block against float rows.
+    /// One parked worker, so a request whose callback panics rides first
+    /// in the same batch as a healthy request: dense queries, or packed
+    /// ones scored as one block against float rows.
     fn panicking_callback_is_contained(packed: bool) {
         let config = ServeConfig {
             workers: 1,
-            max_delay: Duration::from_millis(20),
             ..ServeConfig::default()
         };
         let reg = registry(64);
@@ -1934,6 +1947,7 @@ mod tests {
         };
         let engine = ServeEngine::start(reg, config).unwrap();
         let handle = engine.handle();
+        let gate = park(&engine, 1, q(1.0));
         let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
         let counted = Arc::clone(&calls);
@@ -1949,8 +1963,11 @@ mod tests {
                 }),
             )
             .unwrap();
-        let healthy = engine.submit_default(q(-1.0)).unwrap().wait();
-        let healthy = healthy.expect("the panic took the healthy request down with it");
+        let healthy = engine.submit_default(q(-1.0)).unwrap();
+        gate.release();
+        let healthy = healthy
+            .wait()
+            .expect("the panic took the healthy request down with it");
         assert_eq!(healthy.prediction.class, 1);
         assert_eq!(healthy.batch_size, 2, "both requests rode one batch");
 
@@ -1967,7 +1984,11 @@ mod tests {
         // The worker survived and keeps serving.
         assert_eq!(engine.predict(q(1.0)).unwrap().prediction.class, 0);
         let report = engine.shutdown();
-        assert_eq!((report.completed, report.failed), (3, 0));
+        assert_eq!(
+            (report.completed, report.failed),
+            (3 + 1, 0),
+            "and the gate's one"
+        );
         assert_eq!(report.panics_contained, 1, "packed: {packed}");
     }
 
@@ -2050,7 +2071,8 @@ mod tests {
     /// any reply, checks every reply bit for bit against the served
     /// plan scoring the same query alone, and returns the largest batch.
     /// Also returns the largest batch any float-row packed reply rode in.
-    fn burst_matches_single_query_plan(dim: usize, max_delay: Duration) -> (usize, usize) {
+    /// When `gated`, both workers are parked while the burst queues.
+    fn burst_matches_single_query_plan(dim: usize, gated: bool) -> (usize, usize) {
         let (float_id, sign_id) = (ModelId::new("float-rows"), ModelId::new("sign-rows"));
         let reg = Arc::new(ShardedRegistry::new());
         reg.publish(&float_id, float_row_model(dim), "f1").unwrap();
@@ -2059,10 +2081,13 @@ mod tests {
         reg.publish(&sign_id, signed, "s1").unwrap();
         let config = ServeConfig {
             workers: 2,
-            max_delay,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(Arc::clone(&reg), config).unwrap();
+        let gate = gated.then(|| {
+            let gate_query = QueryVec::Packed(BipolarHv::random(dim, 1));
+            Gate::park(&engine.handle, 2, &float_id, &gate_query)
+        });
 
         let burst: Vec<_> = (0..48u64)
             .map(|i| {
@@ -2076,6 +2101,7 @@ mod tests {
                 (id.clone(), q, pending)
             })
             .collect();
+        drop(gate);
         let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
         let (mut largest, mut blocked) = (0, 0);
         for (id, q, pending) in burst {
@@ -2101,15 +2127,15 @@ mod tests {
 
     #[test]
     fn batched_replies_are_bit_identical_to_single_query_scoring() {
-        burst_matches_single_query_plan(512, Duration::ZERO);
-        let (largest, _) = burst_matches_single_query_plan(512, Duration::from_millis(50));
-        assert!(largest > 1, "the 50 ms linger never batched the burst");
+        burst_matches_single_query_plan(512, false);
+        let (largest, _) = burst_matches_single_query_plan(512, true);
+        assert!(largest > 1, "the gated burst never batched");
         // 1,283 dims cross the packed block pass's 512-column tile and
         // end mid-word. A batch is a run of one tenant's queue, and every
         // third float-row request is packed, so a float-row packed reply
         // from a batch of 6 or more was scored in a block.
-        burst_matches_single_query_plan(1_283, Duration::ZERO);
-        let (_, blocked) = burst_matches_single_query_plan(1_283, Duration::from_millis(50));
+        burst_matches_single_query_plan(1_283, false);
+        let (_, blocked) = burst_matches_single_query_plan(1_283, true);
         assert!(blocked >= 6, "no float-row packed block formed: {blocked}");
     }
 
@@ -2117,122 +2143,105 @@ mod tests {
     fn no_request_is_stranded_whatever_the_worker_count() {
         // Only admission's wakeup moves a queued request to a worker (no
         // timer rescues a lost one), so every reply must arrive, once,
-        // within a bounded wait: with and without a linger.
+        // within a bounded wait.
         let reg = Arc::new(ShardedRegistry::new());
         let (a, b) = (ModelId::new("a"), ModelId::new("b"));
         reg.publish(&a, oriented_model(64, 0), "a1").unwrap();
         reg.publish(&b, oriented_model(64, 1), "b1").unwrap();
         for workers in [1, 2, 4] {
-            for max_delay in [Duration::ZERO, Duration::from_millis(1)] {
-                let config = ServeConfig {
-                    workers,
-                    max_delay,
-                    queue_depth: 1_024,
-                    tenant_quota: 1_024,
-                    ..ServeConfig::default()
-                };
-                let engine = ServeEngine::start(Arc::clone(&reg), config).unwrap();
-                let (tx, rx) = mpsc::channel();
-                let submitters: Vec<_> = (0..4usize)
-                    .map(|t| {
-                        let (handle, tx) = (engine.handle(), tx.clone());
-                        let (a, b) = (a.clone(), b.clone());
-                        std::thread::spawn(move || {
-                            for i in 0..200usize {
-                                let (id, class) = if (t + i) % 2 == 0 { (&a, 0) } else { (&b, 1) };
-                                let tx = tx.clone();
-                                let key = t * 200 + i;
-                                handle
-                                    .submit_with(
-                                        id,
-                                        Payload::Query(QueryVec::Dense(query(64, 1.0))),
-                                        handle.tracer().begin(),
-                                        Box::new(move |outcome| {
-                                            let _ = tx.send((key, class, outcome));
-                                        }),
-                                    )
-                                    .unwrap();
-                            }
-                        })
+            let config = ServeConfig {
+                workers,
+                queue_depth: 1_024,
+                tenant_quota: 1_024,
+                ..ServeConfig::default()
+            };
+            let engine = ServeEngine::start(Arc::clone(&reg), config).unwrap();
+            let (tx, rx) = mpsc::channel();
+            let submitters: Vec<_> = (0..4usize)
+                .map(|t| {
+                    let (handle, tx) = (engine.handle(), tx.clone());
+                    let (a, b) = (a.clone(), b.clone());
+                    std::thread::spawn(move || {
+                        for i in 0..200usize {
+                            let (id, class) = if (t + i) % 2 == 0 { (&a, 0) } else { (&b, 1) };
+                            let tx = tx.clone();
+                            let key = t * 200 + i;
+                            handle
+                                .submit_with(
+                                    id,
+                                    Payload::Query(QueryVec::Dense(query(64, 1.0))),
+                                    handle.tracer().begin(),
+                                    Box::new(move |outcome| {
+                                        let _ = tx.send((key, class, outcome));
+                                    }),
+                                )
+                                .unwrap();
+                        }
                     })
-                    .collect();
-                drop(tx);
-                for s in submitters {
-                    s.join().unwrap();
-                }
-                let mut answered = vec![false; 800];
-                for _ in 0..800 {
-                    let (key, class, outcome) = rx
-                        .recv_timeout(Duration::from_secs(10))
-                        .unwrap_or_else(|_| {
-                            panic!("a request was stranded ({workers} workers, {max_delay:?})")
-                        });
-                    assert!(!answered[key], "request {key} answered twice");
-                    answered[key] = true;
-                    assert_eq!(outcome.unwrap().prediction.class, class);
-                }
-                let report = engine.shutdown();
-                assert_eq!(report.completed, 800);
-                assert!(rx.try_recv().is_err(), "a request was answered twice");
+                })
+                .collect();
+            drop(tx);
+            for s in submitters {
+                s.join().unwrap();
             }
+            let mut answered = vec![false; 800];
+            for _ in 0..800 {
+                let (key, class, outcome) = rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("a request was stranded ({workers} workers)"));
+                assert!(!answered[key], "request {key} answered twice");
+                answered[key] = true;
+                assert_eq!(outcome.unwrap().prediction.class, class);
+            }
+            let report = engine.shutdown();
+            assert_eq!(report.completed, 800);
+            assert!(rx.try_recv().is_err(), "a request was answered twice");
         }
     }
 
     #[test]
-    fn a_full_batch_never_lingers() {
-        // With max_batch 1 every turn is full at once, so a 10 s linger
-        // must never engage: each request rides alone, without delay.
-        let config = ServeConfig {
-            max_batch: 1,
-            max_delay: Duration::from_secs(10),
-            workers: 1,
-            ..ServeConfig::default()
-        };
-        let engine = ServeEngine::start(registry(64), config).unwrap();
-        let start = Instant::now();
-        let pending: Vec<_> = (0..4)
-            .map(|_| engine.submit_default(query(64, 1.0)).unwrap())
-            .collect();
-        for p in pending {
-            assert_eq!(p.wait().unwrap().batch_size, 1);
-        }
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "a full batch lingered"
-        );
-        engine.shutdown();
-    }
-
-    #[test]
-    fn shutdown_cuts_a_long_linger_short() {
-        let config = ServeConfig {
-            workers: 2,
-            max_delay: Duration::from_secs(10),
-            ..ServeConfig::default()
-        };
-        let engine = ServeEngine::start(registry(64), config).unwrap();
-        let pending: Vec<_> = (0..8)
-            .map(|i| {
-                let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
-                engine.submit_default(query(64, sign)).unwrap()
-            })
-            .collect();
-        // Shut down only once a worker provably holds the batch open.
-        let held = Instant::now() + Duration::from_secs(5);
-        while engine.handle.shared.lock_state().lingering == 0 {
-            assert!(Instant::now() < held, "no worker lingered");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let (done_tx, done_rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = done_tx.send(engine.shutdown());
-        });
-        let report = done_rx
-            .recv_timeout(Duration::from_secs(2))
-            .expect("shutdown sat out the 10 s linger");
-        assert_eq!(report.completed, 8);
-        for (i, p) in pending.into_iter().enumerate() {
-            assert_eq!(p.wait().unwrap().prediction.class, i % 2);
+    fn a_drr_turn_over_a_backlog_is_the_batch() {
+        // (max_batch, drr_quantum, backlog) and the batch each turn over
+        // the backlog takes: min(max_batch, drr_quantum, remaining).
+        let cases: [(usize, usize, usize, &[usize]); 4] = [
+            (1, 32, 4, &[1, 1, 1, 1]),
+            (8, 32, 20, &[8, 8, 4]),
+            (64, 4, 10, &[4, 4, 2]),
+            (64, 32, 5, &[5]),
+        ];
+        for (max_batch, drr_quantum, backlog, turns) in cases {
+            let config = ServeConfig {
+                max_batch,
+                drr_quantum,
+                workers: 1,
+                ..ServeConfig::default()
+            };
+            let engine = ServeEngine::start(registry(64), config).unwrap();
+            let gate = park(&engine, 1, query(64, 1.0));
+            let pending: Vec<_> = (0..backlog)
+                .map(|_| engine.submit_default(query(64, 1.0)).unwrap())
+                .collect();
+            gate.release();
+            // One worker takes the turns in queue order, so the replies,
+            // in submission order, carry each turn's size once per
+            // request it took.
+            let sizes: Vec<usize> = pending
+                .into_iter()
+                .map(|p| p.wait().unwrap().batch_size)
+                .collect();
+            let want: Vec<usize> = turns
+                .iter()
+                .flat_map(|&turn| std::iter::repeat_n(turn, turn))
+                .collect();
+            let case =
+                format!("max_batch {max_batch}, drr_quantum {drr_quantum}, backlog {backlog}");
+            assert_eq!(sizes, want, "{case}");
+            let report = engine.shutdown();
+            assert_eq!(
+                report.batches,
+                turns.len() as u64 + 1,
+                "{case}: and the gate's"
+            );
         }
     }
 }

@@ -24,7 +24,7 @@
 //!   directly by a worker pool: each worker takes one deficit-round-
 //!   robin turn off the queues, and that turn is its single-model batch
 //!   (backlog batching, at most [`ServeConfig::max_batch`] requests,
-//!   with [`ServeConfig::max_delay`] as an opt-in linger). A panic
+//!   and no worker waits for more than its turn found). A panic
 //!   while serving one request answers only that request, with
 //!   [`ServeError::Internal`]. One submit surface for every
 //!   representation: queries submitted bit-packed ([`QueryVec::Packed`])

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-use privehd_core::telemetry::Stage;
+use privehd_core::telemetry::{Stage, TraceCtx, Tracer};
 
 use crate::registry::ModelId;
 
@@ -486,17 +486,28 @@ impl ServeMetrics {
             .store(packed, Ordering::Relaxed); // Relaxed: as above.
     }
 
-    /// Records one stage duration globally (wire-side stages, which
-    /// happen before a model identity is trusted/resolved).
-    pub(crate) fn on_stage(&self, stage: Stage, duration: Duration) {
+    /// Records one stage of the request traced by `ctx`, from `start`
+    /// to `end`: its duration into the global stage histogram and, for
+    /// engine stages, into the tenant's pre-fetched `row` (wire stages
+    /// happen before a model identity is trusted, so they pass `None`);
+    /// its span into `tracer`'s sampled ring. Every stage is recorded
+    /// through this one call, so a histogram row and its span always
+    /// cover the same interval.
+    pub(crate) fn stamp(
+        &self,
+        tracer: &Tracer,
+        row: Option<&ModelCounters>,
+        ctx: TraceCtx,
+        stage: Stage,
+        start: Instant,
+        end: Instant,
+    ) {
+        let duration = end.saturating_duration_since(start);
         self.stages.get(stage).record(duration);
-    }
-
-    /// Records one stage duration globally *and* against a pre-fetched
-    /// per-model row (engine-side stages).
-    pub(crate) fn on_stage_for(&self, counters: &ModelCounters, stage: Stage, duration: Duration) {
-        self.stages.get(stage).record(duration);
-        counters.stages.get(stage).record(duration);
+        if let Some(row) = row {
+            row.stages.get(stage).record(duration);
+        }
+        tracer.record(ctx, stage, start, end);
     }
 
     /// The latency histogram (queue + execution time per request),
@@ -686,7 +697,9 @@ pub struct ModelReport {
 pub struct ServeReport {
     /// Requests accepted into the queue.
     pub submitted: u64,
-    /// Requests shed because the queue was full.
+    /// Requests refused at admission: their tenant's queue was at its
+    /// quota ([`crate::ServeError::TenantOverQuota`]) or the engine-wide
+    /// queue was full ([`crate::ServeError::QueueFull`]).
     pub rejected: u64,
     /// Requests answered successfully.
     pub completed: u64,
@@ -896,12 +909,27 @@ mod tests {
     #[test]
     fn stage_histograms_report_per_model_and_globally() {
         let m = ServeMetrics::new();
+        let tracer = Tracer::new(privehd_core::telemetry::TelemetryConfig {
+            sample_one_in: 1,
+            ..Default::default()
+        });
         let id = ModelId::new("traced");
         let row = m.model_counters(&id);
-        m.on_stage(Stage::WireDecode, Duration::from_micros(5));
-        m.on_stage_for(&row, Stage::QueueWait, Duration::from_micros(40));
-        m.on_stage_for(&row, Stage::QueueWait, Duration::from_micros(60));
-        m.on_stage_for(&row, Stage::Predict, Duration::from_micros(200));
+        let t0 = Instant::now();
+        let us = |n| t0 + Duration::from_micros(n);
+        let ctx = tracer.begin();
+        m.stamp(&tracer, None, ctx, Stage::WireDecode, t0, us(5));
+        m.stamp(&tracer, Some(&row), ctx, Stage::QueueWait, t0, us(40));
+        m.stamp(&tracer, Some(&row), ctx, Stage::QueueWait, t0, us(60));
+        m.stamp(&tracer, Some(&row), ctx, Stage::Predict, us(60), us(260));
+        // Each stamp also captured its span, over the same interval.
+        let spans: Vec<(Stage, Duration)> = tracer
+            .snapshot()
+            .iter()
+            .map(|e| (e.stage, e.duration()))
+            .collect();
+        assert_eq!(spans.len(), 4);
+        assert!(spans.contains(&(Stage::Predict, Duration::from_micros(200))));
         let r = m.report(Duration::from_secs(1));
         // Global rows: decode (wire-side, global only) + the two
         // engine stages, in request-path order, silent stages omitted.

@@ -8,7 +8,7 @@
 //! `quantile` labels plus `_count`/`_sum` series. Trace-ring events are
 //! appended as `# slowtrace` comment lines — they are per-event, not
 //! aggregates, so they ride along as comments any Prometheus scraper
-//! ignores but a human (or `perfsuite`) can read.
+//! ignores but a human can read.
 //!
 //! The schema is documented in `docs/OBSERVABILITY.md`. Two deliberate
 //! bounds keep one scrape under the client's 1 MiB frame cap: per-model
@@ -264,8 +264,11 @@ mod tests {
             m.on_done(&row, true, Duration::from_micros(120));
         }
         m.on_done(&row, false, Duration::from_micros(900));
-        m.on_stage_for(&row, Stage::QueueWait, Duration::from_micros(40));
-        m.on_stage_for(&row, Stage::Predict, Duration::from_micros(70));
+        let tracer = privehd_core::telemetry::Tracer::disabled();
+        let (ctx, t0) = (tracer.begin(), std::time::Instant::now());
+        let us = |n| t0 + Duration::from_micros(n);
+        m.stamp(&tracer, Some(&row), ctx, Stage::QueueWait, t0, us(40));
+        m.stamp(&tracer, Some(&row), ctx, Stage::Predict, us(40), us(110));
         m.set_model_memory(&row, 80_000, 1_250);
         m.on_panic_contained();
         m.report(Duration::from_secs(2))

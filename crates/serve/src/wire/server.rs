@@ -790,14 +790,7 @@ impl Conn {
                             // so its id spans the wire stages and the
                             // engine's.
                             let ctx = handle.tracer().begin();
-                            let decode = decoded_at.saturating_duration_since(decode_start);
-                            handle.serve_metrics().on_stage(Stage::WireDecode, decode);
-                            handle.tracer().record(
-                                ctx,
-                                Stage::WireDecode,
-                                decode_start,
-                                decoded_at,
-                            );
+                            handle.stamp(ctx, Stage::WireDecode, decode_start, decoded_at);
                             self.handle_request(req, ctx, rctx);
                         }
                         Frame::StatsRequest(req) => {
@@ -942,14 +935,7 @@ impl Conn {
         match handle.submit_with(&model, payload, ctx, on_done) {
             Ok(()) => {
                 self.in_flight += 1;
-                let admitted_at = Instant::now();
-                handle.serve_metrics().on_stage(
-                    Stage::Admission,
-                    admitted_at.saturating_duration_since(admit_start),
-                );
-                handle
-                    .tracer()
-                    .record(ctx, Stage::Admission, admit_start, admitted_at);
+                handle.stamp(ctx, Stage::Admission, admit_start, Instant::now());
             }
             Err(e) => {
                 if matches!(e, ServeError::QueueFull | ServeError::TenantOverQuota) {
@@ -982,14 +968,7 @@ impl Conn {
             request_id,
             outcome,
         });
-        let write_end = Instant::now();
-        handle.serve_metrics().on_stage(
-            Stage::WireWrite,
-            write_end.saturating_duration_since(write_start),
-        );
-        handle
-            .tracer()
-            .record(ctx, Stage::WireWrite, write_start, write_end);
+        handle.stamp(ctx, Stage::WireWrite, write_start, Instant::now());
         metrics.on_response_out();
     }
 
@@ -1294,3 +1273,6 @@ fn release_conn_slot(rctx: &ReactorCtx) {
     rctx.metrics.on_conn_close();
 }
 // analyze: end-nonblocking-region
+
+#[cfg(test)]
+mod tests;

@@ -84,7 +84,6 @@ fn wire_flood_bounds_victim_p99_and_completes() {
         Arc::clone(&registry),
         ServeConfig {
             max_batch: 16,
-            max_delay: Duration::from_micros(100),
             workers: 1,
             queue_depth: 1024,
             tenant_quota: 32,
@@ -306,7 +305,6 @@ fn multi_reactor_ingress_serves_all_connections_and_drains() {
         Arc::new(ShardedRegistry::with_model(trained_model(), "mr-v1").unwrap()),
         ServeConfig {
             max_batch: 16,
-            max_delay: Duration::from_micros(100),
             packed_fastpath: true,
             ..ServeConfig::default()
         },

@@ -83,7 +83,6 @@ fn concurrent_stage_recording_never_overcounts() {
             trained_registry(),
             ServeConfig {
                 max_batch: 8,
-                max_delay: Duration::from_micros(200),
                 ..ServeConfig::default()
             },
         )

@@ -1,7 +1,8 @@
-//! Wire-server behavior over real loopback sockets: per-connection
-//! admission (the `Busy` cap), malformed-frame hygiene (typed error
-//! then close), idle timeouts, engine-shutdown drain, and the
-//! connection cap.
+//! Wire-server behavior over real loopback sockets: malformed-frame
+//! hygiene (typed error then close), idle timeouts, engine-shutdown
+//! drain, and the connection cap. The per-connection `Busy` cap is
+//! tested inside the crate, where the engine's worker can be parked
+//! while a flood lands.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -27,69 +28,6 @@ fn trained_registry() -> Arc<ShardedRegistry> {
 
 fn positive_query() -> BipolarHv {
     BipolarHv::from_signs(&vec![1.0; DIM])
-}
-
-#[test]
-fn per_connection_in_flight_cap_answers_busy() {
-    // A slow engine (long batching window, nothing to flush early) so
-    // accepted requests provably stay in flight while the flood lands.
-    let engine = ServeEngine::start(
-        trained_registry(),
-        ServeConfig {
-            max_batch: 512,
-            max_delay: Duration::from_millis(300),
-            workers: 1,
-            queue_depth: 512,
-            packed_fastpath: false,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let server = WireServer::start(
-        "127.0.0.1:0",
-        engine.handle(),
-        WireConfig {
-            max_in_flight: 4,
-            ..WireConfig::default()
-        },
-    )
-    .unwrap();
-
-    let mut client = WireClient::connect(server.local_addr()).unwrap();
-    let ids: Vec<u64> = (0..10)
-        .map(|_| {
-            client
-                .send_packed(&ModelId::default(), &positive_query())
-                .unwrap()
-        })
-        .collect();
-
-    let mut busy = 0;
-    let mut served = 0;
-    for _ in &ids {
-        let resp = client.recv().unwrap();
-        assert!(ids.contains(&resp.request_id));
-        match resp.outcome {
-            Ok(p) => {
-                assert_eq!(p.class, 0);
-                served += 1;
-            }
-            Err(fault) => {
-                assert_eq!(fault.status, WireStatus::Busy);
-                assert!(fault.status.is_retryable());
-                busy += 1;
-            }
-        }
-    }
-    // Exactly the cap's worth was admitted; the rest was shed at the
-    // connection edge without ever touching the shared queue.
-    assert_eq!((served, busy), (4, 6));
-    let report = server.shutdown();
-    assert_eq!(report.busy_rejections, 6);
-    assert_eq!(report.frames_in, 10);
-    assert_eq!(report.responses_out, 10);
-    let engine_report = engine.shutdown();
-    assert_eq!(engine_report.submitted, 4);
 }
 
 #[test]

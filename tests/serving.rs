@@ -51,7 +51,6 @@ fn batched_predictions_are_bit_identical_to_sequential() {
     let registry = Arc::new(ShardedRegistry::with_model(model, "bitident").unwrap());
     let config = ServeConfig {
         max_batch: 16,
-        max_delay: Duration::from_millis(5),
         workers: 4,
         queue_depth: 1_024,
         packed_fastpath: false,
@@ -96,7 +95,6 @@ fn hot_swap_mid_stream_drops_and_corrupts_nothing() {
     let registry = Arc::new(ShardedRegistry::with_model(model_a.clone(), "v1").unwrap());
     let config = ServeConfig {
         max_batch: 8,
-        max_delay: Duration::from_millis(2),
         workers: 4,
         queue_depth: 2_048,
         packed_fastpath: false,
@@ -289,7 +287,6 @@ fn three_tenants_share_one_engine_with_per_model_metrics() {
     }
     let config = ServeConfig {
         max_batch: 8,
-        max_delay: Duration::from_millis(2),
         workers: 2,
         queue_depth: 1_024,
         packed_fastpath: false,
@@ -344,7 +341,6 @@ fn concurrent_per_tenant_hot_swaps_complete_on_dispatch_version() {
     }
     let config = ServeConfig {
         max_batch: 8,
-        max_delay: Duration::from_millis(2),
         workers: 4,
         queue_depth: 2_048,
         packed_fastpath: false,
@@ -439,7 +435,6 @@ fn cross_tenant_isolation_bad_queries_fail_only_their_tenant() {
         .unwrap();
     let config = ServeConfig {
         max_batch: 8,
-        max_delay: Duration::from_millis(2),
         workers: 2,
         queue_depth: 1_024,
         packed_fastpath: false,

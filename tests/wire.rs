@@ -8,7 +8,8 @@
 //! frames, while a malformed-frame injector hammers the same server —
 //! asserting per-model routing correctness (bit-exact against local
 //! ground truth), typed error hygiene, and a clean drain on shutdown.
-//! A second test maps engine queue backpressure to `Busy` frames.
+//! Queue backpressure and the drain of in-flight requests are tested
+//! inside `privehd-serve`, where the engine's worker can be parked.
 //!
 //! These tests run in the dedicated release-mode `wire` CI job
 //! (sockets and timing behave differently than debug).
@@ -70,7 +71,6 @@ fn two_tenants_mixed_frames_and_a_malformed_injector() {
         Arc::clone(&registry),
         ServeConfig {
             max_batch: 32,
-            max_delay: Duration::from_micros(500),
             workers: 2,
             queue_depth: 1_024,
             packed_fastpath: false,
@@ -188,132 +188,4 @@ fn two_tenants_mixed_frames_and_a_malformed_injector() {
             .expect("tenant row");
         assert_eq!(row.completed, 2 * queries_per_client as u64);
     }
-}
-
-#[test]
-fn queue_pressure_surfaces_as_busy_frames() {
-    // Tiny queue, one worker, small batches: the engine sheds load with
-    // QueueFull, which must reach the client as typed Busy frames
-    // rather than a stalled socket.
-    let tenant = build_tenant("pressured", 33);
-    let registry = Arc::new(ShardedRegistry::new());
-    registry
-        .publish(&tenant.id, tenant.model.clone(), "v1")
-        .unwrap();
-    let engine = ServeEngine::start(
-        registry,
-        ServeConfig {
-            max_batch: 2,
-            max_delay: Duration::from_millis(50),
-            workers: 1,
-            queue_depth: 2,
-            packed_fastpath: false,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let server = WireServer::start(
-        "127.0.0.1:0",
-        engine.handle(),
-        WireConfig {
-            // Big enough that the engine queue, not the connection cap,
-            // is what sheds.
-            max_in_flight: 2_048,
-            ..WireConfig::default()
-        },
-    )
-    .unwrap();
-
-    let mut client = WireClient::connect(server.local_addr()).unwrap();
-    let prepared = tenant.edge.prepare(&tenant.inputs[0]).unwrap();
-    let packed = BipolarHv::from_signs(prepared.as_slice());
-    let expected = tenant.model.predict(&prepared).unwrap();
-
-    let flood = 300usize;
-    for _ in 0..flood {
-        client.send_packed(&tenant.id, &packed).unwrap();
-    }
-    let mut ok = 0usize;
-    let mut busy = 0usize;
-    for _ in 0..flood {
-        let resp = client.recv().unwrap();
-        match resp.outcome {
-            Ok(p) => {
-                assert_eq!(p.class as usize, expected.class);
-                ok += 1;
-            }
-            Err(fault) => {
-                assert_eq!(fault.status, WireStatus::Busy, "{fault}");
-                busy += 1;
-            }
-        }
-    }
-    assert_eq!(ok + busy, flood, "every frame answered exactly once");
-    assert!(busy > 0, "flood never tripped queue backpressure");
-    assert!(ok > 0, "backpressure starved the queue entirely");
-
-    let wire_report = server.shutdown();
-    assert_eq!(wire_report.responses_out, flood as u64);
-    assert_eq!(wire_report.busy_rejections, busy as u64);
-    let report = engine.shutdown();
-    assert_eq!(report.completed, ok as u64);
-}
-
-#[test]
-fn shutdown_drains_in_flight_wire_requests() {
-    // Requests in flight when shutdown starts are answered before the
-    // transport closes — the drain is graceful, not a guillotine.
-    let tenant = build_tenant("draining", 44);
-    let registry = Arc::new(ShardedRegistry::new());
-    registry
-        .publish(&tenant.id, tenant.model.clone(), "v1")
-        .unwrap();
-    let engine = ServeEngine::start(
-        registry,
-        ServeConfig {
-            max_batch: 64,
-            max_delay: Duration::from_millis(100),
-            workers: 1,
-            queue_depth: 64,
-            packed_fastpath: false,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let server = WireServer::start("127.0.0.1:0", engine.handle(), WireConfig::default()).unwrap();
-    let addr = server.local_addr();
-
-    let mut client = WireClient::connect(addr).unwrap();
-    let prepared = tenant.edge.prepare(&tenant.inputs[0]).unwrap();
-    let packed = BipolarHv::from_signs(prepared.as_slice());
-    let n = 8usize;
-    for _ in 0..n {
-        client.send_packed(&tenant.id, &packed).unwrap();
-    }
-    // Give the poll loop a moment to accept the frames, then shut down
-    // while the 100 ms batching window still holds them in flight.
-    std::thread::sleep(Duration::from_millis(20));
-    let server_thread = std::thread::spawn(move || server.shutdown());
-    // A client that connects once the drain has begun is never
-    // accepted. Its connection waits in the listener backlog, and the
-    // draining reactors must stop watching the listener rather than
-    // wake for it on every pass until the drain settles.
-    std::thread::sleep(Duration::from_millis(5));
-    let _late = std::net::TcpStream::connect(addr).unwrap();
-    let mut answered = 0usize;
-    for _ in 0..n {
-        let resp = client.recv().unwrap();
-        assert!(resp.outcome.is_ok(), "drained request failed");
-        answered += 1;
-    }
-    assert_eq!(answered, n);
-    let wire_report = server_thread.join().unwrap();
-    assert_eq!(wire_report.frames_in, n as u64);
-    assert_eq!(wire_report.responses_out, n as u64);
-    assert!(
-        wire_report.reactor_passes < 1_000,
-        "the drain spun: {} reactor passes",
-        wire_report.reactor_passes
-    );
-    engine.shutdown();
 }

@@ -229,7 +229,7 @@ fn main() {
     for (i, q) in queries.iter().enumerate() {
         model.bundle(i % CLASSES, q).expect("bundle");
     }
-    model.refresh_norms();
+    model.plan();
 
     let kernel = time_per_item(samples, batch, || {
         std::hint::black_box(model.predict_batch_with(&queries, 1).expect("predict"));
@@ -319,7 +319,6 @@ fn main() {
     //     request. --------------------------------------------------
     let mut packed_model = model.clone();
     packed_model.quantize_classes(QuantScheme::Bipolar);
-    packed_model.refresh_norms();
     assert!(
         matches!(
             packed_model.plan().kernel(),

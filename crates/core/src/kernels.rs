@@ -1342,8 +1342,8 @@ impl ClassMatrix {
 /// hypervectors — the packed-native counterpart of [`ClassMatrix`].
 ///
 /// Each class is stored as its packed sign row (bit 1 ⇔ `value ≥ 0`,
-/// the binarization convention of [`crate::BinaryHdModel`]) plus one `f64`
-/// magnitude scale per 64-dimension word block. Construction succeeds
+/// the `sign(0) = +1` rule of [`crate::QuantScheme::Bipolar`]) plus one
+/// `f64` magnitude scale per 64-dimension word block. Construction succeeds
 /// only when that factorization is *exact* — every block holds values
 /// of one shared magnitude (signs free) or is entirely zero (scale 0) —
 /// which covers sign-only models produced by

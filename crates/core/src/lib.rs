@@ -37,8 +37,6 @@
 //!   (Fig. 6).
 //! * [`decode`] — the reconstruction attack of Eq. (9)–(10) together with
 //!   MSE and PSNR metrics (Fig. 2).
-//! * [`binary_model`] — the prior-work baseline () that quantizes
-//!   class hypervectors too, which Fig. 5(a) compares against.
 //! * [`online`] — similarity-weighted (OnlineHD-style) training, an
 //!   adaptive refinement of the Eq. (5) retraining rule.
 //! * [`plan`] — compilation: [`EncodePlan`] fuses encode∘obfuscate
@@ -76,7 +74,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod basis;
-pub mod binary_model;
 pub mod decode;
 pub mod encoder;
 pub mod error;
@@ -92,7 +89,6 @@ pub mod quantize;
 pub mod telemetry;
 
 pub use basis::{BasisGenerator, ItemMemory, LevelMemory};
-pub use binary_model::{BinaryHdModel, QuantizedClassModel};
 pub use decode::{mse, psnr, Decoder, Reconstruction};
 pub use encoder::{Encoder, EncoderConfig, LevelEncoder, ScalarEncoder};
 pub use error::HdError;
@@ -110,7 +106,6 @@ pub use telemetry::{SpanEvent, Stage, TelemetryConfig, TraceCtx, TraceId, Tracer
 /// Commonly used items, importable with a single `use`.
 pub mod prelude {
     pub use crate::basis::{BasisGenerator, ItemMemory, LevelMemory};
-    pub use crate::binary_model::{BinaryHdModel, QuantizedClassModel};
     pub use crate::decode::{mse, psnr, Decoder, Reconstruction};
     pub use crate::encoder::{Encoder, EncoderConfig, LevelEncoder, ScalarEncoder};
     pub use crate::error::HdError;

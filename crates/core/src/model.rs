@@ -495,13 +495,6 @@ impl HdModel {
             .collect()
     }
 
-    /// Compiles the scoring plan now unless it is cached, so the first
-    /// predict after a batch of mutations does not pay for it;
-    /// [`HdModel::predict`] works correctly either way.
-    pub fn refresh_norms(&mut self) {
-        self.plan();
-    }
-
     /// Drops the compiled plan; called by mutations that touch many
     /// classes at once.
     fn invalidate(&mut self) {
@@ -682,12 +675,12 @@ mod tests {
     }
 
     #[test]
-    fn refresh_norms_matches_lazy_path() {
+    fn eager_plan_matches_lazy_path() {
         let enc = ScalarEncoder::new(EncoderConfig::new(6, 256).with_seed(9)).unwrap();
         let train = two_cluster_data(&enc, 4);
-        let mut a = HdModel::train(2, 256, &train).unwrap();
+        let a = HdModel::train(2, 256, &train).unwrap();
         let b = a.clone();
-        a.refresh_norms();
+        a.plan();
         let q = &train[0].0;
         assert_eq!(a.predict(q).unwrap(), b.predict(q).unwrap());
     }
@@ -821,6 +814,44 @@ mod tests {
                 fast.scores, dense_scores,
                 "seed {seed}: popcount path must bit-match"
             );
+        }
+    }
+
+    #[test]
+    fn quantized_class_model_still_classifies() {
+        // The prior-work baseline [17]: quantize the trained classes.
+        let enc = ScalarEncoder::new(EncoderConfig::new(8, 2_048).with_seed(3)).unwrap();
+        let mut model = HdModel::new(2, 2_048).unwrap();
+        let mut test = Vec::new();
+        for i in 0..12 {
+            let t = (i % 4) as f64 / 40.0;
+            let a: Vec<f64> = (0..8).map(|k| 0.1 + t + 0.02 * k as f64).collect();
+            let b: Vec<f64> = (0..8).map(|k| 0.9 - t - 0.02 * k as f64).collect();
+            let (ha, hb) = (enc.encode(&a).unwrap(), enc.encode(&b).unwrap());
+            if i < 8 {
+                model.bundle(0, &ha).unwrap();
+                model.bundle(1, &hb).unwrap();
+            } else {
+                test.push((ha, 0));
+                test.push((hb, 1));
+            }
+        }
+        for scheme in [
+            QuantScheme::Bipolar,
+            QuantScheme::Ternary,
+            QuantScheme::TwoBit,
+        ] {
+            let mut quantized = model.clone();
+            quantized.quantize_classes(scheme);
+            assert_eq!(quantized.accuracy(&test).unwrap(), 1.0, "{scheme}");
+            if scheme == QuantScheme::Bipolar {
+                // Fully binary: sign(0) = +1 queries on the popcount kernel.
+                for (h, y) in &test {
+                    let signs = QuantScheme::Bipolar.quantize_adaptive(h);
+                    let packed = BipolarHv::from_signs(signs.as_slice());
+                    assert_eq!(quantized.predict_packed(&packed).unwrap().class, *y);
+                }
+            }
         }
     }
 

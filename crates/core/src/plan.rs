@@ -505,22 +505,6 @@ impl ModelPlan {
         prediction_from_scores(scores)
     }
 
-    /// [`ModelPlan::predict_dense`] with the strictly-bipolar bridge:
-    /// a dense query whose every component is exactly `±1` (an
-    /// obfuscated query that arrived dense) is repacked and routed
-    /// through [`ModelPlan::predict_packed`]. This is the compiled form
-    /// of the engine's `packed_fastpath` per-request decision.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ModelPlan::predict_dense`].
-    pub fn predict_dense_auto(&self, query: &Hypervector) -> Result<Prediction, HdError> {
-        if is_strictly_bipolar(query.as_slice()) {
-            return self.predict_packed(&BipolarHv::from_signs(query.as_slice()));
-        }
-        self.predict_dense(query)
-    }
-
     /// Scores a batch of dense queries with the blocked kernel: one
     /// class row is streamed against a tile of queries while
     /// cache-hot, with tiles fanned out over at most `threads` lanes of
@@ -624,13 +608,6 @@ pub(crate) fn prediction_from_scores(scores: Vec<f64>) -> Result<Prediction, HdE
     })
 }
 
-/// True when every component is exactly `+1.0` or `-1.0` — the
-/// precondition for repacking a dense query into a [`BipolarHv`]
-/// without changing its scores.
-pub fn is_strictly_bipolar(values: &[f64]) -> bool {
-    values.iter().all(|&v| v == 1.0 || v == -1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,10 +658,6 @@ mod tests {
         let packed = BipolarHv::random(300, 9);
         let fast = plan.predict_packed(&packed).unwrap();
         assert_eq!(fast, model.predict_packed(&packed).unwrap());
-        // The auto bridge repacks strictly-bipolar dense queries…
-        assert_eq!(plan.predict_dense_auto(&packed.to_dense()).unwrap(), fast);
-        // …and leaves general dense queries on the dense kernel.
-        assert_eq!(plan.predict_dense_auto(&q).unwrap(), dense);
     }
 
     #[test]
@@ -850,13 +823,5 @@ mod tests {
             prediction_from_scores(vec![0.5, f64::NAN]),
             Err(HdError::NonFinite("similarity scores"))
         );
-    }
-
-    #[test]
-    fn strictly_bipolar_detection() {
-        assert!(is_strictly_bipolar(&[1.0, -1.0, 1.0]));
-        assert!(!is_strictly_bipolar(&[1.0, 0.0]));
-        assert!(!is_strictly_bipolar(&[1.0, f64::NAN]));
-        assert!(is_strictly_bipolar(&[]));
     }
 }

@@ -570,9 +570,6 @@ proptest! {
         let query = BipolarHv::random(dim, seed);
         let expected = model.predict_reference(&query.to_dense()).unwrap();
         prop_assert_eq!(&plan.predict_packed(&query).unwrap(), &expected);
-        // A strictly-bipolar dense submission of the same query must
-        // land on the same kernel with the same result.
-        prop_assert_eq!(&plan.predict_dense_auto(&query.to_dense()).unwrap(), &expected);
     }
 
     #[test]

@@ -92,7 +92,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -107,8 +107,9 @@ use crate::registry::{ModelId, ServedModel, ShardedRegistry};
 
 /// Tuning knobs of the serving engine.
 ///
-/// Construct with struct-update syntax over [`ServeConfig::default`],
-/// or with [`ServeConfig::builder`] for build-time validation.
+/// Construct with struct-update syntax over [`ServeConfig::default`];
+/// [`ServeEngine::start`] validates the config before any thread
+/// spawns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Largest batch a worker executes: one deficit-round-robin turn
@@ -133,14 +134,6 @@ pub struct ServeConfig {
     /// more finely (fairer under flood), larger values favor per-tenant
     /// batch density.
     pub drr_quantum: usize,
-    /// When set, queries whose components are all exactly `±1` (i.e.
-    /// bipolar-obfuscated queries) are bit-packed and classified through
-    /// the compiled plan's popcount kernel
-    /// ([`privehd_core::ModelPlan::predict_dense_auto`]). Scores then
-    /// differ from the dense path only in floating-point summation
-    /// order. Leave unset when bit-identical results to the dense path
-    /// ([`privehd_core::ModelPlan::predict_dense`]) are required.
-    pub packed_fastpath: bool,
     /// Request-tracing configuration: 1-in-N span sampling plus
     /// always-capture for slow requests. Stage *histograms* record
     /// regardless (they are counters); this only controls the trace
@@ -159,19 +152,12 @@ impl Default for ServeConfig {
             queue_depth: 1_024,
             tenant_quota: 256,
             drr_quantum: 32,
-            packed_fastpath: false,
             telemetry: TelemetryConfig::default(),
         }
     }
 }
 
 impl ServeConfig {
-    /// A builder over the defaults; [`ServeConfigBuilder::build`]
-    /// validates the combination before any thread spawns.
-    pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder::new()
-    }
-
     fn validate(&self) -> Result<(), ServeError> {
         if self.max_batch == 0 {
             return Err(ServeError::InvalidConfig("max_batch must be ≥ 1".into()));
@@ -189,90 +175,6 @@ impl ServeConfig {
             return Err(ServeError::InvalidConfig("drr_quantum must be ≥ 1".into()));
         }
         Ok(())
-    }
-}
-
-/// Builder for [`ServeConfig`] with build-time validation.
-///
-/// # Examples
-///
-/// ```
-/// use privehd_serve::ServeConfig;
-///
-/// let config = ServeConfig::builder()
-///     .max_batch(32)
-///     .tenant_quota(64)
-///     .drr_quantum(8)
-///     .build()
-///     .unwrap();
-/// assert_eq!(config.max_batch, 32);
-///
-/// // Invalid knobs fail at build(), before any thread spawns.
-/// assert!(ServeConfig::builder().drr_quantum(0).build().is_err());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ServeConfigBuilder {
-    config: ServeConfig,
-}
-
-impl ServeConfigBuilder {
-    /// Starts from [`ServeConfig::default`].
-    pub fn new() -> Self {
-        Self {
-            config: ServeConfig::default(),
-        }
-    }
-
-    /// Sets [`ServeConfig::max_batch`].
-    pub fn max_batch(mut self, v: usize) -> Self {
-        self.config.max_batch = v;
-        self
-    }
-
-    /// Sets [`ServeConfig::workers`].
-    pub fn workers(mut self, v: usize) -> Self {
-        self.config.workers = v;
-        self
-    }
-
-    /// Sets [`ServeConfig::queue_depth`].
-    pub fn queue_depth(mut self, v: usize) -> Self {
-        self.config.queue_depth = v;
-        self
-    }
-
-    /// Sets [`ServeConfig::tenant_quota`].
-    pub fn tenant_quota(mut self, v: usize) -> Self {
-        self.config.tenant_quota = v;
-        self
-    }
-
-    /// Sets [`ServeConfig::drr_quantum`].
-    pub fn drr_quantum(mut self, v: usize) -> Self {
-        self.config.drr_quantum = v;
-        self
-    }
-
-    /// Sets [`ServeConfig::packed_fastpath`].
-    pub fn packed_fastpath(mut self, v: bool) -> Self {
-        self.config.packed_fastpath = v;
-        self
-    }
-
-    /// Sets [`ServeConfig::telemetry`].
-    pub fn telemetry(mut self, v: TelemetryConfig) -> Self {
-        self.config.telemetry = v;
-        self
-    }
-
-    /// Validates and returns the finished config.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::InvalidConfig`] for zero-valued knobs.
-    pub fn build(self) -> Result<ServeConfig, ServeError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -549,18 +451,6 @@ impl PendingPrediction {
     pub fn wait(self) -> Result<ServedPrediction, ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::Closed))
     }
-
-    /// Non-blocking poll: `None` while the prediction is still in
-    /// flight, `Some(outcome)` once it resolved (or once the engine
-    /// dropped the request's reply channel, which reads as
-    /// [`ServeError::Closed`]).
-    pub fn try_wait(&self) -> Option<Result<ServedPrediction, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(outcome) => Some(outcome),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(ServeError::Closed)),
-        }
-    }
 }
 
 /// A cloneable, `Send` submission handle for multi-threaded clients.
@@ -719,7 +609,10 @@ impl SubmitHandle {
 /// let tenant = ModelId::new("tenant-a");
 /// registry.publish(&tenant, model, "a-v1")?;
 ///
-/// let config = ServeConfig::builder().tenant_quota(64).build()?;
+/// let config = ServeConfig {
+///     tenant_quota: 64,
+///     ..ServeConfig::default()
+/// };
 /// let engine = ServeEngine::start(registry, config)?;
 /// let served = engine
 ///     .submit(&tenant, Hypervector::from_vec(vec![-1.0; 64]))?
@@ -993,7 +886,6 @@ impl Worker {
             snapshot,
             counters,
             size: requests.len(),
-            packed_fastpath: self.config.packed_fastpath,
         };
 
         // Two or more packed queries are scored in one block, which reads
@@ -1047,7 +939,6 @@ struct Batch<'a> {
     snapshot: Option<Arc<ServedModel>>,
     counters: Arc<ModelCounters>,
     size: usize,
-    packed_fastpath: bool,
 }
 
 impl Batch<'_> {
@@ -1064,9 +955,6 @@ impl Batch<'_> {
             // Packed-native path: the query arrived bit-packed and is
             // scored without ever materializing a dense form.
             QueryVec::Packed(hv) => plan.predict_packed(hv),
-            // The auto bridge repacks strictly-bipolar dense queries
-            // onto the popcount kernel.
-            QueryVec::Dense(q) if self.packed_fastpath => plan.predict_dense_auto(q),
             QueryVec::Dense(q) => plan.predict_dense(q),
         }
         .map_err(ServeError::Model)
@@ -1366,31 +1254,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn config_builder_validates_at_build_time() {
-        let cfg = ServeConfig::builder()
-            .max_batch(8)
-            .workers(3)
-            .queue_depth(128)
-            .tenant_quota(16)
-            .drr_quantum(4)
-            .packed_fastpath(true)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.max_batch, 8);
-        assert_eq!(cfg.workers, 3);
-        assert_eq!(cfg.queue_depth, 128);
-        assert_eq!(cfg.tenant_quota, 16);
-        assert_eq!(cfg.drr_quantum, 4);
-        assert!(cfg.packed_fastpath);
-
-        assert!(ServeConfig::builder().max_batch(0).build().is_err());
-        assert!(ServeConfig::builder().workers(0).build().is_err());
-        assert!(ServeConfig::builder().queue_depth(0).build().is_err());
-        assert!(ServeConfig::builder().tenant_quota(0).build().is_err());
-        assert!(ServeConfig::builder().drr_quantum(0).build().is_err());
-    }
-
-    #[test]
     fn drr_rounds_account_quantum_across_uneven_queues() {
         // Tenants a/b/c with 10/3/1 waiting requests and quantum 4:
         // turn order must be a:4, b:3 (emptied — leaves the map,
@@ -1558,7 +1421,6 @@ pub(crate) mod tests {
             max_batch: 2,
             workers: 1,
             queue_depth: 2,
-            packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(registry(64), config).unwrap();
@@ -1632,7 +1494,6 @@ pub(crate) mod tests {
             max_batch: 8,
             workers: 2,
             queue_depth: 256,
-            packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(registry(256), config).unwrap();
@@ -1662,51 +1523,60 @@ pub(crate) mod tests {
 
     #[test]
     fn packed_fastpath_agrees_with_dense_path() {
-        let config = ServeConfig {
-            packed_fastpath: true,
-            ..ServeConfig::default()
-        };
+        // Dense ±1 queries once had a packed shortcut; they now take
+        // `predict_dense` like any dense query, so the served reply is
+        // exactly what `HdModel::predict` gives for the same vector.
         let reg = registry(128);
-        let engine = ServeEngine::start(Arc::clone(&reg), config).unwrap();
+        let engine = ServeEngine::start(Arc::clone(&reg), ServeConfig::default()).unwrap();
         let model = reg.get(&ModelId::default()).unwrap();
         for seed in 0..20u64 {
-            let packed = BipolarHv::random(128, seed);
-            let q = packed.to_dense();
+            let q = BipolarHv::random(128, seed).to_dense();
             let served = engine.predict(q.clone()).unwrap();
             let direct = model.model().predict(&q).unwrap();
             assert_eq!(served.prediction.class, direct.class, "seed {seed}");
+            assert_eq!(served.prediction.scores, direct.scores, "seed {seed}");
         }
         engine.shutdown();
     }
 
     #[test]
     fn packed_submit_matches_dense_submit() {
-        // A bipolar-quantized (sign-only) model: packed-native scoring
-        // is bit-identical to the dense path, so the predictions must
-        // agree query for query.
+        // Sign-only rows are scored by the popcount kernel and float rows
+        // by the sign-select kernel; on either, a packed query and its
+        // dense form must agree up to summation order.
         let mut model = trained_model(128);
         model.quantize_classes(privehd_core::QuantScheme::Bipolar);
-        let reg = Arc::new(ShardedRegistry::with_model(model, "signed").unwrap());
-        let engine = ServeEngine::start(Arc::clone(&reg), ServeConfig::default()).unwrap();
-        let handle = engine.handle();
-        for seed in 0..20u64 {
-            let packed = BipolarHv::random(128, seed);
-            let dense = engine.predict(packed.to_dense()).unwrap();
-            let native = engine
-                .submit_default(packed.clone())
-                .unwrap()
-                .wait()
-                .unwrap();
-            let via_handle = handle.submit_default(packed).unwrap().wait().unwrap();
-            assert_eq!(
-                native.prediction.class, dense.prediction.class,
-                "seed {seed}"
-            );
-            assert_eq!(native.prediction.class, via_handle.prediction.class);
-            assert_eq!(native.model_version, 1);
+        let signed = Arc::new(ShardedRegistry::with_model(model, "signed").unwrap());
+        for reg in [signed, registry(128)] {
+            let engine = ServeEngine::start(reg, ServeConfig::default()).unwrap();
+            let handle = engine.handle();
+            for seed in 0..20u64 {
+                let packed = BipolarHv::random(128, seed);
+                let dense = engine.predict(packed.to_dense()).unwrap();
+                let native = engine
+                    .submit_default(packed.clone())
+                    .unwrap()
+                    .wait()
+                    .unwrap();
+                let via_handle = handle.submit_default(packed).unwrap().wait().unwrap();
+                assert_eq!(
+                    native.prediction.class, dense.prediction.class,
+                    "seed {seed}"
+                );
+                let scores = native
+                    .prediction
+                    .scores
+                    .iter()
+                    .zip(&dense.prediction.scores);
+                for (a, b) in scores {
+                    assert!((a - b).abs() < 1e-9, "seed {seed}: {a} vs {b}");
+                }
+                assert_eq!(native.prediction.class, via_handle.prediction.class);
+                assert_eq!(native.model_version, 1);
+            }
+            let report = engine.shutdown();
+            assert_eq!(report.completed, 60);
         }
-        let report = engine.shutdown();
-        assert_eq!(report.completed, 60);
     }
 
     #[test]
@@ -1783,7 +1653,6 @@ pub(crate) mod tests {
             max_batch: 4,
             workers: 1,
             queue_depth: 64,
-            packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(registry(64), config).unwrap();
@@ -1850,7 +1719,6 @@ pub(crate) mod tests {
             max_batch: 64,
             workers: 2,
             queue_depth: 256,
-            packed_fastpath: false,
             ..ServeConfig::default()
         };
         let engine = ServeEngine::start(reg, config).unwrap();
@@ -2010,7 +1878,6 @@ pub(crate) mod tests {
             snapshot: registry(64).get(&model),
             counters: metrics.model_counters(&model),
             size: 3,
-            packed_fastpath: false,
         };
         let (tx, rx) = mpsc::channel();
         let requests: Vec<Request> = (0..3)

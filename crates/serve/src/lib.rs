@@ -29,9 +29,9 @@
 //!   [`ServeError::Internal`]. One submit surface for every
 //!   representation: queries submitted bit-packed ([`QueryVec::Packed`])
 //!   stay packed end to end and are scored by the compiled plan's
-//!   `XOR`+popcount kernel ([`privehd_core::ModelPlan::predict_packed`]);
-//!   dense submissions can opt into the same kernel via
-//!   [`ServeConfig::packed_fastpath`].
+//!   `XOR`+popcount kernel ([`privehd_core::ModelPlan::predict_packed`]),
+//!   and dense submissions by its dense kernel
+//!   ([`privehd_core::ModelPlan::predict_dense`]).
 //! * [`ClientEdge`] — the device-side `ScalarEncoder` ∘ `Obfuscator`
 //!   composition, guaranteeing the server only ever sees obfuscated
 //!   queries.
@@ -103,8 +103,7 @@ pub mod wire;
 
 pub use edge::ClientEdge;
 pub use engine::{
-    PendingPrediction, QueryVec, ServeConfig, ServeConfigBuilder, ServeEngine, ServedPrediction,
-    SubmitHandle,
+    PendingPrediction, QueryVec, ServeConfig, ServeEngine, ServedPrediction, SubmitHandle,
 };
 pub use error::ServeError;
 pub use metrics::{
@@ -112,14 +111,13 @@ pub use metrics::{
 };
 pub use registry::{ModelId, ServedModel, ShardedRegistry};
 pub use stats::prometheus_text;
-pub use wire::{WireClient, WireConfig, WireConfigBuilder, WireServer, WireStatus};
+pub use wire::{WireClient, WireConfig, WireServer, WireStatus};
 
 /// Commonly used items, importable with a single `use`.
 pub mod prelude {
     pub use crate::edge::ClientEdge;
     pub use crate::engine::{
-        PendingPrediction, QueryVec, ServeConfig, ServeConfigBuilder, ServeEngine,
-        ServedPrediction, SubmitHandle,
+        PendingPrediction, QueryVec, ServeConfig, ServeEngine, ServedPrediction, SubmitHandle,
     };
     pub use crate::error::ServeError;
     pub use crate::metrics::{
@@ -128,7 +126,7 @@ pub mod prelude {
     pub use crate::registry::{ModelId, ServedModel, ShardedRegistry};
     pub use crate::stats::prometheus_text;
     pub use crate::wire::{
-        WireClient, WireClientError, WireConfig, WireConfigBuilder, WireFault, WirePrediction,
-        WireReport, WireServer, WireStatus,
+        WireClient, WireClientError, WireConfig, WireFault, WirePrediction, WireReport, WireServer,
+        WireStatus,
     };
 }

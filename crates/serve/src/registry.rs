@@ -176,8 +176,8 @@ fn validate_norms(model: &HdModel, allow_partial: bool) -> Result<Vec<usize>, Se
     Ok(untrained)
 }
 
-/// How many shards [`ShardedRegistry::new`] creates.
-pub const DEFAULT_SHARDS: usize = 16;
+/// How many shards a [`ShardedRegistry`] spreads the id space over.
+const SHARDS: usize = 16;
 
 /// One tenant's slot inside a shard: the live snapshot plus its private
 /// version counter (which survives a withdraw, so a re-publish keeps
@@ -233,9 +233,11 @@ impl Default for ShardedRegistry {
 }
 
 impl ShardedRegistry {
-    /// Creates an empty registry with [`DEFAULT_SHARDS`] shards.
+    /// Creates an empty registry.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS).expect("default shard count is non-zero")
+        Self {
+            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+        }
     }
 
     /// Creates a registry with `model` already published as version 1
@@ -264,25 +266,6 @@ impl ShardedRegistry {
         let registry = Self::new();
         registry.publish(&ModelId::default(), model, label)?;
         Ok(registry)
-    }
-
-    /// Creates an empty registry with an explicit shard count.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::InvalidConfig`] when `shards` is zero.
-    pub fn with_shards(shards: usize) -> Result<Self, ServeError> {
-        if shards == 0 {
-            return Err(ServeError::InvalidConfig("shards must be ≥ 1".into()));
-        }
-        Ok(Self {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-        })
-    }
-
-    /// Number of shards the id space is spread over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     fn shard(&self, id: &ModelId) -> &RwLock<HashMap<ModelId, TenantSlot>> {
@@ -632,7 +615,7 @@ mod tests {
 
     #[test]
     fn sharded_tenants_version_independently() {
-        let r = ShardedRegistry::with_shards(4).unwrap();
+        let r = ShardedRegistry::new();
         let (a, b) = (ModelId::new("a"), ModelId::new("b"));
         assert!(r.is_empty());
         assert_eq!(r.publish(&a, trained(16, 1.0), "a1").unwrap(), 1);
@@ -680,14 +663,6 @@ mod tests {
             .publish_partial(&id, partially_trained(8), "partial")
             .unwrap();
         assert_eq!((v, untrained), (1, vec![1, 2]));
-    }
-
-    #[test]
-    fn zero_shards_is_rejected() {
-        assert!(matches!(
-            ShardedRegistry::with_shards(0),
-            Err(ServeError::InvalidConfig(_))
-        ));
     }
 
     #[test]

@@ -45,4 +45,4 @@ pub use frame::{
     StatsReplyFrame, StatsRequestFrame, WireFault, WirePrediction, WireStatus,
 };
 pub use metrics::{WireMetrics, WireReport};
-pub use server::{WireConfig, WireConfigBuilder, WireServer};
+pub use server::{WireConfig, WireServer};

@@ -90,6 +90,9 @@ use polling::{Event, Poller};
 use privehd_core::telemetry::{Stage, TraceCtx};
 
 /// Tuning knobs of the wire front-end.
+///
+/// Construct with struct-update syntax over [`WireConfig::default`];
+/// [`WireServer::start`] validates the config before a socket is bound.
 #[derive(Debug, Clone)]
 pub struct WireConfig {
     /// Reactor (readiness loop) threads. Each runs its own poller;
@@ -165,15 +168,8 @@ fn default_reactors() -> usize {
 }
 
 impl WireConfig {
-    /// A builder over the defaults, validating at
-    /// [`WireConfigBuilder::build`].
-    #[must_use]
-    pub fn builder() -> WireConfigBuilder {
-        WireConfigBuilder::default()
-    }
-
     /// Registers a server-side edge for `model`'s raw-features frames
-    /// (builder style).
+    /// (see [`WireConfig::edges`]).
     #[must_use]
     pub fn with_edge(mut self, model: ModelId, edge: ClientEdge) -> Self {
         self.edges.insert(model, Arc::new(edge));
@@ -205,104 +201,6 @@ impl WireConfig {
             ));
         }
         Ok(())
-    }
-}
-
-/// Builder for [`WireConfig`] with build-time validation — invalid
-/// knob combinations surface as [`ServeError::InvalidConfig`] at
-/// [`WireConfigBuilder::build`], before a socket is ever bound.
-///
-/// # Examples
-///
-/// ```
-/// use privehd_serve::wire::WireConfig;
-///
-/// let config = WireConfig::builder()
-///     .reactors(2)
-///     .max_in_flight(8)
-///     .build()
-///     .unwrap();
-/// assert_eq!(config.reactors, 2);
-/// assert!(WireConfig::builder().reactors(0).build().is_err());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct WireConfigBuilder {
-    config: WireConfig,
-}
-
-impl WireConfigBuilder {
-    /// Sets [`WireConfig::reactors`].
-    #[must_use]
-    pub fn reactors(mut self, n: usize) -> Self {
-        self.config.reactors = n;
-        self
-    }
-
-    /// Sets [`WireConfig::max_connections`].
-    #[must_use]
-    pub fn max_connections(mut self, n: usize) -> Self {
-        self.config.max_connections = n;
-        self
-    }
-
-    /// Sets [`WireConfig::max_body_bytes`].
-    #[must_use]
-    pub fn max_body_bytes(mut self, n: usize) -> Self {
-        self.config.max_body_bytes = n;
-        self
-    }
-
-    /// Sets [`WireConfig::max_in_flight`].
-    #[must_use]
-    pub fn max_in_flight(mut self, n: usize) -> Self {
-        self.config.max_in_flight = n;
-        self
-    }
-
-    /// Sets [`WireConfig::max_query_dim`].
-    #[must_use]
-    pub fn max_query_dim(mut self, n: usize) -> Self {
-        self.config.max_query_dim = n;
-        self
-    }
-
-    /// Sets [`WireConfig::idle_timeout`].
-    #[must_use]
-    pub fn idle_timeout(mut self, d: Duration) -> Self {
-        self.config.idle_timeout = d;
-        self
-    }
-
-    /// Sets [`WireConfig::drain_timeout`].
-    #[must_use]
-    pub fn drain_timeout(mut self, d: Duration) -> Self {
-        self.config.drain_timeout = d;
-        self
-    }
-
-    /// Sets [`WireConfig::poll_interval`].
-    #[must_use]
-    pub fn poll_interval(mut self, d: Duration) -> Self {
-        self.config.poll_interval = d;
-        self
-    }
-
-    /// Registers a server-side edge for `model`'s raw-features frames
-    /// (see [`WireConfig::edges`]).
-    #[must_use]
-    pub fn edge(mut self, model: ModelId, edge: ClientEdge) -> Self {
-        self.config.edges.insert(model, Arc::new(edge));
-        self
-    }
-
-    /// Validates and returns the finished [`WireConfig`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::InvalidConfig`] naming the offending knob.
-    pub fn build(self) -> Result<WireConfig, ServeError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 

@@ -40,7 +40,6 @@ fn build_tenant(name: &str, seed: u64) -> Tenant {
     for (x, y) in ds.train_pairs() {
         model.bundle(y, &edge.encoder().encode(x).unwrap()).unwrap();
     }
-    model.refresh_norms();
     let (x, _) = ds.test_pairs().next().unwrap();
     let prepared = edge.prepare(x).unwrap();
     Tenant {
@@ -94,7 +93,6 @@ fn per_connection_in_flight_cap_answers_busy() {
         max_batch: 512,
         workers: 1,
         queue_depth: 512,
-        packed_fastpath: false,
         ..ServeConfig::default()
     };
     let (engine, gate) = parked_engine(&tenant, config);
@@ -157,7 +155,6 @@ fn queue_pressure_surfaces_as_busy_frames() {
         max_batch: 2,
         workers: 1,
         queue_depth: 2,
-        packed_fastpath: false,
         ..ServeConfig::default()
     };
     let (engine, gate) = parked_engine(&tenant, config);
@@ -219,7 +216,6 @@ fn shutdown_drains_in_flight_wire_requests() {
         max_batch: 64,
         workers: 1,
         queue_depth: 64,
-        packed_fastpath: false,
         ..ServeConfig::default()
     };
     let (engine, gate) = parked_engine(&tenant, config);

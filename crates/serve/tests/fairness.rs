@@ -88,7 +88,6 @@ fn wire_flood_bounds_victim_p99_and_completes() {
             queue_depth: 1024,
             tenant_quota: 32,
             drr_quantum: 8,
-            packed_fastpath: true,
             ..ServeConfig::default()
         },
     )
@@ -305,7 +304,6 @@ fn multi_reactor_ingress_serves_all_connections_and_drains() {
         Arc::new(ShardedRegistry::with_model(trained_model(), "mr-v1").unwrap()),
         ServeConfig {
             max_batch: 16,
-            packed_fastpath: true,
             ..ServeConfig::default()
         },
     )

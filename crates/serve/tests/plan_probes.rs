@@ -56,11 +56,7 @@ fn served_requests_build_no_permutations_and_probe_no_kernels() {
     }
     let registry = Arc::new(ShardedRegistry::with_model(model, "plan-v1").unwrap());
 
-    let config = ServeConfig {
-        packed_fastpath: true,
-        ..ServeConfig::default()
-    };
-    let engine = ServeEngine::start(Arc::clone(&registry), config).unwrap();
+    let engine = ServeEngine::start(Arc::clone(&registry), ServeConfig::default()).unwrap();
     let served_model = registry.get(&ModelId::default()).unwrap();
 
     // Inputs and their expected predictions, computed directly on the

@@ -573,6 +573,10 @@ fn invalid_wire_configs_are_rejected() {
     let engine = ServeEngine::start(trained_registry(), ServeConfig::default()).unwrap();
     for bad in [
         WireConfig {
+            reactors: 0,
+            ..WireConfig::default()
+        },
+        WireConfig {
             max_connections: 0,
             ..WireConfig::default()
         },

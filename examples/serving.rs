@@ -51,7 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Arc::clone(&registry),
         ServeConfig {
             max_batch: 64,
-            packed_fastpath: true,
             ..ServeConfig::default()
         },
     )?;

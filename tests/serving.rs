@@ -53,7 +53,6 @@ fn batched_predictions_are_bit_identical_to_sequential() {
         max_batch: 16,
         workers: 4,
         queue_depth: 1_024,
-        packed_fastpath: false,
         ..ServeConfig::default()
     };
     let engine = ServeEngine::start(registry, config).unwrap();
@@ -97,7 +96,6 @@ fn hot_swap_mid_stream_drops_and_corrupts_nothing() {
         max_batch: 8,
         workers: 4,
         queue_depth: 2_048,
-        packed_fastpath: false,
         ..ServeConfig::default()
     };
     let engine = ServeEngine::start(Arc::clone(&registry), config).unwrap();
@@ -195,16 +193,10 @@ fn obfuscated_serving_matches_direct_obfuscator_path() {
         "obfuscated baseline unusable: {direct_accuracy}"
     );
 
-    // Served path, packed fast path enabled. Masked queries contain
-    // zeros (not strictly bipolar) and take the dense route; unmasked
-    // bipolar queries would take the popcount route — either way the
-    // served classes must match the direct path.
+    // Served path: masked queries contain zeros, which one bit cannot
+    // carry, so they are submitted dense and take the dense route.
     let registry = Arc::new(ShardedRegistry::with_model(model, "obf").unwrap());
-    let config = ServeConfig {
-        packed_fastpath: true,
-        ..ServeConfig::default()
-    };
-    let engine = ServeEngine::start(registry, config).unwrap();
+    let engine = ServeEngine::start(registry, ServeConfig::default()).unwrap();
     let pending: Vec<_> = test
         .iter()
         .map(|(x, _)| engine.submit_default(edge.prepare(x).unwrap()).unwrap())
@@ -220,8 +212,8 @@ fn obfuscated_serving_matches_direct_obfuscator_path() {
         "served obfuscated classes diverged from the direct Obfuscator path"
     );
 
-    // Also pin the packed fast path itself against unmasked bipolar
-    // queries: mathematically the same classifier.
+    // Unmasked bipolar queries go packed and take the popcount route:
+    // mathematically the same classifier as the dense path.
     let edge_unmasked = ClientEdge::new(
         EncoderConfig::new(features, DIM).with_seed(SEED),
         ObfuscateConfig::new(QuantScheme::Bipolar),
@@ -229,18 +221,11 @@ fn obfuscated_serving_matches_direct_obfuscator_path() {
     .unwrap();
     let (model2, _, _) = trained_setup();
     let registry2 = Arc::new(ShardedRegistry::with_model(model2.clone(), "obf2").unwrap());
-    let engine2 = ServeEngine::start(
-        registry2,
-        ServeConfig {
-            packed_fastpath: true,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+    let engine2 = ServeEngine::start(registry2, ServeConfig::default()).unwrap();
     for (x, _) in test.iter().take(20) {
-        let q = edge_unmasked.prepare(x).unwrap();
-        let served = engine2.predict(q.clone()).unwrap();
-        let direct = model2.predict(&q).unwrap();
+        let packed = edge_unmasked.prepare_packed(x).unwrap();
+        let served = engine2.predict(packed).unwrap();
+        let direct = model2.predict(&edge_unmasked.prepare(x).unwrap()).unwrap();
         assert_eq!(served.prediction.class, direct.class);
     }
     engine2.shutdown();
@@ -289,7 +274,6 @@ fn three_tenants_share_one_engine_with_per_model_metrics() {
         max_batch: 8,
         workers: 2,
         queue_depth: 1_024,
-        packed_fastpath: false,
         ..ServeConfig::default()
     };
     let engine = ServeEngine::start(registry, config).unwrap();
@@ -343,7 +327,6 @@ fn concurrent_per_tenant_hot_swaps_complete_on_dispatch_version() {
         max_batch: 8,
         workers: 4,
         queue_depth: 2_048,
-        packed_fastpath: false,
         ..ServeConfig::default()
     };
     let engine = ServeEngine::start(Arc::clone(&registry), config).unwrap();
@@ -437,7 +420,6 @@ fn cross_tenant_isolation_bad_queries_fail_only_their_tenant() {
         max_batch: 8,
         workers: 2,
         queue_depth: 1_024,
-        packed_fastpath: false,
         ..ServeConfig::default()
     };
     let engine = ServeEngine::start(registry, config).unwrap();

@@ -50,7 +50,7 @@ fn build_tenant(name: &str, seed: u64) -> Tenant {
     for (x, y) in ds.train_pairs() {
         model.bundle(y, &edge.encoder().encode(x).unwrap()).unwrap();
     }
-    model.refresh_norms();
+    model.plan();
     let inputs: Vec<Vec<f64>> = ds.test_pairs().map(|(x, _)| x.to_vec()).collect();
     Tenant {
         id: ModelId::new(name),
@@ -73,7 +73,6 @@ fn two_tenants_mixed_frames_and_a_malformed_injector() {
             max_batch: 32,
             workers: 2,
             queue_depth: 1_024,
-            packed_fastpath: false,
             ..ServeConfig::default()
         },
     )

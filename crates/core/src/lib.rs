@@ -101,7 +101,7 @@ pub use plan::{EncodePlan, ModelPlan, PlanKernel, SimdPath};
 pub use pool::ThreadPool;
 pub use prune::{information_curve, InformationPoint, PruneMask, PruneStrategy};
 pub use quantize::{QuantScheme, ValueHistogram};
-pub use telemetry::{SpanEvent, Stage, TelemetryConfig, TraceCtx, TraceId, Tracer};
+pub use telemetry::{SpanEvent, Stage, TraceCtx, TraceId, Tracer};
 
 /// Commonly used items, importable with a single `use`.
 pub mod prelude {

@@ -97,7 +97,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use privehd_core::telemetry::{Stage, TelemetryConfig, TraceCtx, Tracer};
+use privehd_core::telemetry::{Stage, TraceCtx, Tracer};
 use privehd_core::{BipolarHv, HdError, Hypervector, Prediction};
 
 use crate::edge::ClientEdge;
@@ -134,12 +134,6 @@ pub struct ServeConfig {
     /// more finely (fairer under flood), larger values favor per-tenant
     /// batch density.
     pub drr_quantum: usize,
-    /// Request-tracing configuration: 1-in-N span sampling plus
-    /// always-capture for slow requests. Stage *histograms* record
-    /// regardless (they are counters); this only controls the trace
-    /// ring. [`TelemetryConfig::disabled`] turns span capture off
-    /// entirely — the overhead-measurement baseline.
-    pub telemetry: TelemetryConfig,
 }
 
 impl Default for ServeConfig {
@@ -152,7 +146,6 @@ impl Default for ServeConfig {
             queue_depth: 1_024,
             tenant_quota: 256,
             drr_quantum: 32,
-            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -557,8 +550,7 @@ impl SubmitHandle {
     /// global stage histogram and the sampled span, from the same two
     /// instants.
     pub(crate) fn stamp(&self, ctx: TraceCtx, stage: Stage, start: Instant, end: Instant) {
-        self.metrics
-            .stamp(&self.tracer, None, ctx, stage, start, end);
+        self.metrics.stamp(&self.tracer, ctx, stage, start, end);
     }
 }
 
@@ -630,7 +622,6 @@ pub struct ServeEngine {
     /// this engine shares with every handle it hands out.
     handle: SubmitHandle,
     registry: Arc<ShardedRegistry>,
-    started_at: Instant,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -646,7 +637,7 @@ impl ServeEngine {
     pub fn start(registry: Arc<ShardedRegistry>, config: ServeConfig) -> Result<Self, ServeError> {
         config.validate()?;
         let metrics = Arc::new(ServeMetrics::new());
-        let tracer = Arc::new(Tracer::new(config.telemetry.clone()));
+        let tracer = Arc::new(Tracer::new());
         let closed = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(SharedQueue {
             state: Mutex::new(SchedState::default()),
@@ -682,7 +673,6 @@ impl ServeEngine {
                 closed,
             },
             registry,
-            started_at: Instant::now(),
             workers,
         })
     }
@@ -773,9 +763,11 @@ impl ServeEngine {
         self.handle.tracer()
     }
 
-    /// Metrics snapshot over the engine's lifetime so far.
+    /// Metrics snapshot over the engine's lifetime so far: the same
+    /// uptime the wire `Stats` frame derives its throughput from.
     pub fn report(&self) -> ServeReport {
-        self.metrics().report(self.started_at.elapsed())
+        let metrics = self.metrics();
+        metrics.report(metrics.uptime())
     }
 
     /// Stops accepting submissions, drains the queued requests, joins
@@ -1049,11 +1041,10 @@ impl Batch<'_> {
     }
 
     /// Records one engine stage of the request traced by `ctx`: the
-    /// global and the tenant's stage histograms and the sampled span,
-    /// from the same two instants.
+    /// global stage histogram and the sampled span, from the same two
+    /// instants.
     fn stamp(&self, ctx: TraceCtx, stage: Stage, start: Instant, end: Instant) {
-        self.metrics
-            .stamp(self.tracer, Some(&*self.counters), ctx, stage, start, end);
+        self.metrics.stamp(self.tracer, ctx, stage, start, end);
     }
 
     /// Delivers `request` the reply `produce` builds, exactly once.
@@ -1214,7 +1205,7 @@ pub(crate) mod tests {
         Request {
             model: model.clone(),
             payload: Payload::Query(QueryVec::Dense(query(8, 1.0))),
-            trace: Tracer::new(TelemetryConfig::default()).begin(),
+            trace: Tracer::new().begin(),
             submitted_at: now,
             taken_at: now,
             reply: ReplySlot::Oneshot(reply),
@@ -1319,7 +1310,7 @@ pub(crate) mod tests {
         };
         let metrics = ServeMetrics::new();
         let closed = AtomicBool::new(false);
-        let tracer = Tracer::new(TelemetryConfig::default());
+        let tracer = Tracer::new();
         let (a, b, c) = (ModelId::new("a"), ModelId::new("b"), ModelId::new("c"));
         let submit = |id: &ModelId| {
             let (reply, _rx) = mpsc::sync_channel(1);
@@ -1869,7 +1860,7 @@ pub(crate) mod tests {
     #[test]
     fn a_panic_while_scoring_a_block_answers_each_request_internal_once() {
         let metrics = ServeMetrics::new();
-        let tracer = Tracer::new(TelemetryConfig::default());
+        let tracer = Tracer::new();
         let model = ModelId::default();
         let batch = Batch {
             metrics: &metrics,

@@ -106,9 +106,7 @@ pub use engine::{
     PendingPrediction, QueryVec, ServeConfig, ServeEngine, ServedPrediction, SubmitHandle,
 };
 pub use error::ServeError;
-pub use metrics::{
-    BatchSizeBucket, LatencyHistogram, ModelReport, ServeMetrics, ServeReport, StageReport,
-};
+pub use metrics::{BatchSizeBucket, ModelReport, ServeMetrics, ServeReport, StageReport};
 pub use registry::{ModelId, ServedModel, ShardedRegistry};
 pub use stats::prometheus_text;
 pub use wire::{WireClient, WireConfig, WireServer, WireStatus};
@@ -121,7 +119,7 @@ pub mod prelude {
     };
     pub use crate::error::ServeError;
     pub use crate::metrics::{
-        BatchSizeBucket, LatencyHistogram, ModelReport, ServeMetrics, ServeReport, StageReport,
+        BatchSizeBucket, ModelReport, ServeMetrics, ServeReport, StageReport,
     };
     pub use crate::registry::{ModelId, ServedModel, ShardedRegistry};
     pub use crate::stats::prometheus_text;

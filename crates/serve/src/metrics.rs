@@ -11,9 +11,9 @@
 //! p50/p95/p99 reporting at the ~20% bucket granularity used here.
 //!
 //! Besides the end-to-end latency histogram, the metrics keep one
-//! histogram per pipeline [`Stage`] (globally and per model), fed by
-//! the engine's workers and the wire server's poll thread; see
-//! `docs/OBSERVABILITY.md` for the stage taxonomy.
+//! global histogram per pipeline [`Stage`], fed by the engine's workers
+//! and the wire server's reactors; see `docs/OBSERVABILITY.md` for the
+//! stage taxonomy.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -61,7 +61,7 @@ fn latency_edges() -> &'static [u64; LATENCY_BUCKETS] {
 
 /// Fixed-bucket latency histogram with atomic counters.
 #[derive(Debug)]
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
     sum_ns: AtomicU64,
@@ -217,7 +217,7 @@ impl std::fmt::Display for BatchSizeBucket {
 
 /// Linear histogram of dispatched batch sizes.
 #[derive(Debug)]
-pub struct BatchSizeHistogram {
+pub(crate) struct BatchSizeHistogram {
     buckets: Vec<AtomicU64>,
 }
 
@@ -271,11 +271,11 @@ const MAX_MODEL_ROWS: usize = 1_024;
 const MODEL_OVERFLOW_NAME: &str = "~other";
 
 /// One latency histogram per pipeline [`Stage`] (indexed by
-/// [`Stage::index`]). [`Stage::EndToEnd`] deliberately has no slot —
-/// the end-to-end histogram already exists as
-/// [`ServeMetrics::latency`] / the per-model latency row.
+/// [`Stage::index`]). [`Stage::EndToEnd`] is never reported from here:
+/// the end-to-end histogram is [`ServeMetrics`]'s own latency
+/// histogram.
 #[derive(Debug)]
-pub(crate) struct StageSet {
+struct StageSet {
     histograms: Vec<LatencyHistogram>,
 }
 
@@ -323,7 +323,6 @@ pub(crate) struct ModelCounters {
     completed: AtomicU64,
     failed: AtomicU64,
     latency: LatencyHistogram,
-    stages: StageSet,
     /// Snapshot footprint gauges, refreshed by workers at batch
     /// dispatch: bytes held by the dense `ClassMatrix` and by the
     /// bit-packed `PackedClassMatrix` (0 while the model has no exactly
@@ -391,8 +390,8 @@ impl ServeMetrics {
     }
 
     /// Wall-clock time since these metrics were created (the engine's
-    /// start). The wire-side stats exposition derives its throughput
-    /// window from this.
+    /// start). `ServeEngine::report` and the wire-side stats exposition
+    /// both derive their throughput window from this.
     pub fn uptime(&self) -> Duration {
         self.started.elapsed()
     }
@@ -487,49 +486,22 @@ impl ServeMetrics {
     }
 
     /// Records one stage of the request traced by `ctx`, from `start`
-    /// to `end`: its duration into the global stage histogram and, for
-    /// engine stages, into the tenant's pre-fetched `row` (wire stages
-    /// happen before a model identity is trusted, so they pass `None`);
-    /// its span into `tracer`'s sampled ring. Every stage is recorded
-    /// through this one call, so a histogram row and its span always
-    /// cover the same interval.
+    /// to `end`: its duration into the global stage histogram, its span
+    /// into `tracer`'s sampled ring. Every stage is recorded through
+    /// this one call, so a histogram row and its span always cover the
+    /// same interval.
     pub(crate) fn stamp(
         &self,
         tracer: &Tracer,
-        row: Option<&ModelCounters>,
         ctx: TraceCtx,
         stage: Stage,
         start: Instant,
         end: Instant,
     ) {
-        let duration = end.saturating_duration_since(start);
-        self.stages.get(stage).record(duration);
-        if let Some(row) = row {
-            row.stages.get(stage).record(duration);
-        }
+        self.stages
+            .get(stage)
+            .record(end.saturating_duration_since(start));
         tracer.record(ctx, stage, start, end);
-    }
-
-    /// The latency histogram (queue + execution time per request),
-    /// across all models.
-    pub fn latency(&self) -> &LatencyHistogram {
-        &self.latency
-    }
-
-    /// The global latency histogram for one pipeline stage.
-    /// [`Stage::EndToEnd`] aliases [`ServeMetrics::latency`] (it has no
-    /// separate stage slot).
-    pub fn stage_latency(&self, stage: Stage) -> &LatencyHistogram {
-        if stage == Stage::EndToEnd {
-            &self.latency
-        } else {
-            self.stages.get(stage)
-        }
-    }
-
-    /// The batch-size distribution.
-    pub fn batch_sizes(&self) -> &BatchSizeHistogram {
-        &self.batch_sizes
     }
 
     /// Snapshot of every counter plus derived rates, over `elapsed` of
@@ -551,23 +523,19 @@ impl ServeMetrics {
         let completed = self.completed.load(Ordering::Relaxed);
         let batches = self.batches.load(Ordering::Relaxed);
         let batched = self.batched_queries.load(Ordering::Relaxed);
-        let model_row = |model: ModelId, c: &ModelCounters| {
-            let stages = c.stages.report();
-            ModelReport {
-                model,
-                // Relaxed: independent statistics reads.
-                submitted: c.submitted.load(Ordering::Relaxed),
-                completed: c.completed.load(Ordering::Relaxed),
-                failed: c.failed.load(Ordering::Relaxed),
-                p50_latency: c.latency.quantile(0.50),
-                p95_latency: c.latency.quantile(0.95),
-                p99_latency: c.latency.quantile(0.99),
-                latency_sum_saturated: c.latency.sum_saturated(),
-                // Relaxed: gauge reads; independent of the counters.
-                memory_dense_bytes: c.memory_dense_bytes.load(Ordering::Relaxed),
-                memory_packed_bytes: c.memory_packed_bytes.load(Ordering::Relaxed),
-                stages,
-            }
+        let model_row = |model: ModelId, c: &ModelCounters| ModelReport {
+            model,
+            // Relaxed: independent statistics reads.
+            submitted: c.submitted.load(Ordering::Relaxed),
+            completed: c.completed.load(Ordering::Relaxed),
+            failed: c.failed.load(Ordering::Relaxed),
+            p50_latency: c.latency.quantile(0.50),
+            p95_latency: c.latency.quantile(0.95),
+            p99_latency: c.latency.quantile(0.99),
+            latency_sum_saturated: c.latency.sum_saturated(),
+            // Relaxed: gauge reads; independent of the counters.
+            memory_dense_bytes: c.memory_dense_bytes.load(Ordering::Relaxed),
+            memory_packed_bytes: c.memory_packed_bytes.load(Ordering::Relaxed),
         };
         let mut per_model: Vec<ModelReport> = self
             .per_model
@@ -616,7 +584,7 @@ impl ServeMetrics {
 }
 
 /// Latency summary of one pipeline stage: one row of the stage-level
-/// decomposition in a [`ServeReport`] or [`ModelReport`].
+/// decomposition in a [`ServeReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageReport {
     /// The pipeline stage this row summarizes.
@@ -687,9 +655,6 @@ pub struct ModelReport {
     /// [`ModelReport::memory_dense_bytes`] — the shrink the paper's
     /// 1-bit representation buys.
     pub memory_packed_bytes: u64,
-    /// Per-stage latency decomposition for this model's requests, in
-    /// request-path order; stages with no observations are omitted.
-    pub stages: Vec<StageReport>,
 }
 
 /// Point-in-time summary of serving behaviour.
@@ -909,19 +874,15 @@ mod tests {
     #[test]
     fn stage_histograms_report_per_model_and_globally() {
         let m = ServeMetrics::new();
-        let tracer = Tracer::new(privehd_core::telemetry::TelemetryConfig {
-            sample_one_in: 1,
-            ..Default::default()
-        });
-        let id = ModelId::new("traced");
-        let row = m.model_counters(&id);
+        let tracer = Tracer::new();
         let t0 = Instant::now();
         let us = |n| t0 + Duration::from_micros(n);
         let ctx = tracer.begin();
-        m.stamp(&tracer, None, ctx, Stage::WireDecode, t0, us(5));
-        m.stamp(&tracer, Some(&row), ctx, Stage::QueueWait, t0, us(40));
-        m.stamp(&tracer, Some(&row), ctx, Stage::QueueWait, t0, us(60));
-        m.stamp(&tracer, Some(&row), ctx, Stage::Predict, us(60), us(260));
+        assert!(ctx.sampled, "a tracer's first trace is sampled");
+        m.stamp(&tracer, ctx, Stage::WireDecode, t0, us(5));
+        m.stamp(&tracer, ctx, Stage::QueueWait, t0, us(40));
+        m.stamp(&tracer, ctx, Stage::QueueWait, t0, us(60));
+        m.stamp(&tracer, ctx, Stage::Predict, us(60), us(260));
         // Each stamp also captured its span, over the same interval.
         let spans: Vec<(Stage, Duration)> = tracer
             .snapshot()
@@ -931,8 +892,8 @@ mod tests {
         assert_eq!(spans.len(), 4);
         assert!(spans.contains(&(Stage::Predict, Duration::from_micros(200))));
         let r = m.report(Duration::from_secs(1));
-        // Global rows: decode (wire-side, global only) + the two
-        // engine stages, in request-path order, silent stages omitted.
+        // One global row per stamped stage, in request-path order,
+        // silent stages omitted.
         let stages: Vec<(Stage, u64)> = r.stages.iter().map(|s| (s.stage, s.count)).collect();
         assert_eq!(
             stages,
@@ -947,16 +908,8 @@ mod tests {
             assert!(s.p99 > Duration::ZERO);
             assert!(!s.sum_saturated);
         }
-        // The per-model row sees only the stages recorded through it.
-        let per_model = &r.per_model[0].stages;
-        let model_stages: Vec<(Stage, u64)> =
-            per_model.iter().map(|s| (s.stage, s.count)).collect();
-        assert_eq!(
-            model_stages,
-            vec![(Stage::QueueWait, 2), (Stage::Predict, 1)]
-        );
-        // EndToEnd aliases the e2e histogram and never gets a stage row.
-        assert!(std::ptr::eq(m.stage_latency(Stage::EndToEnd), m.latency()));
+        // Stamps record no tenant row: only submissions and replies do.
+        assert!(r.per_model.is_empty());
         let text = r.to_string();
         assert!(text.contains("queue_wait"), "{text}");
     }

@@ -14,7 +14,7 @@
 //! bounds keep one scrape under the client's 1 MiB frame cap: per-model
 //! rows expose counts and the p50 only (the full quantile spread stays
 //! global and per-stage), and per-model-per-stage series are not
-//! exposed at all.
+//! recorded at all.
 
 use privehd_core::telemetry::SpanEvent;
 
@@ -264,11 +264,11 @@ mod tests {
             m.on_done(&row, true, Duration::from_micros(120));
         }
         m.on_done(&row, false, Duration::from_micros(900));
-        let tracer = privehd_core::telemetry::Tracer::disabled();
+        let tracer = privehd_core::telemetry::Tracer::new();
         let (ctx, t0) = (tracer.begin(), std::time::Instant::now());
         let us = |n| t0 + Duration::from_micros(n);
-        m.stamp(&tracer, Some(&row), ctx, Stage::QueueWait, t0, us(40));
-        m.stamp(&tracer, Some(&row), ctx, Stage::Predict, us(40), us(110));
+        m.stamp(&tracer, ctx, Stage::QueueWait, t0, us(40));
+        m.stamp(&tracer, ctx, Stage::Predict, us(40), us(110));
         m.set_model_memory(&row, 80_000, 1_250);
         m.on_panic_contained();
         m.report(Duration::from_secs(2))

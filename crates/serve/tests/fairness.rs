@@ -88,7 +88,6 @@ fn wire_flood_bounds_victim_p99_and_completes() {
             queue_depth: 1024,
             tenant_quota: 32,
             drr_quantum: 8,
-            ..ServeConfig::default()
         },
     )
     .unwrap();
@@ -275,7 +274,12 @@ fn refused_raw_frames_are_never_encoded() {
     }
 
     assert!(busy > 0, "the raw flood never saw Busy ({ok} ok)");
-    let encoded = engine.metrics().stage_latency(Stage::Encode).count();
+    let report = engine.report();
+    let encoded = report
+        .stages
+        .iter()
+        .find(|row| row.stage == Stage::Encode)
+        .map_or(0, |row| row.count);
     assert_eq!(
         encoded, ok,
         "{encoded} raw frames encoded for {ok} ok replies ({busy} busy)"

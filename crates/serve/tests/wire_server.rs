@@ -7,7 +7,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use privehd_core::{BipolarHv, HdModel, Hypervector};
 use privehd_serve::wire::{Frame, WireClient, WireClientError, WireConfig, WireServer, WireStatus};
@@ -543,6 +543,59 @@ fn stats_scrape_exposes_stage_decomposition() {
     assert_eq!(report.stats_served, 2);
     assert_eq!(report.frames_in, 10);
     assert_eq!(report.responses_out, 10);
+    engine.shutdown();
+}
+
+#[test]
+fn one_trace_id_spans_the_wire_and_engine_stages() {
+    // A fresh engine samples its first trace, so every stage of the
+    // first request lands in the span ring under trace id 1, and the
+    // Stats frame shows what happened to that request, end to end.
+    let engine = ServeEngine::start(trained_registry(), ServeConfig::default()).unwrap();
+    let server = WireServer::start("127.0.0.1:0", engine.handle(), WireConfig::default()).unwrap();
+    let mut client = WireClient::connect(server.local_addr()).unwrap();
+    client
+        .call_packed(&ModelId::default(), &positive_query())
+        .unwrap();
+    // The worker stamps `snapshot_resolve` after it hands the batch's
+    // replies over, so a scrape can race it: scrape until eight spans
+    // are in. Scrapes begin no trace of their own.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let spans = loop {
+        let text = client.stats().unwrap();
+        let spans: Vec<String> = text
+            .lines()
+            .filter(|line| line.starts_with("# slowtrace trace="))
+            .map(str::to_owned)
+            .collect();
+        if spans.len() >= 8 || Instant::now() >= deadline {
+            break spans;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let mut stages: Vec<&str> = spans
+        .iter()
+        .map(|line| {
+            let mut fields = line["# slowtrace ".len()..].split(' ');
+            assert_eq!(fields.next(), Some("trace=1"), "{line}");
+            let stage = fields.next().and_then(|f| f.strip_prefix("stage="));
+            stage.unwrap_or_else(|| panic!("no stage field in {line}"))
+        })
+        .collect();
+    stages.sort_unstable();
+    let mut want = [
+        "wire_decode",
+        "admission",
+        "queue_wait",
+        "batch_wait",
+        "snapshot_resolve",
+        "predict",
+        "wire_write",
+        "end_to_end",
+    ];
+    want.sort_unstable();
+    assert_eq!(stages, want, "{spans:#?}");
+    server.shutdown();
     engine.shutdown();
 }
 

@@ -219,7 +219,7 @@ fn main() {
         threshold: None,
     });
 
-    // --- Batched predict: blocked ClassMatrix tiles vs naive loop -----
+    // --- Dense predict: the plan's tiled one-query pass vs naive loop -
     let query_inputs = feature_vectors(batch, FEATURES, 2);
     let queries: Vec<Hypervector> = query_inputs
         .iter()
@@ -232,7 +232,9 @@ fn main() {
     model.plan();
 
     let kernel = time_per_item(samples, batch, || {
-        std::hint::black_box(model.predict_batch_with(&queries, 1).expect("predict"));
+        for q in &queries {
+            std::hint::black_box(model.predict(q).expect("predict"));
+        }
     });
     let reference = time_per_item(samples, batch, || {
         for q in &queries {
@@ -240,7 +242,7 @@ fn main() {
         }
     });
     results.push(Comparison {
-        name: "predict_batch",
+        name: "predict_dense",
         unit: "query",
         reference,
         kernel,
@@ -311,8 +313,8 @@ fn main() {
     });
 
     // --- Packed-native predict: popcount scoring on the sign-quantized
-    //     model vs densify-at-submit feeding the tuned dense batched
-    //     predict. Both arms classify the same bit-packed wire queries
+    //     model vs densify-at-submit feeding the tuned dense predict.
+    //     Both arms classify the same bit-packed wire queries
     //     against the same class memory; the reference arm pays the
     //     `to_dense()` conversion *inside* the timed region because
     //     that is exactly what a server densifying at submit pays per
@@ -332,12 +334,9 @@ fn main() {
         }
     });
     let reference = time_per_item(samples, packed.len(), || {
-        let densified: Vec<Hypervector> = packed.iter().map(BipolarHv::to_dense).collect();
-        std::hint::black_box(
-            packed_model
-                .predict_batch_with(&densified, 1)
-                .expect("predict"),
-        );
+        for q in &packed {
+            std::hint::black_box(packed_model.predict(&q.to_dense()).expect("predict"));
+        }
     });
     results.push(Comparison {
         name: "predict_packed",

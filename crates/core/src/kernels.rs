@@ -79,9 +79,9 @@ use crate::hypervector::{BipolarHv, Hypervector};
 
 const WORD_BITS: usize = 64;
 
-/// Columns per scoring tile: 2048 × 8 B = 16 KB per class-row slice, so
-/// a full tile (every class's slice + a block of query slices) stays
-/// L2-resident even for a few dozen classes.
+/// Columns per dense scoring tile: 2048 × 8 B = 16 KB per class-row
+/// slice. Each class sums one partial dot per tile, in tile order, so
+/// this cut is part of every dense score's summation order.
 const DIM_TILE: usize = 2_048;
 
 /// Columns per tile of the blocked packed-query pass: 512 × 8 B = 4 KB
@@ -1116,74 +1116,46 @@ impl ClassMatrix {
 
     /// Normalized scores of one dense query against every class, written
     /// into `scores` (cleared first). Zero-norm classes score
-    /// [`f64::NEG_INFINITY`]. Routed through the same tiled accumulation
-    /// as [`ClassMatrix::scores_block_into`] (with a block of one), so
-    /// single-query and blocked results are bit-identical.
+    /// [`f64::NEG_INFINITY`].
+    ///
+    /// The dimension axis is cut into 2,048-column tiles and every
+    /// class accumulates one partial [`dot_unrolled`] per tile, in tile
+    /// order. Within a tile the classes go in groups of four rows (the
+    /// last group holds the 1–3 left over), and the query slice is
+    /// scored against a whole group in one pass. Tile boundaries are a
+    /// function of the dimension alone and each row keeps
+    /// [`dot_unrolled`]'s order, so the summation order is independent
+    /// of the grouping.
     pub fn scores_into(&self, query: &[f64], scores: &mut Vec<f64>) {
         scores.clear();
         scores.resize(self.num_classes, 0.0);
-        self.scores_tiled([query].as_slice(), std::slice::from_mut(scores));
-    }
-
-    /// [`ClassMatrix::scores_into`] for a block of queries at once — the
-    /// cache-friendly tile of batched inference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries` and `out` lengths differ.
-    pub fn scores_block_into(&self, queries: &[&[f64]], out: &mut [Vec<f64>]) {
-        assert_eq!(queries.len(), out.len(), "one score row per query");
-        for scores in out.iter_mut() {
-            scores.clear();
-            scores.resize(self.num_classes, 0.0);
-        }
-        self.scores_tiled(queries, out);
-    }
-
-    /// Shared tiled scoring core. The dimension axis is cut into
-    /// [`DIM_TILE`]-column tiles and every `(query, class)` pair
-    /// accumulates one partial [`dot_unrolled`] per tile: each matrix
-    /// element is read once per *block* instead of once per query, so a
-    /// block of `B` queries cuts class-matrix memory traffic by `B×`.
-    /// Within a tile the classes go in groups of four rows (the last
-    /// group holds the 1–3 left over), and each query slice is scored
-    /// against a whole group in one pass. Tile boundaries are a
-    /// function of the dimension alone and each row keeps
-    /// [`dot_unrolled`]'s order, so the per-pair summation order is
-    /// independent of the block size and of the grouping — blocked,
-    /// single-query and batched paths all bit-match.
-    fn scores_tiled(&self, queries: &[&[f64]], out: &mut [Vec<f64>]) {
         for tile_start in (0..self.dim).step_by(DIM_TILE) {
             let cols = tile_start..(tile_start + DIM_TILE).min(self.dim);
             for first in (0..self.num_classes).step_by(ROW_GROUP) {
                 match self.num_classes - first {
-                    1 => self.tile_group::<1>(first, cols.clone(), queries, out),
-                    2 => self.tile_group::<2>(first, cols.clone(), queries, out),
-                    3 => self.tile_group::<3>(first, cols.clone(), queries, out),
-                    _ => self.tile_group::<4>(first, cols.clone(), queries, out),
+                    1 => self.tile_group::<1>(first, cols.clone(), query, scores),
+                    2 => self.tile_group::<2>(first, cols.clone(), query, scores),
+                    3 => self.tile_group::<3>(first, cols.clone(), query, scores),
+                    _ => self.tile_group::<4>(first, cols.clone(), query, scores),
                 }
             }
         }
-        for scores in out.iter_mut() {
-            self.normalize(scores);
-        }
+        self.normalize(scores);
     }
 
-    /// Adds each query's partial dots over `cols` against classes
+    /// Adds the query's partial dots over `cols` against classes
     /// `first..first + R` to its scores.
     fn tile_group<const R: usize>(
         &self,
         first: usize,
         cols: Range<usize>,
-        queries: &[&[f64]],
-        out: &mut [Vec<f64>],
+        query: &[f64],
+        scores: &mut [f64],
     ) {
         let rows = self.row_group::<R>(first, cols.clone());
-        for (q, scores) in queries.iter().zip(out.iter_mut()) {
-            let dots = dot_unrolled_rows(&q[cols.clone()], rows);
-            for (s, dot) in scores[first..first + R].iter_mut().zip(dots) {
-                *s += dot;
-            }
+        let dots = dot_unrolled_rows(&query[cols], rows);
+        for (s, dot) in scores[first..first + R].iter_mut().zip(dots) {
+            *s += dot;
         }
     }
 
@@ -1884,27 +1856,6 @@ mod tests {
         assert!(scalar_encode_bipolar_masked(&kept, &poisoned, levels, &keep, dim).is_none());
     }
 
-    #[test]
-    fn blocked_scores_bit_match_single_query_scores() {
-        let classes: Vec<Hypervector> = (0..3)
-            .map(|c| {
-                Hypervector::from_vec((0..97).map(|j| ((c * 97 + j) as f64 * 0.7).sin()).collect())
-            })
-            .collect();
-        let m = ClassMatrix::from_classes(&classes);
-        let queries: Vec<Vec<f64>> = (0..5)
-            .map(|q| (0..97).map(|j| ((q * 31 + j) as f64 * 0.3).cos()).collect())
-            .collect();
-        let refs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
-        let mut blocked: Vec<Vec<f64>> = vec![Vec::new(); queries.len()];
-        m.scores_block_into(&refs, &mut blocked);
-        for (q, b) in queries.iter().zip(&blocked) {
-            let mut single = Vec::new();
-            m.scores_into(q, &mut single);
-            assert_eq!(&single, b, "blocked path must be bit-identical");
-        }
-    }
-
     /// Dimensions around the quad, word and tile boundaries. Miri runs
     /// only the scalar arms, and slowly, so it gets a short list.
     fn parity_dims() -> &'static [usize] {
@@ -2032,49 +1983,26 @@ mod tests {
                 }
                 assert_eq!(bits(&got), bits(&want), "packed, {num_classes} × {dim}");
 
-                // Dense queries: per row, one partial dot per tile in
-                // tile order, for blocks of 1, 3 and 8.
-                let queries: Vec<Vec<f64>> = (0..8)
-                    .map(|q| spread_values(dim, (q * 31 + dim) as u64))
-                    .collect();
-                let want: Vec<Vec<f64>> = queries
-                    .iter()
-                    .map(|q| {
-                        (0..num_classes)
-                            .map(|l| {
-                                let row = m.class_row(l);
-                                let mut dot = 0.0;
-                                for start in (0..dim).step_by(DIM_TILE) {
-                                    let end = (start + DIM_TILE).min(dim);
-                                    dot += dot_unrolled_scalar(&q[start..end], &row[start..end]);
-                                }
-                                scaled(l, dot)
-                            })
-                            .collect()
+                // Dense query: per row, one partial dot per tile in tile
+                // order.
+                let query = spread_values(dim, (31 + dim) as u64);
+                let want: Vec<f64> = (0..num_classes)
+                    .map(|l| {
+                        let row = m.class_row(l);
+                        let mut dot = 0.0;
+                        for start in (0..dim).step_by(DIM_TILE) {
+                            let end = (start + DIM_TILE).min(dim);
+                            dot += dot_unrolled_scalar(&query[start..end], &row[start..end]);
+                        }
+                        scaled(l, dot)
                     })
                     .collect();
-                let mut single = Vec::new();
-                m.scores_into(&queries[0], &mut single);
+                let mut got = Vec::new();
+                m.scores_into(&query, &mut got);
                 if let Some(z) = zero {
-                    assert_eq!(single[z], f64::NEG_INFINITY);
+                    assert_eq!(got[z], f64::NEG_INFINITY);
                 }
-                assert_eq!(
-                    bits(&single),
-                    bits(&want[0]),
-                    "single, {num_classes} × {dim}"
-                );
-                for block in [1, 3, 8] {
-                    let refs: Vec<&[f64]> = queries[..block].iter().map(Vec::as_slice).collect();
-                    let mut out = vec![Vec::new(); block];
-                    m.scores_block_into(&refs, &mut out);
-                    for (q, (got, want)) in out.iter().zip(&want).enumerate() {
-                        assert_eq!(
-                            bits(got),
-                            bits(want),
-                            "block {block}, query {q}, {num_classes} × {dim}"
-                        );
-                    }
-                }
+                assert_eq!(bits(&got), bits(&want), "dense, {num_classes} × {dim}");
             }
         }
     }

@@ -20,13 +20,13 @@
 //! * [`kernels`] — the throughput layer: nibble-table encode over a
 //!   byte-plane transposed item memory (dense, packed, and masked
 //!   forms), word-parallel (CSA) majority accumulation for
-//!   the record encoding, blocked, branchless query×class scoring, and
+//!   the record encoding, tiled, branchless query×class scoring, and
 //!   the packed-native `XOR`+popcount scoring path
 //!   ([`kernels::PackedClassMatrix`]) with runtime-dispatched AVX2
 //!   kernel arms. The naive paths are retained as `*_reference` methods
 //!   for parity testing.
-//! * [`pool`] — a small worker pool: batch encode/predict fan their
-//!   chunks over scoped threads beside the caller.
+//! * [`pool`] — a small worker pool: batch encode fans its chunks over
+//!   scoped threads beside the caller.
 //! * [`quantize`] — the Prive-HD encoding quantizations of Eq. (13):
 //!   bipolar, ternary, biased ternary and 2-bit, plus the empirical value
 //!   distribution used by the sensitivity formula of Eq. (14).

@@ -20,7 +20,6 @@ use serde::{Deserialize, Serialize};
 use crate::error::HdError;
 use crate::hypervector::{BipolarHv, Hypervector};
 use crate::plan::{self, ModelPlan};
-use crate::pool;
 use crate::prune::PruneMask;
 use crate::quantize::QuantScheme;
 
@@ -296,33 +295,6 @@ impl HdModel {
             })
             .collect::<Result<Vec<f64>, HdError>>()?;
         plan::prediction_from_scores(scores)
-    }
-
-    /// Classifies a batch of queries with the blocked kernel, fanning
-    /// tiles out over the scoped lanes of [`crate::pool`];
-    /// bit-identical to calling [`HdModel::predict`] per query.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first prediction error encountered.
-    pub fn predict_batch(&self, queries: &[Hypervector]) -> Result<Vec<Prediction>, HdError> {
-        self.predict_batch_with(queries, pool::global().threads() + 1)
-    }
-
-    /// [`HdModel::predict_batch`] with an explicit concurrency cap, for
-    /// callers that already provide their own parallelism and pass 1 to
-    /// keep the batch single-threaded; see
-    /// [`ModelPlan::predict_batch_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first prediction error encountered.
-    pub fn predict_batch_with(
-        &self,
-        queries: &[Hypervector],
-        threads: usize,
-    ) -> Result<Vec<Prediction>, HdError> {
-        self.plan().predict_batch_with(queries, threads)
     }
 
     /// Classifies a bit-packed bipolar query — the fast path for
@@ -741,32 +713,6 @@ mod tests {
         let sign =
             HdModel::from_classes(vec![alternating(1.0, -1.0), alternating(-1.0, 1.0)]).unwrap();
         assert_refresh_matches_rebuild(sign, 0, &alternating(1.0, -1.0));
-    }
-
-    #[test]
-    fn predict_batch_is_bit_identical_to_sequential() {
-        let enc = ScalarEncoder::new(EncoderConfig::new(6, 1_024).with_seed(31)).unwrap();
-        let train = two_cluster_data(&enc, 8);
-        let model = HdModel::train(2, 1_024, &train).unwrap();
-        let queries: Vec<Hypervector> = train.iter().map(|(h, _)| h.clone()).collect();
-        let batched = model.predict_batch(&queries).unwrap();
-        assert_eq!(batched.len(), queries.len());
-        for (q, b) in queries.iter().zip(&batched) {
-            assert_eq!(&model.predict(q).unwrap(), b);
-        }
-        // Explicit thread counts (including the sequential fallback) agree.
-        assert_eq!(model.predict_batch_with(&queries, 1).unwrap(), batched);
-        assert_eq!(model.predict_batch_with(&queries, 3).unwrap(), batched);
-    }
-
-    #[test]
-    fn predict_batch_propagates_errors() {
-        let enc = ScalarEncoder::new(EncoderConfig::new(6, 256).with_seed(32)).unwrap();
-        let train = two_cluster_data(&enc, 4);
-        let model = HdModel::train(2, 256, &train).unwrap();
-        let mut queries: Vec<Hypervector> = train.iter().map(|(h, _)| h.clone()).collect();
-        queries.push(Hypervector::zeros(128).unwrap());
-        assert!(model.predict_batch(&queries).is_err());
     }
 
     #[test]

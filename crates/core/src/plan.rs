@@ -18,7 +18,7 @@
 //!   [`ClassMatrix`], the [`PackedClassMatrix`] when the rows factor
 //!   into `sign × scale`, and the host's [`SimdPath`]. The query
 //!   dimension check, the [`HdError::ZeroNorm`] check, the packed/dense
-//!   dispatch, the blocked batch path and the argmax exist once, in
+//!   dispatch, the packed block pass and the argmax exist once, in
 //!   this file; `HdModel::predict*` delegate here, and the serving
 //!   registry forces the plan at publish so no request compiles one.
 //!
@@ -39,14 +39,9 @@ use crate::hypervector::{BipolarHv, Hypervector};
 use crate::kernels::{self, ClassMatrix, PackedClassMatrix, TransposedItemMemory};
 use crate::model::{HdModel, Prediction};
 use crate::obfuscate::{ObfuscateConfig, Obfuscator};
-use crate::pool;
 use crate::quantize::QuantScheme;
 
 const WORD_BITS: usize = 64;
-
-/// Queries scored together per cache tile of the batched predict path:
-/// one class row is streamed against this many queries while hot.
-const PREDICT_BLOCK: usize = 8;
 
 /// Most packed queries per column-tiled pass over float class rows.
 /// Past about 16 the per-query cost is flat (the matrix is already read
@@ -97,11 +92,8 @@ pub enum PlanKernel {
         simd: SimdPath,
     },
     /// General dense rows: tiled `f64` scoring against the contiguous
-    /// [`ClassMatrix`], `block` queries per cache tile on the batch
-    /// path.
+    /// [`ClassMatrix`].
     DenseTiled {
-        /// Queries scored per class-row tile on the batched path.
-        block: usize,
         /// Host SIMD arm the dot kernels take.
         simd: SimdPath,
     },
@@ -380,10 +372,7 @@ impl ModelPlan {
                 hv_words: packed.dim().div_ceil(WORD_BITS),
                 simd: self.simd,
             },
-            None => PlanKernel::DenseTiled {
-                block: PREDICT_BLOCK,
-                simd: self.simd,
-            },
+            None => PlanKernel::DenseTiled { simd: self.simd },
         }
     }
 
@@ -505,43 +494,6 @@ impl ModelPlan {
         prediction_from_scores(scores)
     }
 
-    /// Scores a batch of dense queries with the blocked kernel: one
-    /// class row is streamed against a tile of queries while
-    /// cache-hot, with tiles fanned out over at most `threads` lanes of
-    /// [`crate::pool`] (scoped threads plus the caller). Tile boundaries
-    /// depend on the dimension alone, so every result is bit-identical
-    /// to [`ModelPlan::predict_dense`] on the same query.
-    ///
-    /// # Errors
-    ///
-    /// Every query is validated before any is scored; the first
-    /// failing one's error is returned.
-    pub fn predict_batch_with(
-        &self,
-        queries: &[Hypervector],
-        threads: usize,
-    ) -> Result<Vec<Prediction>, HdError> {
-        for query in queries {
-            self.check_query(query.dim())?;
-        }
-        let threads = threads.clamp(1, queries.len().max(1));
-        if threads == 1 || queries.len() < 2 * PREDICT_BLOCK {
-            return predict_blocks(&self.dense, queries);
-        }
-        let chunks: Vec<&[Hypervector]> = queries.chunks(queries.len().div_ceil(threads)).collect();
-        let results = pool::global().map(chunks.len(), |t| {
-            chunks.get(t).map_or_else(
-                || Ok(Vec::new()),
-                |chunk| predict_blocks(&self.dense, chunk),
-            )
-        });
-        let mut out = Vec::with_capacity(queries.len());
-        for predictions in results {
-            out.extend(predictions?);
-        }
-        Ok(out)
-    }
-
     /// One-line human-readable description of the compiled kernel, used
     /// by reports.
     pub fn describe(&self) -> String {
@@ -552,35 +504,14 @@ impl ModelPlan {
                 self.dim(),
                 simd.label()
             ),
-            PlanKernel::DenseTiled { block, simd } => format!(
-                "dense-tiled: {} classes × {} dims, f64 dot, block {block}, {} arms",
+            PlanKernel::DenseTiled { simd } => format!(
+                "dense-tiled: {} classes × {} dims, f64 dot, {} arms",
                 self.num_classes(),
                 self.dim(),
                 simd.label()
             ),
         }
     }
-}
-
-/// Scores (pre-validated) queries tile by tile against `dense`.
-fn predict_blocks(
-    dense: &ClassMatrix,
-    queries: &[Hypervector],
-) -> Result<Vec<Prediction>, HdError> {
-    let mut out = Vec::with_capacity(queries.len());
-    let mut refs: Vec<&[f64]> = Vec::with_capacity(PREDICT_BLOCK);
-    for block in queries.chunks(PREDICT_BLOCK) {
-        refs.clear();
-        refs.extend(block.iter().map(Hypervector::as_slice));
-        // The score rows are moved into the returned `Prediction`s, so
-        // they are the one allocation per query that must happen anyway.
-        let mut scores: Vec<Vec<f64>> = vec![Vec::new(); block.len()];
-        dense.scores_block_into(&refs, &mut scores);
-        for row in scores {
-            out.push(prediction_from_scores(row)?);
-        }
-    }
-    Ok(out)
 }
 
 /// The argmax of every predict path: the last maximal score wins (the
@@ -800,16 +731,8 @@ mod tests {
         assert_eq!(model.predict(&poisoned), nan);
         assert_eq!(ModelPlan::compile(&model).predict_dense(&poisoned), nan);
         assert_eq!(model.predict_reference(&poisoned), nan);
-        let healthy = Hypervector::from_vec(vec![0.5; 64]);
-        let batch = vec![healthy.clone(); 2 * PREDICT_BLOCK];
-        assert!(model.predict_batch_with(&batch, 2).is_ok());
-        let mut batch = batch;
-        batch.push(poisoned);
-        assert_eq!(
-            model.predict_batch_with(&batch, 2).unwrap_err(),
-            HdError::NonFinite("similarity scores")
-        );
         // The model keeps serving healthy queries.
+        let healthy = Hypervector::from_vec(vec![0.5; 64]);
         assert!(model.predict(&healthy).is_ok());
     }
 

@@ -62,7 +62,7 @@ pub enum Stage {
     /// queries were encoded on the device).
     Encode,
     /// Waiting in the tenant's bounded queue until a worker takes the
-    /// request in a deficit-round-robin turn.
+    /// request in a round-robin turn.
     QueueWait,
     /// From being taken until the request's own work (a raw payload's
     /// encode, then scoring) starts: the batch's snapshot resolve, and
@@ -167,8 +167,8 @@ pub struct TraceCtx {
 }
 
 /// One captured span: a stage of one traced request, with start/end
-/// timestamps in nanoseconds since the owning tracer's epoch
-/// ([`Tracer::epoch`]).
+/// timestamps in nanoseconds since the owning tracer's epoch (the
+/// instant [`Tracer::new`] built it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     /// The request this span belongs to.
@@ -345,11 +345,6 @@ impl Tracer {
             next_trace: AtomicU64::new(0),
             ring: Ring::new(RING_CAPACITY),
         }
-    }
-
-    /// The instant all [`SpanEvent`] timestamps are relative to.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
     }
 
     /// Starts a trace for a new request: assigns the next id and samples

@@ -317,30 +317,6 @@ proptest! {
     }
 
     #[test]
-    fn predict_batch_kernel_bit_matches_predict(
-        dim in 1usize..150,
-        n_queries in 1usize..40,
-        seed in 0u64..20,
-    ) {
-        let classes: Vec<Hypervector> = (0..3)
-            .map(|c| Hypervector::from_vec(
-                (0..dim).map(|j| (((seed as usize + c * 17 + j) as f64) * 0.5).sin()).collect(),
-            ))
-            .collect();
-        let model = HdModel::from_classes(classes).unwrap();
-        let queries: Vec<Hypervector> = (0..n_queries)
-            .map(|q| Hypervector::from_vec(
-                (0..dim).map(|j| (((q * 37 + j) as f64) * 0.2).cos()).collect(),
-            ))
-            .collect();
-        let batched = model.predict_batch(&queries).unwrap();
-        for (q, b) in queries.iter().zip(&batched) {
-            // The blocked tile path must be *bit-identical* to predict.
-            prop_assert_eq!(&model.predict(q).unwrap(), b);
-        }
-    }
-
-    #[test]
     fn packed_predict_kernel_matches_dense_scores(
         dim in 1usize..200,
         seed in 0u64..50,

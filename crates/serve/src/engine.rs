@@ -1,13 +1,13 @@
 //! The serving engine: per-tenant admission queues served directly by a
-//! worker pool, one deficit-round-robin turn per batch.
+//! worker pool, one round-robin turn per batch.
 //!
 //! ```text
 //!  clients ──submit──▶ [per-ModelId queue] [per-ModelId queue] …
 //!            (ModelId,       │ quota-bounded     │
 //!             query or       ▼                   ▼
 //!             raw features)
-//!              worker pool: an idle worker takes one deficit-round-
-//!              robin turn straight off the queues — that turn is its
+//!              worker pool: an idle worker takes one round-robin
+//!              turn straight off the queues — that turn is its
 //!              batch (one ModelId, ≤ max_batch)
 //!                     │    │    │
 //!                     ▼    ▼    ▼
@@ -27,19 +27,20 @@
 //! [`ServeConfig::queue_depth`] — so one tenant's flood sheds *that
 //! tenant's* load while everyone else keeps being admitted.
 //!
-//! Workers drain the queues with deficit round-robin: each tenant with
-//! waiting requests sits in an active ring, and each turn grants it
-//! [`ServeConfig::drr_quantum`] units of credit (capped at
-//! [`ServeConfig::max_batch`]), serving at most that many requests
-//! before the next tenant's turn. A flooding tenant therefore gets at
-//! most a quantum ahead of a victim per round regardless of how deep its
-//! backlog is.
+//! Workers drain the queues round-robin: each tenant with waiting
+//! requests sits once in an active ring, and each turn serves at most
+//! [`ServeConfig::max_batch`] of its requests before the next tenant's
+//! turn. A flooding tenant therefore gets at most `max_batch` requests
+//! ahead of a victim per round regardless of how deep its backlog is.
+//! Every request costs one unit, so this is deficit round-robin (DRR)
+//! with a quantum of `max_batch` and a deficit that is always zero
+//! between turns.
 //!
 //! ## Batching
 //!
 //! Batching is *backlog* batching, as in Clipper (Crankshaw et al.,
 //! NSDI '17): a worker's turn takes whatever its tenant has queued, up
-//! to the turn's credit, and that is the batch. A lone request on an
+//! to `max_batch`, and that is the batch. A lone request on an
 //! idle engine is served at once, while a saturated queue forms full
 //! batches; no worker waits for more requests than its turn found.
 //! Every batch holds requests for exactly one model, resolved against
@@ -61,7 +62,7 @@
 //! The wire front-end submits a raw-features frame as its features plus
 //! the tenant's server-side [`ClientEdge`], into the same tenant queue
 //! as a packed query: it is charged to the tenant's quota and
-//! deficit-round-robin turn like any other request. The worker whose
+//! round-robin turn like any other request. The worker whose
 //! turn serves it runs [`ClientEdge::prepare`] (the
 //! [`Stage::Encode`] stage) and then scores the dense result. In-process
 //! callers submit [`QueryVec`]s only.
@@ -112,9 +113,11 @@ use crate::registry::{ModelId, ServedModel, ShardedRegistry};
 /// spawns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Largest batch a worker executes: one deficit-round-robin turn
-    /// takes at most this many requests (and at most
-    /// [`ServeConfig::drr_quantum`]).
+    /// Largest batch a worker executes, and the round-robin quantum:
+    /// one tenant's turn takes at most this many of its requests before
+    /// the next tenant's turn. Smaller values interleave tenants more
+    /// finely (fairer under flood), larger values favor per-tenant
+    /// batch density.
     pub max_batch: usize,
     /// Worker threads executing batches.
     pub workers: usize,
@@ -127,25 +130,17 @@ pub struct ServeConfig {
     /// at this depth, while other tenants keep being admitted. The wire
     /// front-end reports it as `Busy`.
     pub tenant_quota: usize,
-    /// Deficit-round-robin quantum: how many requests one tenant may
-    /// dequeue per turn before the next tenant's turn. A turn is one
-    /// worker's batch, so the credit is capped at
-    /// [`ServeConfig::max_batch`]. Smaller values interleave tenants
-    /// more finely (fairer under flood), larger values favor per-tenant
-    /// batch density.
-    pub drr_quantum: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            max_batch: 64,
+            max_batch: 32,
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
             queue_depth: 1_024,
             tenant_quota: 256,
-            drr_quantum: 32,
         }
     }
 }
@@ -163,9 +158,6 @@ impl ServeConfig {
         }
         if self.tenant_quota == 0 {
             return Err(ServeError::InvalidConfig("tenant_quota must be ≥ 1".into()));
-        }
-        if self.drr_quantum == 0 {
-            return Err(ServeError::InvalidConfig("drr_quantum must be ≥ 1".into()));
         }
         Ok(())
     }
@@ -275,26 +267,17 @@ struct Request {
     reply: ReplySlot,
 }
 
-/// One tenant's waiting requests plus its deficit-round-robin state.
-#[derive(Default)]
-struct TenantQueue {
-    items: VecDeque<Request>,
-    /// Unspent scheduling credit. With unit-cost requests this is
-    /// always zero between turns (a turn either spends the whole
-    /// quantum or empties the queue and the entry is removed); kept in
-    /// deficit form so weighted request costs stay a local change.
-    deficit: usize,
-    /// Whether this tenant currently sits in the active ring (guards
-    /// against double insertion when submissions race a turn).
-    in_active: bool,
-}
-
 /// The engine's shared scheduling state: every tenant's queue plus the
-/// active ring the deficit-round-robin walks.
+/// active ring the round-robin walks.
 #[derive(Default)]
 struct SchedState {
-    queues: HashMap<ModelId, TenantQueue>,
-    /// Tenants with waiting requests, in turn order.
+    /// Each tenant's waiting requests. A tenant has an entry exactly
+    /// while its queue is non-empty: a turn that empties a queue
+    /// removes it.
+    queues: HashMap<ModelId, VecDeque<Request>>,
+    /// Tenants with waiting requests, in turn order: exactly the keys
+    /// of `queues`, each once. A tenant joins when its queue goes from
+    /// empty to one request.
     active: VecDeque<ModelId>,
     /// Waiting requests across every tenant (the `queue_depth` gauge).
     queued_total: usize,
@@ -363,7 +346,7 @@ fn submit_slot(
     if st.stopped {
         return Err(ServeError::Closed);
     }
-    let tenant_len = st.queues.get(model).map_or(0, |q| q.items.len());
+    let tenant_len = st.queues.get(model).map_or(0, VecDeque::len);
     if tenant_len >= shared.tenant_quota {
         drop(st);
         metrics.on_reject();
@@ -375,14 +358,9 @@ fn submit_slot(
         return Err(ServeError::QueueFull);
     }
     let newly_active = {
-        let tq = st.queues.entry(model.clone()).or_default();
-        tq.items.push_back(request);
-        if tq.in_active {
-            false
-        } else {
-            tq.in_active = true;
-            true
-        }
+        let queue = st.queues.entry(model.clone()).or_default();
+        queue.push_back(request);
+        queue.len() == 1
     };
     if newly_active {
         st.active.push_back(model.clone());
@@ -394,29 +372,19 @@ fn submit_slot(
     Ok(())
 }
 
-/// One deficit-round-robin turn: the tenant at the head of the active
-/// ring earns `quantum` credit, dequeues at most that many requests
-/// into `out`, and either rejoins the ring (backlog left) or leaves the
-/// map entirely (emptied — which also resets its deficit, the classic
-/// DRR rule that an idle flow keeps no credit).
+/// One round-robin turn: the tenant at the head of the active ring
+/// dequeues `min(quantum, queued)` of its requests into `out`, and
+/// either rejoins the ring (backlog left) or leaves the map (emptied).
 fn drr_round(st: &mut SchedState, quantum: usize, out: &mut Vec<Request>) {
     let Some(id) = st.active.pop_front() else {
         return;
     };
-    let (take, now_empty) = {
-        let Some(tq) = st.queues.get_mut(&id) else {
-            return;
-        };
-        tq.deficit += quantum;
-        let take = tq.deficit.min(tq.items.len());
-        for _ in 0..take {
-            if let Some(r) = tq.items.pop_front() {
-                out.push(r);
-            }
-        }
-        tq.deficit -= take;
-        (take, tq.items.is_empty())
+    let Some(queue) = st.queues.get_mut(&id) else {
+        return;
     };
+    let take = quantum.min(queue.len());
+    out.extend(queue.drain(..take));
+    let now_empty = queue.is_empty();
     st.queued_total -= take;
     if now_empty {
         st.queues.remove(&id);
@@ -757,12 +725,6 @@ impl ServeEngine {
         self.handle.serve_metrics()
     }
 
-    /// The engine's request tracer: sampling decisions plus the
-    /// slow-request span ring ([`Tracer::snapshot`]).
-    pub fn tracer(&self) -> &Tracer {
-        self.handle.tracer()
-    }
-
     /// Metrics snapshot over the engine's lifetime so far: the same
     /// uptime the wire `Stats` frame derives its throughput from.
     pub fn report(&self) -> ServeReport {
@@ -816,14 +778,13 @@ struct Worker {
 
 impl Worker {
     /// The worker loop: sleep until a request is queued, take one
-    /// deficit-round-robin turn straight from the shared state — that
-    /// turn is the batch — and execute it. Once stopped, keep taking
-    /// turns until every queue is empty (requests accepted before
-    /// shutdown get real results), then exit.
+    /// round-robin turn straight from the shared state — that turn is
+    /// the batch — and execute it. Once stopped, keep taking turns until
+    /// every queue is empty (requests accepted before shutdown get real
+    /// results), then exit.
     fn run(&self) {
-        // One turn is one batch, so the credit never exceeds `max_batch`.
-        let credit = self.config.drr_quantum.min(self.config.max_batch);
-        let mut batch: Vec<Request> = Vec::with_capacity(credit);
+        let quantum = self.config.max_batch;
+        let mut batch: Vec<Request> = Vec::with_capacity(quantum);
         loop {
             let model = {
                 let mut st = self.shared.lock_state();
@@ -834,7 +795,7 @@ impl Worker {
                     let woken = self.shared.ready.wait(st);
                     st = woken.unwrap_or_else(PoisonError::into_inner);
                 }
-                drr_round(&mut st, credit, &mut batch);
+                drr_round(&mut st, quantum, &mut batch);
                 let Some(model) = batch.first().map(|r| r.model.clone()) else {
                     continue;
                 };
@@ -860,6 +821,20 @@ impl Worker {
         let resolve_start = Instant::now();
         let snapshot: Option<Arc<ServedModel>> = self.registry.get(model);
         let resolve_end = Instant::now();
+        // Stamped before any reply goes out, so a scrape sent after a
+        // reply sees it. `on_batch` above counted the batch first, and
+        // `ServeMetrics::report` reads the stages before the batch
+        // counter, so the stage's count never exceeds the batch count
+        // in a report. Its span goes on the first request.
+        if let Some(first) = requests.first() {
+            metrics.stamp(
+                &self.tracer,
+                first.trace,
+                Stage::SnapshotResolve,
+                resolve_start,
+                resolve_end,
+            );
+        }
         let counters = metrics.model_counters(model);
         if let Some(served) = &snapshot {
             // Snapshot footprint gauges: publish compiled the plan, so
@@ -908,17 +883,6 @@ impl Worker {
             }
             batch.serve_guarded(request, || batch.answer(request));
         }
-        // Recorded after the batch is served, so the stage's count stays
-        // ≤ the end-to-end count at any snapshot (one resolve per batch,
-        // and batches ≤ requests). Its span goes on the first request.
-        if let Some(first) = requests.first() {
-            batch.stamp(
-                first.trace,
-                Stage::SnapshotResolve,
-                resolve_start,
-                resolve_end,
-            );
-        }
     }
 }
 
@@ -935,9 +899,8 @@ struct Batch<'a> {
 
 impl Batch<'_> {
     /// Scores one query through the plan compiled at publish time:
-    /// kernel selection (packed vs dense snapshot, SIMD arm, block size)
-    /// happened once, when the plan was built — nothing is re-probed
-    /// here.
+    /// kernel selection (packed vs dense snapshot, SIMD arm) happened
+    /// once, when the plan was built — nothing is re-probed here.
     fn score(&self, query: &QueryVec) -> Result<Prediction, ServeError> {
         let Some(served) = &self.snapshot else {
             return Err(ServeError::NoModel);
@@ -1093,10 +1056,10 @@ pub(crate) mod tests {
     /// Each parked worker serves one of the gate's requests, whose reply
     /// callback reports that it entered and then blocks until the gate
     /// opens. Whatever is submitted meanwhile queues, so once the gate
-    /// opens the next deficit-round-robin turn takes
-    /// `min(max_batch, drr_quantum, queued)` of its tenant's requests as
-    /// one batch. Dropping the gate opens it, so a failing test never
-    /// leaves a worker parked behind its engine's shutdown.
+    /// opens the next round-robin turn takes `min(max_batch, queued)` of
+    /// its tenant's requests as one batch. Dropping the gate opens it, so
+    /// a failing test never leaves a worker parked behind its engine's
+    /// shutdown.
     pub(crate) struct Gate {
         state: Arc<(Mutex<GateState>, Condvar)>,
     }
@@ -1232,10 +1195,6 @@ pub(crate) mod tests {
                 tenant_quota: 0,
                 ..ServeConfig::default()
             },
-            ServeConfig {
-                drr_quantum: 0,
-                ..ServeConfig::default()
-            },
         ] {
             assert!(matches!(
                 ServeEngine::start(Arc::clone(&reg), bad),
@@ -1247,16 +1206,13 @@ pub(crate) mod tests {
     #[test]
     fn drr_rounds_account_quantum_across_uneven_queues() {
         // Tenants a/b/c with 10/3/1 waiting requests and quantum 4:
-        // turn order must be a:4, b:3 (emptied — leaves the map,
-        // deficit reset), c:1, a:4, a:2.
+        // turn order must be a:4, b:3 (emptied — leaves the map), c:1,
+        // a:4, a:2.
         let (a, b, c) = (ModelId::new("a"), ModelId::new("b"), ModelId::new("c"));
         let mut st = SchedState::default();
         for (id, n) in [(&a, 10usize), (&b, 3), (&c, 1)] {
-            let tq = st.queues.entry(id.clone()).or_default();
-            for _ in 0..n {
-                tq.items.push_back(test_request(id));
-            }
-            tq.in_active = true;
+            st.queues
+                .insert(id.clone(), (0..n).map(|_| test_request(id)).collect());
             st.active.push_back(id.clone());
             st.queued_total += n;
         }
@@ -1275,7 +1231,7 @@ pub(crate) mod tests {
         assert!(out.iter().all(|r| r.model == b));
         assert!(
             !st.queues.contains_key(&b),
-            "an emptied tenant leaves the map (deficit reset)"
+            "an emptied tenant leaves the map"
         );
 
         out.clear();
@@ -1285,7 +1241,7 @@ pub(crate) mod tests {
 
         out.clear();
         drr_round(&mut st, quantum, &mut out);
-        assert_eq!(out.len(), 4, "a's second turn earns a fresh quantum");
+        assert_eq!(out.len(), 4, "a's second turn takes a full quantum");
         out.clear();
         drr_round(&mut st, quantum, &mut out);
         assert_eq!(out.len(), 2, "a's remainder");
@@ -1448,7 +1404,6 @@ pub(crate) mod tests {
             workers: 1,
             queue_depth: 1_024,
             tenant_quota: 4,
-            ..ServeConfig::default()
         };
         let engine = ServeEngine::start(registry(64), config).unwrap();
         let gate = park(&engine, 1, query(64, 1.0));
@@ -1707,7 +1662,7 @@ pub(crate) mod tests {
         reg.publish(&a, oriented_model(64, 0), "a1").unwrap();
         reg.publish(&b, oriented_model(64, 1), "b1").unwrap();
         let config = ServeConfig {
-            max_batch: 64,
+            max_batch: 32,
             workers: 2,
             queue_depth: 256,
             ..ServeConfig::default()
@@ -2059,18 +2014,18 @@ pub(crate) mod tests {
 
     #[test]
     fn a_drr_turn_over_a_backlog_is_the_batch() {
-        // (max_batch, drr_quantum, backlog) and the batch each turn over
-        // the backlog takes: min(max_batch, drr_quantum, remaining).
-        let cases: [(usize, usize, usize, &[usize]); 4] = [
-            (1, 32, 4, &[1, 1, 1, 1]),
-            (8, 32, 20, &[8, 8, 4]),
-            (64, 4, 10, &[4, 4, 2]),
-            (64, 32, 5, &[5]),
+        // (max_batch, backlog) and the batch each turn over the backlog
+        // takes: min(max_batch, remaining). The default cap is 32.
+        let cases: [(usize, usize, &[usize]); 5] = [
+            (1, 4, &[1, 1, 1, 1]),
+            (8, 20, &[8, 8, 4]),
+            (4, 10, &[4, 4, 2]),
+            (32, 5, &[5]),
+            (ServeConfig::default().max_batch, 40, &[32, 8]),
         ];
-        for (max_batch, drr_quantum, backlog, turns) in cases {
+        for (max_batch, backlog, turns) in cases {
             let config = ServeConfig {
                 max_batch,
-                drr_quantum,
                 workers: 1,
                 ..ServeConfig::default()
             };
@@ -2091,8 +2046,7 @@ pub(crate) mod tests {
                 .iter()
                 .flat_map(|&turn| std::iter::repeat_n(turn, turn))
                 .collect();
-            let case =
-                format!("max_batch {max_batch}, drr_quantum {drr_quantum}, backlog {backlog}");
+            let case = format!("max_batch {max_batch}, backlog {backlog}");
             assert_eq!(sizes, want, "{case}");
             let report = engine.shutdown();
             assert_eq!(
@@ -2101,5 +2055,136 @@ pub(crate) mod tests {
                 "{case}: and the gate's"
             );
         }
+    }
+
+    #[test]
+    fn snapshot_resolve_is_recorded_before_the_first_reply() {
+        // A reply callback runs on the worker mid-batch, so what it reads
+        // was recorded before its reply went out: the batch's
+        // snapshot-resolve sample, and its span on the sampled trace.
+        let engine = ServeEngine::start(registry(64), ServeConfig::default()).unwrap();
+        let handle = engine.handle();
+        let probe = handle.clone();
+        let ctx = handle.tracer().begin();
+        assert!(ctx.sampled, "a tracer's first trace is sampled");
+        let (tx, rx) = mpsc::channel();
+        handle
+            .submit_with(
+                &ModelId::default(),
+                Payload::Query(QueryVec::Dense(query(64, 1.0))),
+                ctx,
+                Box::new(move |outcome| {
+                    let report = probe.serve_metrics().report(Duration::from_secs(1));
+                    let resolved = report
+                        .stages
+                        .iter()
+                        .find(|row| row.stage == Stage::SnapshotResolve)
+                        .map_or(0, |row| row.count);
+                    let span = probe
+                        .tracer()
+                        .snapshot()
+                        .iter()
+                        .any(|e| e.trace == ctx.id && e.stage == Stage::SnapshotResolve);
+                    tx.send((outcome.is_ok(), resolved, span)).unwrap();
+                }),
+            )
+            .unwrap();
+        let seen = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("callback never ran");
+        assert_eq!(seen, (true, 1, true), "(served, resolve samples, span)");
+        engine.shutdown();
+    }
+
+    /// The scheduler's bookkeeping after `step`: the ring and the map
+    /// hold the same tenants, each once; no queue is empty; and
+    /// `queued_total` is the sum of the queue lengths.
+    fn assert_bookkeeping(st: &SchedState, step: usize) {
+        let mut ring: Vec<&ModelId> = st.active.iter().collect();
+        ring.sort_unstable();
+        let mut keys: Vec<&ModelId> = st.queues.keys().collect();
+        keys.sort_unstable();
+        assert_eq!(ring, keys, "step {step}: ring and map disagree");
+        assert!(
+            st.queues.values().all(|q| !q.is_empty()),
+            "step {step}: an emptied queue kept its entry"
+        );
+        let queued: usize = st.queues.values().map(VecDeque::len).sum();
+        assert_eq!(st.queued_total, queued, "step {step}: queued_total drifted");
+    }
+
+    #[test]
+    fn round_robin_bookkeeping_holds_across_interleavings() {
+        // A seeded interleaving of 2,000 admissions (some refused by the
+        // quota or the depth) with turns of random quanta over three
+        // tenants, then a drain.
+        let shared = SharedQueue {
+            state: Mutex::new(SchedState::default()),
+            ready: Condvar::new(),
+            queue_depth: 24,
+            tenant_quota: 12,
+        };
+        let metrics = ServeMetrics::new();
+        let closed = AtomicBool::new(false);
+        let tracer = Tracer::new();
+        let tenants = [ModelId::new("a"), ModelId::new("b"), ModelId::new("c")];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let (mut admitted, mut refused, mut turns) = (0u64, 0u64, 0usize);
+        let mut out = Vec::new();
+        let mut turn = |st: &mut SchedState, quantum: usize, step: usize| {
+            let head = st.active.front().cloned();
+            let queued = head.as_ref().map_or(0, |id| st.queues[id].len());
+            out.clear();
+            drr_round(st, quantum, &mut out);
+            assert_eq!(out.len(), quantum.min(queued), "step {step}");
+            assert!(
+                out.iter().all(|r| Some(&r.model) == head.as_ref()),
+                "step {step}: a turn took another tenant's request"
+            );
+        };
+        let mut step = 0;
+        while admitted + refused < 2_000 {
+            if next(4) < 3 {
+                let (reply, _rx) = mpsc::sync_channel(1);
+                let submitted = submit_slot(
+                    &shared,
+                    &metrics,
+                    &closed,
+                    &tenants[next(tenants.len())],
+                    Payload::Query(QueryVec::Dense(query(8, 1.0))),
+                    tracer.begin(),
+                    ReplySlot::Oneshot(reply),
+                );
+                match submitted {
+                    Ok(()) => admitted += 1,
+                    Err(_) => refused += 1,
+                }
+            } else {
+                turn(&mut shared.lock_state(), 1 + next(4), step);
+                turns += 1;
+            }
+            assert_bookkeeping(&shared.lock_state(), step);
+            step += 1;
+        }
+        assert!(
+            admitted > 0 && refused > 0,
+            "{admitted} admitted, {refused} refused"
+        );
+        assert!(turns > 0);
+        let mut st = shared.lock_state();
+        while st.queued_total > 0 {
+            turn(&mut st, 1 + next(4), step);
+            assert_bookkeeping(&st, step);
+            step += 1;
+        }
+        assert!(st.queues.is_empty() && st.active.is_empty());
+        let report = metrics.report(Duration::from_secs(1));
+        assert_eq!((report.submitted, report.rejected), (admitted, refused));
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! * [`ShardedRegistry`] / [`ModelId`] — *the* model registry: many
 //!   independently versioned models (per tenant, encoder basis, or
-//!   privacy budget) spread over per-shard locks, each behind an atomic
+//!   privacy budget) in one locked map, each behind an atomic
 //!   hot-swap (`Arc`-swap pattern) so retraining publishes a new
 //!   version without pausing inference, and in-flight batches finish on
 //!   the snapshot they started with. Publishing also compiles the
@@ -21,8 +21,8 @@
 //!   publish under [`ModelId::default`] with
 //!   [`ShardedRegistry::with_model`].
 //! * [`ServeEngine`] — per-tenant admission queues with quotas, served
-//!   directly by a worker pool: each worker takes one deficit-round-
-//!   robin turn off the queues, and that turn is its single-model batch
+//!   directly by a worker pool: each worker takes one round-robin
+//!   turn off the queues, and that turn is its single-model batch
 //!   (backlog batching, at most [`ServeConfig::max_batch`] requests,
 //!   and no worker waits for more than its turn found). A panic
 //!   while serving one request answers only that request, with
@@ -36,8 +36,8 @@
 //!   composition, guaranteeing the server only ever sees obfuscated
 //!   queries.
 //! * [`ServeMetrics`] / [`ServeReport`] — throughput, p50/p95/p99
-//!   latency from a fixed-bucket histogram, the batch-size
-//!   distribution, per-model counters ([`ModelReport`]), and the
+//!   latency from a fixed-bucket histogram, the mean batch size,
+//!   per-model counters ([`ModelReport`]), and the
 //!   stage-level latency decomposition ([`StageReport`]) fed by the
 //!   engine's and wire front-end's instrumentation.
 //! * [`stats`] — the Prometheus text-format exposition of all of the
@@ -106,7 +106,7 @@ pub use engine::{
     PendingPrediction, QueryVec, ServeConfig, ServeEngine, ServedPrediction, SubmitHandle,
 };
 pub use error::ServeError;
-pub use metrics::{BatchSizeBucket, ModelReport, ServeMetrics, ServeReport, StageReport};
+pub use metrics::{ModelReport, ServeMetrics, ServeReport, StageReport};
 pub use registry::{ModelId, ServedModel, ShardedRegistry};
 pub use stats::prometheus_text;
 pub use wire::{WireClient, WireConfig, WireServer, WireStatus};
@@ -118,9 +118,7 @@ pub mod prelude {
         PendingPrediction, QueryVec, ServeConfig, ServeEngine, ServedPrediction, SubmitHandle,
     };
     pub use crate::error::ServeError;
-    pub use crate::metrics::{
-        BatchSizeBucket, ModelReport, ServeMetrics, ServeReport, StageReport,
-    };
+    pub use crate::metrics::{ModelReport, ServeMetrics, ServeReport, StageReport};
     pub use crate::registry::{ModelId, ServedModel, ShardedRegistry};
     pub use crate::stats::prometheus_text;
     pub use crate::wire::{

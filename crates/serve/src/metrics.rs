@@ -1,5 +1,5 @@
-//! Serving metrics: throughput, latency quantiles, batch-size
-//! distribution — global and per model.
+//! Serving metrics: throughput, latency quantiles and the mean batch
+//! size — global and per model.
 //!
 //! Recording happens on worker threads, so every counter is atomic and
 //! the latency histogram uses fixed buckets of atomic counters — no
@@ -32,11 +32,6 @@ const LATENCY_BUCKETS: usize = 96;
 const LATENCY_BASE_NS: f64 = 1_000.0;
 /// Geometric growth factor between bucket edges (~20%).
 const LATENCY_GROWTH: f64 = 1.2;
-
-/// Batch-size buckets: exact counts below the last bucket, which is the
-/// `≥ BATCH_BUCKETS − 1` overflow (sizes are small integers, linear
-/// buckets fit them exactly).
-const BATCH_BUCKETS: usize = 512;
 
 /// The shared integer bucket-edge table: `edges[i]` is the lower edge
 /// of bucket `i` in nanoseconds. Both the write path
@@ -178,84 +173,6 @@ impl LatencyHistogram {
     }
 }
 
-/// One entry of the batch-size distribution.
-///
-/// Sizes up to the histogram's resolution are reported exactly; larger
-/// batches share one overflow bucket reported as [`BatchSizeBucket::AtLeast`]
-/// — formerly they were indistinguishable from a literal size-511
-/// batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum BatchSizeBucket {
-    /// Batches of exactly this size.
-    Exact(usize),
-    /// The overflow bucket: batches of this size *or larger*.
-    AtLeast(usize),
-}
-
-impl BatchSizeBucket {
-    /// The bucket's size (exact, or the overflow threshold).
-    pub fn size(&self) -> usize {
-        match *self {
-            BatchSizeBucket::Exact(n) | BatchSizeBucket::AtLeast(n) => n,
-        }
-    }
-
-    /// True for the saturating overflow bucket.
-    pub fn is_saturated(&self) -> bool {
-        matches!(self, BatchSizeBucket::AtLeast(_))
-    }
-}
-
-impl std::fmt::Display for BatchSizeBucket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            BatchSizeBucket::Exact(n) => write!(f, "{n}"),
-            BatchSizeBucket::AtLeast(n) => write!(f, "≥{n}"),
-        }
-    }
-}
-
-/// Linear histogram of dispatched batch sizes.
-#[derive(Debug)]
-pub(crate) struct BatchSizeHistogram {
-    buckets: Vec<AtomicU64>,
-}
-
-impl Default for BatchSizeHistogram {
-    fn default() -> Self {
-        Self {
-            buckets: (0..BATCH_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-}
-
-impl BatchSizeHistogram {
-    fn record(&self, size: usize) {
-        // Relaxed: independent statistics counter.
-        self.buckets[size.min(BATCH_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `(bucket, count)` pairs for every non-empty bucket; the last
-    /// bucket is [`BatchSizeBucket::AtLeast`] because it also absorbs
-    /// every size past the end of the table.
-    pub fn nonzero(&self) -> Vec<(BatchSizeBucket, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(size, c)| {
-                // Relaxed: statistics read; tolerates racing records.
-                let n = c.load(Ordering::Relaxed);
-                let bucket = if size == BATCH_BUCKETS - 1 {
-                    BatchSizeBucket::AtLeast(size)
-                } else {
-                    BatchSizeBucket::Exact(size)
-                };
-                (n > 0).then_some((bucket, n))
-            })
-            .collect()
-    }
-}
-
 /// Cap on distinct per-model rows. Client-supplied [`ModelId`]s enter
 /// the table on first submission — before any registry lookup — so a
 /// client spraying unique (typoed, hostile) ids would otherwise grow
@@ -342,7 +259,6 @@ pub struct ServeMetrics {
     failed: AtomicU64,
     batches: AtomicU64,
     batched_queries: AtomicU64,
-    batch_sizes: BatchSizeHistogram,
     /// Panics engine workers caught and contained: one per panic, in a
     /// scored block, one request's scoring or edge, or a reply callback.
     panics_contained: AtomicU64,
@@ -372,7 +288,6 @@ impl Default for ServeMetrics {
             failed: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batched_queries: AtomicU64::new(0),
-            batch_sizes: BatchSizeHistogram::default(),
             panics_contained: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             stages: StageSet::default(),
@@ -447,7 +362,6 @@ impl ServeMetrics {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_queries
             .fetch_add(size as u64, Ordering::Relaxed);
-        self.batch_sizes.record(size);
     }
 
     /// Counts one panic an engine worker caught (see
@@ -577,7 +491,6 @@ impl ServeMetrics {
             p99_latency: self.latency.quantile(0.99),
             latency_sum_saturated: self.latency.sum_saturated(),
             stages,
-            batch_size_histogram: self.batch_sizes.nonzero(),
             per_model,
         }
     }
@@ -697,9 +610,6 @@ pub struct ServeReport {
     /// Wire-side stages (decode, admission, write) only populate when a
     /// `WireServer` fronts the engine.
     pub stages: Vec<StageReport>,
-    /// `(batch size, batches dispatched)` for every observed size; the
-    /// last bucket saturates and is reported as `≥size`.
-    pub batch_size_histogram: Vec<(BatchSizeBucket, u64)>,
     /// Per-model counters and latency quantiles, sorted by [`ModelId`].
     /// One entry per model that received at least one submission, up to
     /// an internal cap on distinct ids — traffic for ids beyond the cap
@@ -932,29 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_batches_report_as_saturated() {
-        // Regression: sizes ≥ BATCH_BUCKETS were clamped into the last
-        // bucket and then reported as a literal size-511 batch.
-        let h = BatchSizeHistogram::default();
-        h.record(4);
-        h.record(BATCH_BUCKETS - 1);
-        h.record(BATCH_BUCKETS + 100);
-        h.record(10 * BATCH_BUCKETS);
-        let entries = h.nonzero();
-        assert_eq!(
-            entries,
-            vec![
-                (BatchSizeBucket::Exact(4), 1),
-                (BatchSizeBucket::AtLeast(BATCH_BUCKETS - 1), 3),
-            ]
-        );
-        assert!(!entries[0].0.is_saturated());
-        assert!(entries[1].0.is_saturated());
-        assert_eq!(entries[1].0.to_string(), format!("≥{}", BATCH_BUCKETS - 1));
-        assert_eq!(entries[0].0.to_string(), "4");
-    }
-
-    #[test]
     fn report_derives_rates() {
         let m = ServeMetrics::new();
         let id = ModelId::default();
@@ -975,13 +862,6 @@ mod tests {
         assert_eq!(r.batches, 2);
         assert!((r.mean_batch_size - 5.0).abs() < 1e-12);
         assert!((r.throughput_qps - 5.0).abs() < 1e-12);
-        assert_eq!(
-            r.batch_size_histogram,
-            vec![
-                (BatchSizeBucket::Exact(4), 1),
-                (BatchSizeBucket::Exact(6), 1)
-            ]
-        );
         let text = r.to_string();
         assert!(text.contains("throughput"), "{text}");
         assert!(text.contains("model default"), "{text}");

@@ -10,20 +10,20 @@
 //! the previous snapshot keep serving it to completion, so a swap never
 //! drops or corrupts in-flight requests.
 //!
-//! Models — one per tenant, encoder basis, or privacy budget — are
-//! spread over N shards by [`ModelId`] hash, each shard guarding its
-//! own `HashMap<ModelId, …>` behind its own lock, so publishes and
-//! lookups for different tenants contend only when their ids land on
-//! the same shard. Single-model deployments simply publish under
+//! Models — one per tenant, encoder basis, or privacy budget — live in
+//! one `HashMap<ModelId, …>` behind one lock. A lookup holds the read
+//! lock only to clone an [`Arc`], once per batch, and a publish holds
+//! the write lock for one map insert (validation runs before it takes
+//! the lock). Single-model deployments simply publish under
 //! [`ModelId::default()`] (see [`ShardedRegistry::with_model`]). The
 //! historical single-slot `ModelRegistry` facade served its one
 //! deprecation release and is gone.
 //!
 //! Publishing is also where the pipeline gets *compiled*: `publish`
 //! forces the model's cached [`ModelPlan`], so kernel selection (packed
-//! popcount vs tiled dense, AVX2 vs scalar, block size) happens at most
-//! once per publish and request workers dispatch through the
-//! precompiled plan instead of re-probing per batch.
+//! popcount vs tiled dense, AVX2 vs scalar) happens at most once per
+//! publish and request workers dispatch through the precompiled plan
+//! instead of re-probing per batch.
 //!
 //! ## Publish validation policy
 //!
@@ -45,9 +45,7 @@
 //!   for incremental deployments that grow the label set online — and
 //!   returns the indices of the classes that cannot yet be predicted.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
 use privehd_core::{HdError, HdModel, ModelPlan};
@@ -86,13 +84,6 @@ impl ModelId {
     /// The id as a string slice.
     pub fn as_str(&self) -> &str {
         &self.0
-    }
-
-    /// The shard index this id maps to among `shards` shards.
-    pub(crate) fn shard_index(&self, shards: usize) -> usize {
-        let mut h = DefaultHasher::new();
-        self.0.hash(&mut h);
-        (h.finish() % shards as u64) as usize
     }
 }
 
@@ -176,10 +167,7 @@ fn validate_norms(model: &HdModel, allow_partial: bool) -> Result<Vec<usize>, Se
     Ok(untrained)
 }
 
-/// How many shards a [`ShardedRegistry`] spreads the id space over.
-const SHARDS: usize = 16;
-
-/// One tenant's slot inside a shard: the live snapshot plus its private
+/// One tenant's slot in the registry: the live snapshot plus its private
 /// version counter (which survives a withdraw, so a re-publish keeps
 /// the tenant's version history monotonic).
 #[derive(Debug, Default)]
@@ -189,11 +177,10 @@ struct TenantSlot {
 }
 
 /// Multi-tenant registry: many independently versioned models behind
-/// per-shard locks, each model addressed by [`ModelId`].
+/// one lock, each model addressed by [`ModelId`]. (The name predates
+/// the single lock and is kept for existing callers.)
 ///
-/// Lock granularity is the shard, not the registry: a publish for one
-/// tenant only blocks lookups whose ids hash to the same shard. Each
-/// tenant has its own monotonic version sequence starting at 1.
+/// Each tenant has its own monotonic version sequence starting at 1.
 ///
 /// # Examples
 ///
@@ -223,7 +210,7 @@ struct TenantSlot {
 /// ```
 #[derive(Debug)]
 pub struct ShardedRegistry {
-    shards: Vec<RwLock<HashMap<ModelId, TenantSlot>>>,
+    tenants: RwLock<HashMap<ModelId, TenantSlot>>,
 }
 
 impl Default for ShardedRegistry {
@@ -236,7 +223,7 @@ impl ShardedRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            tenants: RwLock::new(HashMap::new()),
         }
     }
 
@@ -266,10 +253,6 @@ impl ShardedRegistry {
         let registry = Self::new();
         registry.publish(&ModelId::default(), model, label)?;
         Ok(registry)
-    }
-
-    fn shard(&self, id: &ModelId) -> &RwLock<HashMap<ModelId, TenantSlot>> {
-        &self.shards[id.shard_index(self.shards.len())]
     }
 
     /// Publishes `model` as `id`'s new live version and returns the
@@ -306,11 +289,11 @@ impl ShardedRegistry {
         label: &str,
         allow_partial: bool,
     ) -> Result<(u64, Vec<usize>), ServeError> {
-        // Validation forces the plan outside the shard lock (a no-op when
-        // the model arrives with its plan cached).
+        // Validation forces the plan outside the lock (a no-op when the
+        // model arrives with its plan cached).
         let untrained = validate_norms(&model, allow_partial)?;
-        let mut shard = self.shard(id).write().expect("shard lock poisoned");
-        let slot = shard.entry(id.clone()).or_default();
+        let mut tenants = self.tenants.write().expect("registry lock poisoned");
+        let slot = tenants.entry(id.clone()).or_default();
         slot.next_version += 1;
         let version = slot.next_version;
         slot.live = Some(Arc::new(ServedModel {
@@ -325,9 +308,9 @@ impl ShardedRegistry {
     /// published (or has withdrawn). The [`Arc`] stays valid across
     /// later publishes.
     pub fn get(&self, id: &ModelId) -> Option<Arc<ServedModel>> {
-        self.shard(id)
+        self.tenants
             .read()
-            .expect("shard lock poisoned")
+            .expect("registry lock poisoned")
             .get(id)
             .and_then(|slot| slot.live.clone())
     }
@@ -341,25 +324,21 @@ impl ShardedRegistry {
     /// live, if any. Other tenants are untouched; `id`'s version counter
     /// survives, so a later publish continues the sequence.
     pub fn withdraw(&self, id: &ModelId) -> Option<Arc<ServedModel>> {
-        self.shard(id)
+        self.tenants
             .write()
-            .expect("shard lock poisoned")
+            .expect("registry lock poisoned")
             .get_mut(id)
             .and_then(|slot| slot.live.take())
     }
 
     /// Number of tenants with a live model.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .expect("shard lock poisoned")
-                    .values()
-                    .filter(|slot| slot.live.is_some())
-                    .count()
-            })
-            .sum()
+        self.tenants
+            .read()
+            .expect("registry lock poisoned")
+            .values()
+            .filter(|slot| slot.live.is_some())
+            .count()
     }
 
     /// True when no tenant has a live model.
@@ -370,16 +349,12 @@ impl ShardedRegistry {
     /// Ids of every tenant with a live model, sorted for determinism.
     pub fn model_ids(&self) -> Vec<ModelId> {
         let mut ids: Vec<ModelId> = self
-            .shards
+            .tenants
+            .read()
+            .expect("registry lock poisoned")
             .iter()
-            .flat_map(|s| {
-                s.read()
-                    .expect("shard lock poisoned")
-                    .iter()
-                    .filter(|(_, slot)| slot.live.is_some())
-                    .map(|(id, _)| id.clone())
-                    .collect::<Vec<_>>()
-            })
+            .filter(|(_, slot)| slot.live.is_some())
+            .map(|(id, _)| id.clone())
             .collect();
         ids.sort_unstable();
         ids
@@ -663,15 +638,6 @@ mod tests {
             .publish_partial(&id, partially_trained(8), "partial")
             .unwrap();
         assert_eq!((v, untrained), (1, vec![1, 2]));
-    }
-
-    #[test]
-    fn every_id_maps_to_a_valid_shard() {
-        for shards in [1usize, 2, 7, 16] {
-            for name in ["a", "tenant-b", "Δ-tenant", "x/y/z", ""] {
-                assert!(ModelId::new(name).shard_index(shards) < shards);
-            }
-        }
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //! the reactor one wakeup, not one per reply. A raw frame's
 //! server-side encode ∘ obfuscate ([`WireConfig::edges`]) runs on the
 //! engine worker whose turn serves it, so a raw flood is charged to its
-//! tenant's quota and deficit-round-robin turns, never to reactor
-//! latency.
+//! tenant's quota and round-robin turns, never to reactor latency.
 //!
 //! Because completions arrive per request (not per connection pass),
 //! pipelined responses on one connection may be written in completion

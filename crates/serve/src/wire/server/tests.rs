@@ -90,7 +90,7 @@ fn connect(server: &WireServer) -> WireClient {
 fn per_connection_in_flight_cap_answers_busy() {
     let tenant = build_tenant("capped", 11);
     let config = ServeConfig {
-        max_batch: 512,
+        max_batch: 32,
         workers: 1,
         queue_depth: 512,
         ..ServeConfig::default()
@@ -213,7 +213,7 @@ fn shutdown_drains_in_flight_wire_requests() {
     // transport closes — the drain is graceful, not a guillotine.
     let tenant = build_tenant("draining", 44);
     let config = ServeConfig {
-        max_batch: 64,
+        max_batch: 32,
         workers: 1,
         queue_depth: 64,
         ..ServeConfig::default()

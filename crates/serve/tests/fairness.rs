@@ -1,9 +1,9 @@
 //! Tenant fairness under flood, end to end over the wire: a flooder
 //! tenant saturating the ingress must not starve a well-behaved victim
 //! tenant. The engine's per-tenant admission quotas bound how much of
-//! the shared queue capacity the flooder can hold, and the
-//! deficit-round-robin scheduler bounds how long a victim request can
-//! wait behind flooder backlog. Raw-features frames are held to the
+//! the shared queue capacity the flooder can hold, and the round-robin
+//! scheduler bounds how long a victim request can wait behind flooder
+//! backlog. Raw-features frames are held to the
 //! same quota: their server-side edge runs only on the engine worker
 //! that serves them. Also exercises the multi-reactor ingress path
 //! (sharded accept, fd-hash pinning, cross-reactor completion handoff)
@@ -78,16 +78,15 @@ fn wire_flood_bounds_victim_p99_and_completes() {
         .unwrap();
 
     // One worker and a small per-tenant quota: the flooder can hold at
-    // most `tenant_quota` slots of the shared queue, and DRR alternates
-    // service between the two tenants' queues.
+    // most `tenant_quota` slots of the shared queue, and the round-robin
+    // alternates service between the two tenants' queues.
     let engine = ServeEngine::start(
         Arc::clone(&registry),
         ServeConfig {
-            max_batch: 16,
+            max_batch: 8,
             workers: 1,
             queue_depth: 1024,
             tenant_quota: 32,
-            drr_quantum: 8,
         },
     )
     .unwrap();
@@ -219,7 +218,6 @@ fn refused_raw_frames_are_never_encoded() {
             max_batch: 4,
             workers: 1,
             tenant_quota: 4,
-            drr_quantum: 4,
             ..ServeConfig::default()
         },
     )

@@ -7,7 +7,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use privehd_core::{BipolarHv, HdModel, Hypervector};
 use privehd_serve::wire::{Frame, WireClient, WireClientError, WireConfig, WireServer, WireStatus};
@@ -557,22 +557,13 @@ fn one_trace_id_spans_the_wire_and_engine_stages() {
     client
         .call_packed(&ModelId::default(), &positive_query())
         .unwrap();
-    // The worker stamps `snapshot_resolve` after it hands the batch's
-    // replies over, so a scrape can race it: scrape until eight spans
-    // are in. Scrapes begin no trace of their own.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let spans = loop {
-        let text = client.stats().unwrap();
-        let spans: Vec<String> = text
-            .lines()
-            .filter(|line| line.starts_with("# slowtrace trace="))
-            .map(str::to_owned)
-            .collect();
-        if spans.len() >= 8 || Instant::now() >= deadline {
-            break spans;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    };
+    // Every stage is stamped before the reply is written, so one scrape
+    // sees all eight. Scrapes begin no trace of their own.
+    let text = client.stats().unwrap();
+    let spans: Vec<&str> = text
+        .lines()
+        .filter(|line| line.starts_with("# slowtrace trace="))
+        .collect();
     let mut stages: Vec<&str> = spans
         .iter()
         .map(|line| {

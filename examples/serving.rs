@@ -4,17 +4,15 @@
 //!
 //! Demonstrates the full `privehd-serve` subsystem: the client edge
 //! (encode + obfuscate), the versioned model registry, backlog
-//! batching, and the serving report (throughput, latency
-//! quantiles, batch-size distribution, per-stage latency
-//! decomposition), then a multi-tenant engine
-//! serving three models from one `ShardedRegistry` with per-model
-//! routing and metrics. Finishes with a single-query vs micro-batched
-//! throughput comparison.
+//! batching, and the serving report (throughput, latency quantiles,
+//! mean batch size, per-stage latency decomposition), then a
+//! multi-tenant engine serving three models from one `ShardedRegistry`
+//! with per-model routing and metrics, behind the wire front-end.
 //!
 //! Run with: `cargo run --release --example serving`
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use prive_hd::core::prelude::*;
 use prive_hd::core::BipolarHv;
@@ -47,13 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let registry = Arc::new(ShardedRegistry::with_model(model.clone(), "isolet-v1")?);
 
-    let engine = ServeEngine::start(
-        Arc::clone(&registry),
-        ServeConfig {
-            max_batch: 64,
-            ..ServeConfig::default()
-        },
-    )?;
+    let engine = ServeEngine::start(Arc::clone(&registry), ServeConfig::default())?;
 
     // Traffic: four client threads, each streaming the test split.
     let inputs: Vec<Vec<f64>> = dataset.test_pairs().map(|(x, _)| x.to_vec()).collect();
@@ -110,11 +102,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let report = engine.shutdown();
     println!("\n== serving report ==\n{report}");
-    print!("batch sizes: ");
-    for (size, count) in &report.batch_size_histogram {
-        print!("{size}x{count} ");
-    }
-    println!();
 
     // Where the time went: the engine stamps every request's pipeline
     // stages into per-stage histograms (see docs/OBSERVABILITY.md).
@@ -163,13 +150,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("published {id} v{version} (seed {})", 100 + t);
     }
 
-    let mt_engine = ServeEngine::start(
-        Arc::clone(&sharded),
-        ServeConfig {
-            max_batch: 32,
-            ..ServeConfig::default()
-        },
-    )?;
+    let mt_engine = ServeEngine::start(Arc::clone(&sharded), ServeConfig::default())?;
     // Round-robin traffic across tenants, each on its own basis.
     let mut mt_pending = Vec::new();
     for (i, x) in inputs.iter().enumerate() {
@@ -224,31 +205,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mt_report = mt_engine.shutdown();
     println!("{mt_report}");
-
-    // Throughput comparison: one-at-a-time submission vs micro-batching.
-    let queries: Vec<Hypervector> = inputs
-        .iter()
-        .map(|x| edge.prepare(x))
-        .collect::<Result<_, _>>()?;
-    let serve_model = registry.get(&ModelId::default()).expect("model published");
-
-    let start = Instant::now();
-    for q in &queries {
-        serve_model.model().predict(q)?;
-    }
-    let sequential = start.elapsed();
-
-    let start = Instant::now();
-    serve_model.model().predict_batch(&queries)?;
-    let batched = start.elapsed();
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "\nsingle-query: {:.0} q/s  |  micro-batched: {:.0} q/s  ({:.1}x on {cores} core(s); \
-         the batched path scales with cores)",
-        queries.len() as f64 / sequential.as_secs_f64(),
-        queries.len() as f64 / batched.as_secs_f64(),
-        sequential.as_secs_f64() / batched.as_secs_f64()
-    );
     Ok(())
 }

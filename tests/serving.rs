@@ -42,12 +42,8 @@ fn batched_predictions_are_bit_identical_to_sequential() {
     // Ground truth: plain sequential predict on the same weights.
     let sequential: Vec<Prediction> = queries.iter().map(|q| model.predict(q).unwrap()).collect();
 
-    // The core batch API is bit-identical by construction.
-    let batched = model.predict_batch(&queries).unwrap();
-    assert_eq!(batched, sequential);
-
-    // And so is the full engine path (default config: dense arithmetic),
-    // even with many queries in flight at once.
+    // The engine path (default config: dense arithmetic) is
+    // bit-identical, even with many queries in flight at once.
     let registry = Arc::new(ShardedRegistry::with_model(model, "bitident").unwrap());
     let config = ServeConfig {
         max_batch: 16,

@@ -36,7 +36,7 @@ use privehd_bench::print_table;
 use privehd_core::kernels::{dot_sign_dense, scalar_encode_packed};
 use privehd_core::{
     BipolarHv, ClassMatrix, EncodePlan, Encoder, EncoderConfig, HdModel, Hypervector, LevelEncoder,
-    ObfuscateConfig, Obfuscator, PlanKernel, QuantScheme, ScalarEncoder,
+    ObfuscateConfig, Obfuscator, QuantScheme, ScalarEncoder,
 };
 
 /// ISOLET-shaped operating point from the paper.
@@ -259,7 +259,7 @@ fn main() {
     let snapshot = ClassMatrix::from_classes(&float_classes);
     let plan = model.plan();
     assert!(
-        matches!(plan.kernel(), PlanKernel::DenseTiled { .. }),
+        plan.packed_memory_bytes().is_none(),
         "bundled float classes must keep dense rows"
     );
     let packed: Vec<BipolarHv> = (0..batch.min(64))
@@ -322,10 +322,7 @@ fn main() {
     let mut packed_model = model.clone();
     packed_model.quantize_classes(QuantScheme::Bipolar);
     assert!(
-        matches!(
-            packed_model.plan().kernel(),
-            PlanKernel::PackedPopcount { .. }
-        ),
+        packed_model.plan().packed_memory_bytes().is_some(),
         "bipolar class quantization must yield a packable model"
     );
     let kernel = time_per_item(samples, packed.len(), || {

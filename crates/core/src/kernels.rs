@@ -39,24 +39,26 @@
 //!   is scored in column tiles: each query's sign masks are expanded
 //!   once per tile, and each row group's tile is streamed against the
 //!   whole block while it is L1-hot, with the same per-lane adds.
-//! * [`PackedClassMatrix`] + [`xor_popcount`] — the packed-native
-//!   inference path: class rows stored as bit-packed signs plus one
-//!   magnitude scale per 64-dim word block, scored against bit-packed
-//!   queries with pure `XOR` + popcount word arithmetic
-//!   (`dot = Σ_w s_w·(valid_w − 2·mismatch_w)`), so a 1-bit/dim wire
-//!   query is never expanded to dense `f64`s on the serving path.
+//! * The crate-private `PackedClassMatrix` + [`xor_popcount`] — the
+//!   packed-native inference path for sign rows: each class stored as
+//!   bit-packed signs plus one magnitude scale, scored against
+//!   bit-packed queries with pure `XOR` + popcount word arithmetic
+//!   (`dot = s·(D − 2·popcount(q ⊕ row))`), so a 1-bit/dim wire query
+//!   is never expanded to dense `f64`s on the serving path.
 //! * [`scalar_encode_packed`] / [`scalar_encode_bipolar_masked`] — the
 //!   Eq. (2a) kernel fused with bipolar quantization (and, for the
 //!   second, dimension masking): both map the same `w_j` to a sign in
 //!   exact integers (`2·w_j ≥ Σ_k g_k`), so the dense `f64` accumulator
 //!   is never materialized.
 //!
-//! The `f64` dot kernels, [`xor_popcount`] and the weighted-count core
-//! of the Eq. (2a) kernels dispatch to explicit AVX2 (`std::arch`)
-//! variants when the CPU supports them — detected once at runtime,
-//! short-circuited at compile time under `-C target-feature=+avx2` —
-//! with scalar fallbacks the AVX2 arms bit-match (separate mul+add,
-//! identical lane order, or pure integer arithmetic; see
+//! The `f64` dot kernels and the weighted-count core of the Eq. (2a)
+//! kernels dispatch to explicit AVX2 (`std::arch`) variants when the CPU
+//! supports them, and [`xor_popcount`] to its scalar loop compiled with
+//! AVX2 enabled. Every kernel call makes that choice itself, from a
+//! memoized CPUID check (short-circuited at compile time under
+//! `-C target-feature=+avx2`); nothing about it is decided when a plan
+//! is built. The scalar fallbacks bit-match the AVX2 arms (separate
+//! mul+add, identical lane order, or pure integer arithmetic; see
 //! `docs/PERF.md` for the dispatch policy). The scalar fallbacks of the
 //! row-grouped dots simply run the one-row scalar kernel once per row:
 //! rows are independent, so that is already the grouped arm's order.
@@ -580,10 +582,10 @@ unsafe fn weighted_counts_avx2(
     }
 }
 
-/// True when the dot/popcount kernels of this module will dispatch to
-/// their AVX2 arms on this host — the probe a [`crate::ModelPlan`]
-/// runs *once* when it is built instead of (implicitly, inside each
-/// kernel call) per batch. Always false off x86-64.
+/// True when the dot/popcount kernels of this module dispatch to their
+/// AVX2 arms on this host: the memoized check each kernel call makes,
+/// exposed for reports such as [`crate::ModelPlan::describe`]. Always
+/// false off x86-64.
 pub fn avx2_dispatch() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -972,12 +974,12 @@ unsafe fn sign_tile_avx2<const R: usize>(
 /// `Σ_w popcount(a_w ⊕ b_w)` over the shorter slice — the Hamming
 /// kernel of the packed predict path.
 ///
-/// Dispatches to an AVX2 variant (256-bit XOR; see `docs/PERF.md`);
-/// both arms are pure integer arithmetic and trivially agree. Neither
-/// emits a `POPCNT` instruction: the default x86-64 target lacks the
-/// `popcnt` feature, so `count_ones` compiles to a shift-and-mask
-/// (SWAR) count in the scalar arm and is vectorized into a `vpshufb`
-/// nibble lookup in the AVX2 arm.
+/// Dispatches to an AVX2 arm (see `docs/PERF.md`); both arms are the
+/// same pure integer loop and trivially agree. Neither emits a `POPCNT`
+/// instruction: the default x86-64 target lacks the `popcnt` feature,
+/// so `count_ones` compiles to a shift-and-mask (SWAR) count in the
+/// scalar arm and is vectorized into a `vpshufb` nibble lookup in the
+/// AVX2 arm.
 pub fn xor_popcount(a: &[u64], b: &[u64]) -> u64 {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
@@ -987,6 +989,7 @@ pub fn xor_popcount(a: &[u64], b: &[u64]) -> u64 {
     xor_popcount_scalar(a, b)
 }
 
+#[inline(always)]
 fn xor_popcount_scalar(a: &[u64], b: &[u64]) -> u64 {
     a.iter()
         .zip(b)
@@ -994,37 +997,14 @@ fn xor_popcount_scalar(a: &[u64], b: &[u64]) -> u64 {
         .sum()
 }
 
-/// AVX2 arm of [`xor_popcount`]: XOR four words per 256-bit op, then
-/// count with `count_ones`, which the compiler vectorizes into a
-/// `vpshufb` nibble lookup (no `POPCNT`, no AVX-512 `VPOPCNTDQ`).
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
+/// AVX2 arm of [`xor_popcount`]: the scalar loop, inlined into a body
+/// compiled with AVX2 enabled, which the compiler vectorizes into
+/// 256-bit XORs and a `vpshufb` nibble count (no `POPCNT`, no AVX-512
+/// `VPOPCNTDQ`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn xor_popcount_avx2(a: &[u64], b: &[u64]) -> u64 {
-    use std::arch::x86_64::*;
-    let n = a.len().min(b.len());
-    let quads = n - n % 4;
-    let mut total = 0u64;
-    let mut i = 0;
-    while i < quads {
-        // SAFETY: `i + 3 < quads ≤ a.len(), b.len()` keeps both 32-byte
-        // loads in bounds.
-        let va = unsafe { _mm256_loadu_si256(a.as_ptr().add(i).cast()) };
-        // SAFETY: as above — same bound for `b`.
-        let vb = unsafe { _mm256_loadu_si256(b.as_ptr().add(i).cast()) };
-        let mut x = [0u64; 4];
-        // SAFETY: `x` is exactly the 32 bytes the store writes.
-        unsafe { _mm256_storeu_si256(x.as_mut_ptr().cast(), _mm256_xor_si256(va, vb)) };
-        total += x.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-        i += 4;
-    }
-    for (x, y) in a[quads..n].iter().zip(&b[quads..n]) {
-        total += u64::from((x ^ y).count_ones());
-    }
-    total
+fn xor_popcount_avx2(a: &[u64], b: &[u64]) -> u64 {
+    xor_popcount_scalar(a, b)
 }
 
 /// A contiguous, inference-ready snapshot of a model's class
@@ -1310,90 +1290,70 @@ impl ClassMatrix {
     }
 }
 
-/// A bit-packed, inference-ready snapshot of a model's class
-/// hypervectors — the packed-native counterpart of [`ClassMatrix`].
+/// A bit-packed, inference-ready snapshot of a sign-row model's class
+/// hypervectors: the packed-native counterpart of [`ClassMatrix`],
+/// compiled next to it by [`crate::ModelPlan`].
 ///
 /// Each class is stored as its packed sign row (bit 1 ⇔ `value ≥ 0`,
 /// the `sign(0) = +1` rule of [`crate::QuantScheme::Bipolar`]) plus one
-/// `f64` magnitude scale per 64-dimension word block. Construction succeeds
-/// only when that factorization is *exact* — every block holds values
-/// of one shared magnitude (signs free) or is entirely zero (scale 0) —
-/// which covers sign-only models produced by
-/// [`crate::HdModel::quantize_classes`] with
-/// [`crate::QuantScheme::Bipolar`] and blockwise-uniform quantized
-/// rows; anything else returns `None` and the caller keeps scoring
-/// through the dense rows.
+/// `f64` magnitude. Construction succeeds only when that factorization
+/// is *exact*: every value of a row shares one magnitude (signs free),
+/// or the row is all zero (scale 0). That covers the sign-only models
+/// produced by [`crate::HdModel::quantize_classes`] with
+/// [`crate::QuantScheme::Bipolar`]; anything else returns `None` and
+/// the plan keeps scoring through the dense rows.
 ///
 /// Scoring a packed query is then pure word arithmetic:
-/// `dot_l = Σ_w s_lw · (valid_w − 2·popcount(q_w ⊕ σ_lw))` — tail bits
-/// of both operands are zero, so the XOR never counts them — at
-/// 64 dimensions per `XOR` + popcount instead of one `f64` add per
-/// dimension. For ±1 rows every partial sum is a small exact integer,
-/// so the scores bit-match the dense path (asserted by the parity
-/// proptests in `tests/properties.rs`).
+/// `dot_l = s_l · (D − 2·popcount(q ⊕ σ_l))` — tail bits of both
+/// operands are zero, so the XOR never counts them — at 64 dimensions
+/// per `XOR` + popcount instead of one `f64` add per dimension. For ±1
+/// rows every partial sum is a small exact integer, so the scores
+/// bit-match the dense path (asserted by the parity proptests in
+/// `tests/properties.rs`). The class norms are the [`ClassMatrix`]'s.
 #[derive(Debug, Clone)]
-pub struct PackedClassMatrix {
-    num_classes: usize,
+pub(crate) struct PackedClassMatrix {
     dim: usize,
     hv_words: usize,
     sign_rows: Vec<u64>,
-    /// One magnitude per (class, 64-dim word block), row-major.
-    word_scales: Vec<f64>,
-    /// Per-class uniform scale when every word block shares one
-    /// magnitude (the sign-only fast path: one popcount chain per class,
-    /// one multiply at the end); `None` for mixed-scale rows.
-    uniform: Vec<Option<f64>>,
-    norms: Vec<f64>,
+    /// One magnitude per class, index = class label.
+    scales: Vec<f64>,
 }
 
 impl PackedClassMatrix {
     /// Attempts to snapshot `classes` into the packed layout. Returns
-    /// `None` unless every 64-dim block of every class is exactly
-    /// `sign × scale` (see the type docs); an empty slice yields an
-    /// empty matrix.
+    /// `None` unless every class is exactly `scale × sign` (see the type
+    /// docs); an empty slice yields an empty matrix.
     ///
     /// # Panics
     ///
     /// Panics if class dimensionalities disagree (the model guarantees
     /// they do not).
-    pub fn try_from_classes(classes: &[Hypervector]) -> Option<Self> {
+    pub(crate) fn try_from_classes(classes: &[Hypervector]) -> Option<Self> {
         let dim = classes.first().map_or(0, Hypervector::dim);
         let hv_words = dim.div_ceil(WORD_BITS);
-        let num_classes = classes.len();
-        let mut sign_rows = Vec::with_capacity(num_classes * hv_words);
-        let mut word_scales = Vec::with_capacity(num_classes * hv_words);
-        let mut uniform = Vec::with_capacity(num_classes);
-        let mut norms = Vec::with_capacity(num_classes);
-        for class in classes {
-            assert_eq!(class.dim(), dim, "class dimension mismatch");
-            let row = PackedRow::pack(class.as_slice())?;
-            sign_rows.extend_from_slice(&row.signs);
-            word_scales.extend_from_slice(&row.scales);
-            uniform.push(row.uniform);
-            norms.push(class.l2_norm());
-        }
-        Some(Self {
-            num_classes,
+        let mut packed = Self {
             dim,
             hv_words,
-            sign_rows,
-            word_scales,
-            uniform,
-            norms,
-        })
+            sign_rows: vec![0; classes.len() * hv_words],
+            scales: vec![0.0; classes.len()],
+        };
+        for (l, class) in classes.iter().enumerate() {
+            if !packed.update_class(l, class) {
+                return None;
+            }
+        }
+        Some(packed)
     }
 
-    /// True when `class` alone factors exactly into `sign × scale`
-    /// word blocks — the per-row condition of
-    /// [`PackedClassMatrix::try_from_classes`].
+    /// True when `class` alone is exactly `scale × sign`: the per-row
+    /// condition of [`PackedClassMatrix::try_from_classes`].
     pub(crate) fn row_packs(class: &Hypervector) -> bool {
-        PackedRow::pack(class.as_slice()).is_some()
+        row_scale(class.as_slice()).is_some()
     }
 
     /// Re-packs class row `l` in place after a targeted mutation, in
     /// O(dim). Returns `false`, leaving the matrix untouched, when the
-    /// new row no longer factors into `sign × scale` (so neither does
-    /// the model).
+    /// new row is no longer `scale × sign` (so neither is the model).
     ///
     /// # Panics
     ///
@@ -1401,159 +1361,71 @@ impl PackedClassMatrix {
     /// dimensionality (the model guarantees both).
     pub(crate) fn update_class(&mut self, l: usize, class: &Hypervector) -> bool {
         assert_eq!(class.dim(), self.dim, "class dimension mismatch");
-        let Some(row) = PackedRow::pack(class.as_slice()) else {
+        let Some(scale) = row_scale(class.as_slice()) else {
             return false;
         };
-        let words = l * self.hv_words..(l + 1) * self.hv_words;
-        self.sign_rows[words.clone()].copy_from_slice(&row.signs);
-        self.word_scales[words].copy_from_slice(&row.scales);
-        self.uniform[l] = row.uniform;
-        self.norms[l] = class.l2_norm();
+        self.scales[l] = scale;
+        pack_signs(
+            class.as_slice(),
+            &mut self.sign_rows[l * self.hv_words..(l + 1) * self.hv_words],
+        );
         true
     }
 
-    /// Number of classes (rows).
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    /// Hypervector dimensionality (columns).
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The packed sign bits of class `l` (`value ≥ 0 ↔ 1`; tail bits
-    /// zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l >= self.num_classes()`.
-    pub fn sign_row(&self, l: usize) -> &[u64] {
-        &self.sign_rows[l * self.hv_words..(l + 1) * self.hv_words]
-    }
-
-    /// Cached ℓ2 norms, index = class label.
-    pub fn norms(&self) -> &[f64] {
-        &self.norms
-    }
-
-    /// True when every class hypervector is all-zero (untrained model)
-    /// — vacuously true for an empty matrix.
-    pub fn all_zero(&self) -> bool {
-        self.norms.iter().all(|&n| n == 0.0)
-    }
-
-    /// Heap footprint of this snapshot in bytes (sign rows, word
-    /// scales, uniform flags, norms) — the packed side of the per-model
+    /// Heap footprint of this snapshot in bytes (sign rows and one
+    /// scale per class) — the packed side of the per-model
     /// `memory_bytes` serving metric. Roughly 64× smaller than
-    /// [`ClassMatrix::memory_bytes`] on the dense values it replaces.
-    pub fn memory_bytes(&self) -> usize {
+    /// [`ClassMatrix::memory_bytes`].
+    pub(crate) fn memory_bytes(&self) -> usize {
         std::mem::size_of_val(self.sign_rows.as_slice())
-            + std::mem::size_of_val(self.word_scales.as_slice())
-            + std::mem::size_of_val(self.uniform.as_slice())
-            + std::mem::size_of_val(self.norms.as_slice())
+            + std::mem::size_of_val(self.scales.as_slice())
     }
 
     /// Normalized scores of a bit-packed bipolar query against every
     /// class, written into `scores` (cleared first) — the popcount
-    /// realization of Eq. (4). Zero-norm classes score
+    /// realization of Eq. (4). `norms` are the classes' ℓ2 norms (the
+    /// plan's [`ClassMatrix::norms`]); zero-norm classes score
     /// [`f64::NEG_INFINITY`]. `query_words` must hold exactly
     /// `⌈dim/64⌉` words with zero tail bits (the [`BipolarHv`]
     /// invariants).
-    pub fn scores_packed_into(&self, query_words: &[u64], scores: &mut Vec<f64>) {
+    pub(crate) fn scores_packed_into(
+        &self,
+        query_words: &[u64],
+        norms: &[f64],
+        scores: &mut Vec<f64>,
+    ) {
         scores.clear();
-        scores.reserve(self.num_classes);
-        for l in 0..self.num_classes {
-            let norm = self.norms[l];
+        scores.reserve(self.scales.len());
+        for (l, (&scale, &norm)) in self.scales.iter().zip(norms).enumerate() {
             if norm == 0.0 {
                 scores.push(f64::NEG_INFINITY);
                 continue;
             }
-            let row = self.sign_row(l);
-            let dot = match self.uniform[l] {
-                // Uniform row: one popcount chain, one multiply. The
-                // parenthesized integer is exact, so for scale 1 this
-                // bit-matches the dense `±1` summation.
-                Some(scale) => {
-                    let mismatches = xor_popcount(query_words, row) as i64;
-                    scale * (self.dim as i64 - 2 * mismatches) as f64
-                }
-                // Mixed scales: per-word popcount × scale. Tail bits of
-                // both operands are zero, so the last word's mismatch
-                // count only covers its `valid_w` live lanes.
-                None => {
-                    let scales = &self.word_scales[l * self.hv_words..(l + 1) * self.hv_words];
-                    let mut dot = 0.0;
-                    for (w, (qw, (sw, &scale))) in
-                        query_words.iter().zip(row.iter().zip(scales)).enumerate()
-                    {
-                        let valid = (self.dim - w * WORD_BITS).min(WORD_BITS) as i64;
-                        let mismatches = i64::from((qw ^ sw).count_ones());
-                        dot += scale * (valid - 2 * mismatches) as f64;
-                    }
-                    dot
-                }
-            };
-            scores.push(dot / norm);
+            let row = &self.sign_rows[l * self.hv_words..(l + 1) * self.hv_words];
+            // The parenthesized integer is exact, so for scale 1 this
+            // bit-matches the dense `±1` summation.
+            let mismatches = xor_popcount(query_words, row) as i64;
+            scores.push(scale * (self.dim as i64 - 2 * mismatches) as f64 / norm);
         }
     }
 }
 
-/// One class row in the packed layout of [`PackedClassMatrix`].
-struct PackedRow {
-    /// Sign bits, `value ≥ 0 ↔ 1`, zero tail bits.
-    signs: Vec<u64>,
-    /// One magnitude per 64-dim word block.
-    scales: Vec<f64>,
-    /// The row-wide scale when every word block shares one.
-    uniform: Option<f64>,
+/// The one magnitude every value of a row shares (0 for an all-zero
+/// row), or `None` when the row is not exactly `scale × sign`: mixed
+/// magnitudes, zeros beside non-zeros, or a non-finite value.
+fn row_scale(values: &[f64]) -> Option<f64> {
+    let scale = values.first().map_or(0.0, |v| v.abs());
+    (scale.is_finite() && values.iter().all(|v| v.abs() == scale)).then_some(scale)
 }
 
-impl PackedRow {
-    /// Packs `values`, or `None` unless every 64-dim block is exactly
-    /// `sign × scale` (one shared finite magnitude, or all zero).
-    fn pack(values: &[f64]) -> Option<Self> {
-        let hv_words = values.len().div_ceil(WORD_BITS);
-        let mut signs = vec![0u64; hv_words];
-        let mut scales = Vec::with_capacity(hv_words);
-        let mut row_scale: Option<f64> = None;
-        let mut row_uniform = true;
-        for (block, word) in values.chunks(WORD_BITS).zip(signs.iter_mut()) {
-            let mut scale = 0.0f64;
-            let mut zeros = false;
-            for (b, &v) in block.iter().enumerate() {
-                if v >= 0.0 {
-                    *word |= 1 << b;
-                }
-                let mag = v.abs();
-                if !mag.is_finite() {
-                    return None;
-                }
-                if mag == 0.0 {
-                    zeros = true;
-                } else if scale == 0.0 {
-                    scale = mag;
-                } else if mag != scale {
-                    return None;
-                }
-            }
-            // A block mixing zeros and non-zeros is not `sign×scale`:
-            // the factorization puts ±scale at every lane.
-            if zeros && scale != 0.0 {
-                return None;
-            }
-            scales.push(scale);
-            match row_scale {
-                None => row_scale = Some(scale),
-                Some(s) if s == scale => {}
-                Some(_) => row_uniform = false,
-            }
-        }
-        Some(Self {
-            signs,
-            scales,
-            uniform: if row_uniform { row_scale } else { None },
-        })
+/// Writes the sign bits of `values` (`value ≥ 0 ↔ 1`, zero tail bits)
+/// into `words`, one word per 64 values.
+fn pack_signs(values: &[f64], words: &mut [u64]) {
+    for (word, block) in words.iter_mut().zip(values.chunks(WORD_BITS)) {
+        *word = block
+            .iter()
+            .enumerate()
+            .fold(0, |w, (b, &v)| w | u64::from(v >= 0.0) << b);
     }
 }
 
@@ -1727,7 +1599,7 @@ mod tests {
         let query = BipolarHv::random(dim, 99);
         let (mut ds, mut ps) = (Vec::new(), Vec::new());
         dense.scores_packed_into(query.words(), &mut ds);
-        packed.scores_packed_into(query.words(), &mut ps);
+        packed.scores_packed_into(query.words(), dense.norms(), &mut ps);
         assert_eq!(ds, ps, "packed popcount scores must bit-match dense");
     }
 
@@ -1743,10 +1615,10 @@ mod tests {
             ),
         ];
         let packed = PackedClassMatrix::try_from_classes(&classes).expect("uniform scale packs");
-        assert!(!packed.all_zero());
+        let norms = ClassMatrix::from_classes(&classes).norms().to_vec();
         let query = BipolarHv::random(dim, 3);
         let mut scores = Vec::new();
-        packed.scores_packed_into(query.words(), &mut scores);
+        packed.scores_packed_into(query.words(), &norms, &mut scores);
         assert_eq!(scores[0], f64::NEG_INFINITY);
         let naive: f64 = (0..dim).map(|j| query.sign(j) * classes[1][j]).sum();
         let expected = naive / classes[1].l2_norm();
@@ -1759,13 +1631,14 @@ mod tests {
 
     #[test]
     fn packed_matrix_rejects_inexact_rows() {
-        // Mixed magnitudes inside one 64-dim block are not sign×scale.
+        // Mixed magnitudes in a row are not sign×scale.
         let mixed = vec![Hypervector::from_vec(vec![1.0, -2.0, 1.0, 1.0])];
         assert!(PackedClassMatrix::try_from_classes(&mixed).is_none());
         // So is a block mixing zeros with non-zeros (masked dims).
         let masked = vec![Hypervector::from_vec(vec![1.0, 0.0, -1.0, 1.0])];
         assert!(PackedClassMatrix::try_from_classes(&masked).is_none());
-        // Per-block scales are fine: block 0 all ±3, block 1 all ±0.5.
+        // And a row whose 64-dim blocks differ in scale: block 0 all ±3,
+        // block 1 all ±0.5. One scale per row, so it stays dense.
         let blocky = vec![Hypervector::from_vec(
             (0..100)
                 .map(|j| {
@@ -1778,22 +1651,15 @@ mod tests {
                 })
                 .collect(),
         )];
-        let packed = PackedClassMatrix::try_from_classes(&blocky).expect("blockwise uniform packs");
-        let dense = ClassMatrix::from_classes(&blocky);
-        let query = BipolarHv::random(100, 8);
-        let (mut ds, mut ps) = (Vec::new(), Vec::new());
-        dense.scores_packed_into(query.words(), &mut ds);
-        packed.scores_packed_into(query.words(), &mut ps);
-        assert!((ds[0] - ps[0]).abs() < 1e-9, "{} vs {}", ds[0], ps[0]);
+        assert!(PackedClassMatrix::try_from_classes(&blocky).is_none());
     }
 
     #[test]
     fn empty_packed_matrix_degrades_gracefully() {
         let m = PackedClassMatrix::try_from_classes(&[]).expect("empty packs");
-        assert_eq!(m.num_classes(), 0);
-        assert!(m.all_zero());
+        assert_eq!(m.memory_bytes(), 0);
         let mut scores = vec![1.0];
-        m.scores_packed_into(&[], &mut scores);
+        m.scores_packed_into(&[], &[], &mut scores);
         assert!(scores.is_empty());
     }
 

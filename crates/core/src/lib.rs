@@ -19,12 +19,11 @@
 //!   (Eq. 4) through the model's cached [`ModelPlan`].
 //! * [`kernels`] — the throughput layer: nibble-table encode over a
 //!   byte-plane transposed item memory (dense, packed, and masked
-//!   forms), word-parallel (CSA) majority accumulation for
-//!   the record encoding, tiled, branchless query×class scoring, and
-//!   the packed-native `XOR`+popcount scoring path
-//!   ([`kernels::PackedClassMatrix`]) with runtime-dispatched AVX2
-//!   kernel arms. The naive paths are retained as `*_reference` methods
-//!   for parity testing.
+//!   forms), word-parallel (CSA) majority accumulation for the record
+//!   encoding, tiled branchless query×class scoring and `XOR`+popcount
+//!   scoring of sign rows, each kernel call picking its AVX2 or scalar
+//!   arm from a memoized CPUID check. The naive paths are retained as
+//!   `*_reference` methods for parity testing.
 //! * [`pool`] — a small worker pool: batch encode fans its chunks over
 //!   scoped threads beside the caller.
 //! * [`quantize`] — the Prive-HD encoding quantizations of Eq. (13):
@@ -39,10 +38,9 @@
 //!   MSE and PSNR metrics (Fig. 2).
 //! * [`online`] — similarity-weighted (OnlineHD-style) training, an
 //!   adaptive refinement of the Eq. (5) retraining rule.
-//! * [`plan`] — compilation: [`EncodePlan`] fuses encode∘obfuscate
-//!   into one table-driven pass, and [`ModelPlan`], the only scorer,
-//!   holds the class snapshots behind a one-time kernel selection
-//!   ([`plan::PlanKernel`]).
+//! * [`plan`] — compilation: [`EncodePlan`] fuses encode∘obfuscate into
+//!   one table-driven pass; [`ModelPlan`], the only scorer, holds the
+//!   dense class snapshot and, for sign-only models, the packed one.
 //! * [`telemetry`] — sampled, lock-free request tracing ([`Tracer`],
 //!   [`Stage`], [`SpanEvent`]): the capture spine the serving layer's
 //!   stage-level latency decomposition is built on.
@@ -93,11 +91,11 @@ pub use decode::{mse, psnr, Decoder, Reconstruction};
 pub use encoder::{Encoder, EncoderConfig, LevelEncoder, ScalarEncoder};
 pub use error::HdError;
 pub use hypervector::{BipolarHv, Hypervector};
-pub use kernels::{ClassMatrix, PackedClassMatrix, TransposedItemMemory};
+pub use kernels::{ClassMatrix, TransposedItemMemory};
 pub use model::{HdModel, Prediction, RetrainConfig, RetrainReport};
 pub use obfuscate::{ObfuscateConfig, Obfuscator};
 pub use online::{online_step, train_online, OnlineConfig, OnlineReport};
-pub use plan::{EncodePlan, ModelPlan, PlanKernel, SimdPath};
+pub use plan::{EncodePlan, ModelPlan};
 pub use pool::ThreadPool;
 pub use prune::{information_curve, InformationPoint, PruneMask, PruneStrategy};
 pub use quantize::{QuantScheme, ValueHistogram};
@@ -113,7 +111,7 @@ pub mod prelude {
     pub use crate::model::{HdModel, Prediction, RetrainConfig, RetrainReport};
     pub use crate::obfuscate::{ObfuscateConfig, Obfuscator};
     pub use crate::online::{online_step, train_online, OnlineConfig, OnlineReport};
-    pub use crate::plan::{EncodePlan, ModelPlan, PlanKernel};
+    pub use crate::plan::{EncodePlan, ModelPlan};
     pub use crate::prune::{information_curve, PruneMask, PruneStrategy};
     pub use crate::quantize::{QuantScheme, ValueHistogram};
 }

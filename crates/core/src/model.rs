@@ -659,8 +659,9 @@ mod tests {
 
     /// Compiles `model`'s plan, bundles `update` into class `label`
     /// (refreshing the hot, unshared plan in place), and checks the
-    /// plan against a cold compile of the same classes: same kernel,
-    /// bit-identical dense and packed-query predictions.
+    /// plan against a cold compile of the same classes: the same packed
+    /// snapshot (or none), bit-identical dense and packed-query
+    /// predictions.
     fn assert_refresh_matches_rebuild(mut model: HdModel, label: usize, update: &Hypervector) {
         let dim = model.dim();
         let dense_q = Hypervector::from_vec((0..dim).map(|j| (j as f64 * 0.37).sin()).collect());
@@ -668,7 +669,10 @@ mod tests {
         model.predict(&dense_q).unwrap(); // compile the plan
         model.bundle(label, update).unwrap();
         let cold = HdModel::from_classes(model.classes().cloned().collect()).unwrap();
-        assert_eq!(model.plan().kernel(), cold.plan().kernel());
+        assert_eq!(
+            model.plan().packed_memory_bytes(),
+            cold.plan().packed_memory_bytes()
+        );
         assert_eq!(
             model.predict(&dense_q).unwrap(),
             cold.predict(&dense_q).unwrap()
@@ -681,7 +685,6 @@ mod tests {
 
     #[test]
     fn in_place_cache_refresh_matches_full_rebuild() {
-        use crate::plan::PlanKernel;
         let enc = ScalarEncoder::new(EncoderConfig::new(6, 256).with_seed(12)).unwrap();
         let train = two_cluster_data(&enc, 4);
         // Float rows stay float.
@@ -690,10 +693,7 @@ mod tests {
         // A float bundle makes a sign-only model unpackable.
         let mut signs = model;
         signs.quantize_classes(QuantScheme::Bipolar);
-        assert!(matches!(
-            signs.plan().kernel(),
-            PlanKernel::PackedPopcount { .. }
-        ));
+        assert!(signs.plan().packed_memory_bytes().is_some());
         assert_refresh_matches_rebuild(signs, 0, &train[1].0);
 
         let dim = 200;
@@ -703,10 +703,7 @@ mod tests {
         // [1, 2, 1, 2, …] + [0, −1, 0, −1, …] makes a float model packable.
         let float =
             HdModel::from_classes(vec![alternating(1.0, 2.0), alternating(-1.0, -1.0)]).unwrap();
-        assert!(matches!(
-            float.plan().kernel(),
-            PlanKernel::DenseTiled { .. }
-        ));
+        assert!(float.plan().packed_memory_bytes().is_none());
         assert_refresh_matches_rebuild(float, 0, &alternating(0.0, -1.0));
         // ±1 → ±2 keeps a sign-only model packable (packed row refreshed
         // in place).
@@ -734,7 +731,6 @@ mod tests {
     #[test]
     fn sign_only_model_routes_through_packed_matrix() {
         use crate::kernels::ClassMatrix;
-        use crate::plan::PlanKernel;
         let enc = ScalarEncoder::new(EncoderConfig::new(6, 300).with_seed(41)).unwrap();
         let train = two_cluster_data(&enc, 6);
         let mut model = HdModel::train(2, 300, &train).unwrap();
@@ -744,7 +740,6 @@ mod tests {
         // cached "not packable" answer).
         model.quantize_classes(QuantScheme::Bipolar);
         let plan = model.plan();
-        assert!(matches!(plan.kernel(), PlanKernel::PackedPopcount { .. }));
         let packed = plan.packed_memory_bytes().expect("±1 rows pack exactly");
         assert!(
             packed * 8 < plan.dense_memory_bytes(),

@@ -15,12 +15,14 @@
 //!   compile time (pinned by [`crate::obfuscate::permutation_build_count`]).
 //! * [`ModelPlan`] — the only scorer of Eq. (4). Every [`HdModel`]
 //!   caches one plan, compiled lazily after each mutation: the dense
-//!   [`ClassMatrix`], the [`PackedClassMatrix`] when the rows factor
-//!   into `sign × scale`, and the host's [`SimdPath`]. The query
-//!   dimension check, the [`HdError::ZeroNorm`] check, the packed/dense
-//!   dispatch, the packed block pass and the argmax exist once, in
-//!   this file; `HdModel::predict*` delegate here, and the serving
-//!   registry forces the plan at publish so no request compiles one.
+//!   [`ClassMatrix`], plus packed sign rows with one scale per class
+//!   when every row is `scale × sign`. The query dimension check, the
+//!   [`HdError::ZeroNorm`] check, the packed/dense dispatch, the packed
+//!   block pass and the argmax exist once, in this file;
+//!   `HdModel::predict*` delegate here, and the serving registry forces
+//!   the plan at publish so no request compiles one. Which SIMD arm a
+//!   kernel takes is not part of the plan: each kernel call checks the
+//!   host's (memoized) CPUID itself.
 //!
 //! The compiled encode path is bit-identical to the generic composition
 //! it replaces, and the plan's scores match
@@ -48,73 +50,6 @@ const WORD_BITS: usize = 64;
 /// once per block), while the pass's thread-local tile masks grow by
 /// 4 KB per query.
 const PACKED_BLOCK: usize = 16;
-
-/// Which arm the runtime-dispatched dot/popcount kernels take on this
-/// host — probed once at plan-compile time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdPath {
-    /// The explicit `std::arch` AVX2 arms.
-    Avx2,
-    /// The portable scalar arms.
-    Scalar,
-}
-
-impl SimdPath {
-    /// Probes the host once (memoized CPUID underneath).
-    pub fn probe() -> Self {
-        if kernels::avx2_dispatch() {
-            SimdPath::Avx2
-        } else {
-            SimdPath::Scalar
-        }
-    }
-
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SimdPath::Avx2 => "avx2",
-            SimdPath::Scalar => "scalar",
-        }
-    }
-}
-
-/// The scoring kernel a compiled [`ModelPlan`] dispatches through —
-/// selected once per compile instead of re-decided per call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanKernel {
-    /// The class rows factor into `sign × scale` word blocks: score
-    /// packed queries with pure `XOR` + popcount word arithmetic over
-    /// `hv_words` words per class.
-    PackedPopcount {
-        /// Packed words per class row (`⌈dim/64⌉`).
-        hv_words: usize,
-        /// Host SIMD arm the popcount/dot kernels take.
-        simd: SimdPath,
-    },
-    /// General dense rows: tiled `f64` scoring against the contiguous
-    /// [`ClassMatrix`].
-    DenseTiled {
-        /// Host SIMD arm the dot kernels take.
-        simd: SimdPath,
-    },
-}
-
-impl PlanKernel {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlanKernel::PackedPopcount { .. } => "packed-popcount",
-            PlanKernel::DenseTiled { .. } => "dense-tiled",
-        }
-    }
-
-    /// The SIMD arm this kernel was compiled for.
-    pub fn simd(&self) -> SimdPath {
-        match self {
-            PlanKernel::PackedPopcount { simd, .. } | PlanKernel::DenseTiled { simd, .. } => *simd,
-        }
-    }
-}
 
 /// The client-side encode∘obfuscate transform, compiled against one
 /// [`ScalarEncoder`].
@@ -291,9 +226,14 @@ impl EncodePlan {
     }
 }
 
-/// The compiled scorer of Eq. (4): the class snapshots plus the
-/// one-time [`PlanKernel`] selection every predict path dispatches
-/// through.
+/// The compiled scorer of Eq. (4): the class snapshots every predict
+/// path dispatches through.
+///
+/// A plan holds the dense [`ClassMatrix`] and, when every class row is
+/// exactly `scale × sign` (the rows of a bipolar-quantized model), the
+/// packed sign rows with one scale per class: packed queries against
+/// those are scored by `XOR` + popcount, and against any other rows by
+/// the sign-select kernels over the dense rows.
 ///
 /// Each [`HdModel`] caches one plan ([`HdModel::plan`]) and its
 /// `predict*` methods delegate here; clones share the snapshot `Arc`s.
@@ -302,10 +242,9 @@ impl EncodePlan {
 #[derive(Debug, Clone)]
 pub struct ModelPlan {
     dense: Arc<ClassMatrix>,
-    /// Present exactly when every class row factors into `sign ×
-    /// scale` word blocks; selects [`PlanKernel::PackedPopcount`].
+    /// Present exactly when every class row is `scale × sign`; its
+    /// scores divide by the dense snapshot's norms.
     packed: Option<Arc<PackedClassMatrix>>,
-    simd: SimdPath,
 }
 
 impl ModelPlan {
@@ -316,13 +255,12 @@ impl ModelPlan {
         model.plan().clone()
     }
 
-    /// Compiles a plan for `classes` (all of one dimensionality): builds
-    /// both snapshots, probes packability and the host SIMD arm.
+    /// Compiles a plan for `classes` (all of one dimensionality): the
+    /// dense snapshot, and the packed one when every row packs.
     pub(crate) fn build(classes: &[Hypervector]) -> Self {
         Self {
             dense: Arc::new(ClassMatrix::from_classes(classes)),
             packed: PackedClassMatrix::try_from_classes(classes).map(Arc::new),
-            simd: SimdPath::probe(),
         }
     }
 
@@ -365,25 +303,14 @@ impl ModelPlan {
         self.dense.norms()
     }
 
-    /// The kernel selected at compile time.
-    pub fn kernel(&self) -> PlanKernel {
-        match &self.packed {
-            Some(packed) => PlanKernel::PackedPopcount {
-                hv_words: packed.dim().div_ceil(WORD_BITS),
-                simd: self.simd,
-            },
-            None => PlanKernel::DenseTiled { simd: self.simd },
-        }
-    }
-
     /// Bytes held by the dense [`ClassMatrix`] snapshot.
     pub fn dense_memory_bytes(&self) -> usize {
         self.dense.memory_bytes()
     }
 
-    /// Bytes held by the [`PackedClassMatrix`] snapshot, or `None` when
-    /// the class rows do not pack. For sign-only (bipolar quantized)
-    /// models it runs ~64× smaller than
+    /// Bytes held by the packed snapshot (sign words plus one scale per
+    /// class), or `None` when the class rows do not pack. For sign-only
+    /// (bipolar quantized) models it runs ~64× smaller than
     /// [`ModelPlan::dense_memory_bytes`].
     pub fn packed_memory_bytes(&self) -> Option<usize> {
         self.packed.as_ref().map(|p| p.memory_bytes())
@@ -408,9 +335,9 @@ impl ModelPlan {
     /// queries, whose components are all `±1` after the
     /// [`Obfuscator`] quantization step.
     ///
-    /// Under [`PlanKernel::PackedPopcount`] scoring is pure `XOR` +
-    /// popcount word arithmetic, bit-exact against the dense scores for
-    /// ±1 rows. Otherwise the per-class dot selects signs branchlessly
+    /// When the class rows pack, scoring is pure `XOR` + popcount word
+    /// arithmetic, bit-exact against the dense scores for ±1 rows.
+    /// Otherwise the per-class dot selects signs branchlessly
     /// from the packed words ([`kernels::dot_sign_dense`]) against the
     /// dense rows: mathematically the score of
     /// [`ModelPlan::predict_dense`] on [`BipolarHv::to_dense`], though
@@ -431,14 +358,13 @@ impl ModelPlan {
     /// [`ModelPlan::predict_packed`] for a batch of packed queries, one
     /// result per query in order; [`ModelPlan::predict_packed`] is its
     /// one-query case. Each query is checked on its own, so a
-    /// wrong-dimension query fails alone. Under
-    /// [`PlanKernel::DenseTiled`] the valid queries are scored in blocks
-    /// of up to 16 by [`ClassMatrix::scores_packed_block_into`], which
-    /// reads the class rows once per block; under
-    /// [`PlanKernel::PackedPopcount`] (about a microsecond per query)
-    /// they are scored one at a time. Either way every result is
-    /// bit-identical to [`ModelPlan::predict_packed`] on that query
-    /// alone.
+    /// wrong-dimension query fails alone. Against float rows the valid
+    /// queries are scored in blocks of up to 16 by
+    /// [`ClassMatrix::scores_packed_block_into`], which reads the class
+    /// rows once per block; against packed sign rows (about a
+    /// microsecond per query) they are scored one at a time. Either way
+    /// every result is bit-identical to [`ModelPlan::predict_packed`] on
+    /// that query alone.
     pub fn predict_packed_batch(&self, queries: &[&BipolarHv]) -> Vec<Result<Prediction, HdError>> {
         let checked: Vec<Result<&[u64], HdError>> = queries
             .iter()
@@ -464,7 +390,7 @@ impl ModelPlan {
         match &self.packed {
             Some(packed) => {
                 for (words, scores) in queries.iter().zip(out.iter_mut()) {
-                    packed.scores_packed_into(words, scores);
+                    packed.scores_packed_into(words, self.dense.norms(), scores);
                 }
             }
             None => {
@@ -494,22 +420,22 @@ impl ModelPlan {
         prediction_from_scores(scores)
     }
 
-    /// One-line human-readable description of the compiled kernel, used
-    /// by reports.
+    /// One-line human-readable description of the scoring kernels, used
+    /// by reports: packed sign rows or dense float rows, and the SIMD
+    /// arm the kernels take on this host ([`kernels::avx2_dispatch`]).
     pub fn describe(&self) -> String {
-        match self.kernel() {
-            PlanKernel::PackedPopcount { hv_words, simd } => format!(
-                "packed-popcount: {} classes × {hv_words} words (dim {}), xor+popcount, {} arms",
-                self.num_classes(),
-                self.dim(),
-                simd.label()
+        let arms = if kernels::avx2_dispatch() {
+            "avx2"
+        } else {
+            "scalar"
+        };
+        let (classes, dim) = (self.num_classes(), self.dim());
+        match &self.packed {
+            Some(_) => format!(
+                "packed-popcount: {classes} classes × {} words (dim {dim}), xor+popcount, {arms} arms",
+                dim.div_ceil(WORD_BITS)
             ),
-            PlanKernel::DenseTiled { simd } => format!(
-                "dense-tiled: {} classes × {} dims, f64 dot, {} arms",
-                self.num_classes(),
-                self.dim(),
-                simd.label()
-            ),
+            None => format!("dense-tiled: {classes} classes × {dim} dims, f64 dot, {arms} arms"),
         }
     }
 }
@@ -561,15 +487,32 @@ mod tests {
     fn compile_selects_dense_for_float_rows_and_popcount_for_sign_rows() {
         let (_, mut model) = trained_model(300, 3);
         let plan = ModelPlan::compile(&model);
-        assert!(matches!(plan.kernel(), PlanKernel::DenseTiled { .. }));
+        assert!(plan.packed_memory_bytes().is_none());
         model.quantize_classes(QuantScheme::Bipolar);
         let plan = ModelPlan::compile(&model);
-        assert!(matches!(
-            plan.kernel(),
-            PlanKernel::PackedPopcount { hv_words: 5, .. }
-        ));
+        // Two classes × 5 sign words, plus one scale per class.
+        assert_eq!(plan.packed_memory_bytes(), Some((2 * 5 + 2) * 8));
         assert_eq!(plan.num_classes(), 2);
         assert_eq!(plan.dim(), 300);
+    }
+
+    #[test]
+    fn describe_names_the_rows_and_the_hosts_simd_arm() {
+        let arms = if kernels::avx2_dispatch() {
+            "avx2"
+        } else {
+            "scalar"
+        };
+        let (_, mut model) = trained_model(300, 29);
+        assert_eq!(
+            ModelPlan::compile(&model).describe(),
+            format!("dense-tiled: 2 classes × 300 dims, f64 dot, {arms} arms")
+        );
+        model.quantize_classes(QuantScheme::Bipolar);
+        assert_eq!(
+            ModelPlan::compile(&model).describe(),
+            format!("packed-popcount: 2 classes × 5 words (dim 300), xor+popcount, {arms} arms")
+        );
     }
 
     #[test]
@@ -630,10 +573,7 @@ mod tests {
                 model.quantize_classes(QuantScheme::Bipolar);
             }
             let plan = ModelPlan::compile(&model);
-            assert_eq!(
-                matches!(plan.kernel(), PlanKernel::PackedPopcount { .. }),
-                quantized
-            );
+            assert_eq!(plan.packed_memory_bytes().is_some(), quantized);
             // 19 valid queries: two column-tiled blocks on float rows.
             let mut queries: Vec<BipolarHv> =
                 (0..20).map(|i| BipolarHv::random(dim, 100 + i)).collect();

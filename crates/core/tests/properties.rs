@@ -335,7 +335,7 @@ proptest! {
         }
     }
 
-    // --- PackedClassMatrix ↔ dense ClassMatrix parity --------------------
+    // --- Packed sign rows ↔ dense ClassMatrix parity ---------------------
     //
     // For sign-only models every score is a sum of ±1 terms divided by
     // the same norm — exact in f64 in any summation order — so the
@@ -358,7 +358,7 @@ proptest! {
             .collect();
         let model = HdModel::from_classes(classes).unwrap();
         prop_assert!(
-            matches!(model.plan().kernel(), PlanKernel::PackedPopcount { .. }),
+            model.plan().packed_memory_bytes().is_some(),
             "±1 rows must pack exactly"
         );
         let query = BipolarHv::random(dim, seed);
@@ -383,7 +383,7 @@ proptest! {
             .collect();
         let mut model = HdModel::from_classes(classes).unwrap();
         model.quantize_classes(QuantScheme::Bipolar);
-        prop_assert!(matches!(model.plan().kernel(), PlanKernel::PackedPopcount { .. }));
+        prop_assert!(model.plan().packed_memory_bytes().is_some());
         let query = BipolarHv::random(dim, seed.wrapping_mul(31));
         let fast = model.predict_packed(&query).unwrap();
         let dense = model.predict(&query.to_dense()).unwrap();
@@ -406,7 +406,7 @@ proptest! {
         let zero = Hypervector::zeros(dim).unwrap();
         let model = HdModel::from_classes(vec![signs, zero]).unwrap();
         prop_assert!(
-            matches!(model.plan().kernel(), PlanKernel::PackedPopcount { .. }),
+            model.plan().packed_memory_bytes().is_some(),
             "zero rows pack (scale 0)"
         );
         let query = BipolarHv::random(dim, seed);
@@ -519,7 +519,7 @@ proptest! {
         let model = HdModel::from_classes(classes).unwrap();
         let plan = ModelPlan::compile(&model);
         // Float rows cannot pack: the compiler must select dense tiling.
-        prop_assert!(matches!(plan.kernel(), PlanKernel::DenseTiled { .. }));
+        prop_assert!(plan.packed_memory_bytes().is_none());
         let query = Hypervector::from_vec(
             (0..dim).map(|j| (((seed as usize + j) as f64) * 0.3).cos()).collect(),
         );
@@ -542,7 +542,7 @@ proptest! {
         let model = HdModel::from_classes(classes).unwrap();
         let plan = ModelPlan::compile(&model);
         // Sign-only rows pack: the compiler must select XOR+POPCNT.
-        prop_assert!(matches!(plan.kernel(), PlanKernel::PackedPopcount { .. }));
+        prop_assert!(plan.packed_memory_bytes().is_some());
         let query = BipolarHv::random(dim, seed);
         let expected = model.predict_reference(&query.to_dense()).unwrap();
         prop_assert_eq!(&plan.predict_packed(&query).unwrap(), &expected);

@@ -49,13 +49,14 @@
 //! requests — they complete on the version that was live when their
 //! batch started.
 //!
-//! A batch's packed queries, when it holds two or more, are scored
-//! together by one [`privehd_core::ModelPlan::predict_packed_batch`]
-//! call, which reads float class rows once per block instead of once per
-//! query; every score still bit-matches the query scored alone. Their
-//! replies go out in batch order when the block finishes. Dense and raw
-//! requests are then scored one at a time, each reply delivered the
-//! moment its own scoring finishes.
+//! A batch's packed queries, one or many, are scored together by one
+//! [`privehd_core::ModelPlan::predict_packed_batch`] call, which reads
+//! float class rows once per block instead of once per query; every
+//! score still bit-matches the query scored alone. Their replies go out
+//! in batch order when the call returns. Dense and raw requests are then
+//! scored one at a time, each reply delivered the moment its own scoring
+//! finishes. The plan was compiled at publish; which SIMD arm each
+//! kernel takes is a memoized CPUID check inside the kernel call.
 //!
 //! ## Raw features
 //!
@@ -73,8 +74,8 @@
 //! is delivered (in a raw request's edge as well as in scoring) answers
 //! it [`ServeError::Internal`], a panic inside its reply callback is
 //! never followed by a second delivery, and the worker carries on with
-//! the rest of its batch. A block of packed queries is scored under one
-//! more `catch_unwind`: a panic there answers each of its requests
+//! the rest of its batch. A batch's packed queries are scored under one
+//! more `catch_unwind`: a panic there answers each of them
 //! [`ServeError::Internal`]. Every caught panic is counted in
 //! [`ServeReport::panics_contained`].
 //!
@@ -99,7 +100,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use privehd_core::telemetry::{Stage, TraceCtx, Tracer};
-use privehd_core::{BipolarHv, HdError, Hypervector, Prediction};
+use privehd_core::{BipolarHv, Hypervector, Prediction};
 
 use crate::edge::ClientEdge;
 use crate::error::ServeError;
@@ -855,33 +856,41 @@ impl Worker {
             size: requests.len(),
         };
 
-        // Two or more packed queries are scored in one block, which reads
-        // float class rows once for all of them; their replies go out in
-        // batch order when the block finishes. Every other request is
-        // scored on its own, so one bad query fails only its own reply,
-        // and its reply is delivered — and its latency measured — the
-        // moment its own classification finishes.
-        let (blocked, queries): (Vec<&Request>, Vec<&BipolarHv>) = requests
+        // The batch's packed queries, one or many, are scored by one
+        // `predict_packed_batch` call, which reads float class rows once
+        // per block; their replies go out in batch order when it returns.
+        // Dense and raw requests are then scored one at a time, so each
+        // reply is delivered — and its latency measured — the moment its
+        // own classification finishes. Either way a bad query fails only
+        // its own reply.
+        let (packed, queries): (Vec<&Request>, Vec<&BipolarHv>) = requests
             .iter()
             .filter_map(|request| match &request.payload {
                 Payload::Query(QueryVec::Packed(hv)) => Some((request, hv)),
                 _ => None,
             })
             .unzip();
-        let block = match &batch.snapshot {
-            Some(served) if queries.len() >= 2 => {
-                batch.serve_block(&blocked, &queries, |queries| {
-                    served.plan().predict_packed_batch(queries)
-                });
-                true
-            }
-            _ => false,
-        };
+        if !packed.is_empty() {
+            batch.serve_packed(&packed, &queries, |queries| batch.score_packed(queries));
+        }
         for request in requests {
-            if block && matches!(request.payload, Payload::Query(QueryVec::Packed(_))) {
-                continue;
+            match &request.payload {
+                Payload::Query(QueryVec::Packed(_)) => {}
+                Payload::Query(QueryVec::Dense(query)) => batch.serve_guarded(request, || {
+                    let start = Instant::now();
+                    let outcome = batch.score_dense(query);
+                    batch.finish(request, outcome, start, start, Instant::now())
+                }),
+                // The edge's encode is the request's encode stage; its
+                // dense result is scored like any dense query.
+                Payload::Raw(edge, features) => batch.serve_guarded(request, || {
+                    let start = Instant::now();
+                    let query = edge.prepare(features);
+                    let encoded_at = Instant::now();
+                    let outcome = query.and_then(|q| batch.score_dense(&q));
+                    batch.finish(request, outcome, start, encoded_at, Instant::now())
+                }),
             }
-            batch.serve_guarded(request, || batch.answer(request));
         }
     }
 }
@@ -898,69 +907,55 @@ struct Batch<'a> {
 }
 
 impl Batch<'_> {
-    /// Scores one query through the plan compiled at publish time:
-    /// kernel selection (packed vs dense snapshot, SIMD arm) happened
-    /// once, when the plan was built — nothing is re-probed here.
-    fn score(&self, query: &QueryVec) -> Result<Prediction, ServeError> {
+    /// Scores one dense query through the plan compiled at publish time.
+    fn score_dense(&self, query: &Hypervector) -> Result<Prediction, ServeError> {
         let Some(served) = &self.snapshot else {
             return Err(ServeError::NoModel);
         };
-        let plan = served.plan();
-        match query {
-            // Packed-native path: the query arrived bit-packed and is
-            // scored without ever materializing a dense form.
-            QueryVec::Packed(hv) => plan.predict_packed(hv),
-            QueryVec::Dense(q) => plan.predict_dense(q),
-        }
-        .map_err(ServeError::Model)
+        served
+            .plan()
+            .predict_dense(query)
+            .map_err(ServeError::Model)
     }
 
-    /// Serves one request on its own. A raw payload first runs its edge
-    /// (the encode stage), and its dense result is scored like any dense
-    /// query.
-    fn answer(&self, request: &Request) -> Result<ServedPrediction, ServeError> {
-        let work_start = Instant::now();
-        let (outcome, predict_start) = match &request.payload {
-            Payload::Query(query) => (self.score(query), work_start),
-            Payload::Raw(edge, features) => {
-                let query = edge.prepare(features);
-                let encoded_at = Instant::now();
-                (
-                    query.and_then(|q| self.score(&QueryVec::Dense(q))),
-                    encoded_at,
-                )
-            }
+    /// Scores the batch's packed queries through the plan in one
+    /// [`privehd_core::ModelPlan::predict_packed_batch`] call: the
+    /// packed-native path, which never materializes a dense form. Every
+    /// query answers [`ServeError::NoModel`] when the batch's model is
+    /// not published.
+    fn score_packed(&self, queries: &[&BipolarHv]) -> Vec<Result<Prediction, ServeError>> {
+        let Some(served) = &self.snapshot else {
+            return vec![Err(ServeError::NoModel); queries.len()];
         };
-        self.finish(request, outcome, work_start, predict_start, Instant::now())
+        let scored = served.plan().predict_packed_batch(queries).into_iter();
+        scored.map(|r| r.map_err(ServeError::Model)).collect()
     }
 
-    /// Scores the packed `queries` of the `blocked` requests (paired in
+    /// Scores the packed `queries` of the `packed` requests (paired in
     /// batch order) with one call of `score`, then delivers each request
-    /// its reply, in order. Each blocked request's `batch_wait` ends when
-    /// the block starts and its `predict` spans the whole block. A panic
-    /// in `score` is counted once and answers every blocked request
+    /// its reply, in order. Each request's `batch_wait` ends when the
+    /// call starts and its `predict` spans the whole call. A panic in
+    /// `score` is counted once and answers every request
     /// [`ServeError::Internal`].
-    fn serve_block(
+    fn serve_packed(
         &self,
-        blocked: &[&Request],
+        packed: &[&Request],
         queries: &[&BipolarHv],
-        score: impl FnOnce(&[&BipolarHv]) -> Vec<Result<Prediction, HdError>>,
+        score: impl FnOnce(&[&BipolarHv]) -> Vec<Result<Prediction, ServeError>>,
     ) {
         let start = Instant::now();
         let scored = panic::catch_unwind(AssertUnwindSafe(|| score(queries)));
         let done_at = Instant::now();
         let Ok(results) = scored else {
             self.metrics.on_panic_contained();
-            for request in blocked {
+            for request in packed {
                 self.answer_internal(request);
             }
             return;
         };
         let mut results = results.into_iter();
-        for request in blocked {
-            let outcome = results
-                .next()
-                .map_or(Err(ServeError::Internal), |r| r.map_err(ServeError::Model));
+        for request in packed {
+            let outcome = results.next().unwrap_or(Err(ServeError::Internal));
             self.serve_guarded(request, || {
                 self.finish(request, outcome, start, start, done_at)
             });
@@ -1691,15 +1686,64 @@ pub(crate) mod tests {
 
     #[test]
     fn unpublished_ids_fail_without_poisoning_the_engine() {
-        let engine = ServeEngine::start(registry(64), ServeConfig::default()).unwrap();
+        // One worker, so the gate below holds every turn.
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let engine = ServeEngine::start(registry(64), config).unwrap();
+        let ghost = ModelId::new("other");
+        let packed = |seed: u64| QueryVec::Packed(BipolarHv::random(64, seed));
         assert_eq!(
-            engine
-                .predict_for(&ModelId::new("other"), query(64, 1.0))
-                .unwrap_err(),
+            engine.predict_for(&ghost, query(64, 1.0)).unwrap_err(),
             ServeError::NoModel
         );
+        // A lone packed query, then three queued behind the gate, which
+        // the next turn takes as one batch: each answered once.
+        assert_eq!(
+            engine.predict_for(&ghost, packed(1)).unwrap_err(),
+            ServeError::NoModel
+        );
+        let handle = engine.handle();
+        let gate = park(&engine, 1, query(64, 1.0));
+        let (tx, rx) = mpsc::channel();
+        for key in 0..3u64 {
+            let tx = tx.clone();
+            handle
+                .submit_with(
+                    &ghost,
+                    Payload::Query(packed(2 + key)),
+                    handle.tracer().begin(),
+                    Box::new(move |outcome| tx.send((key, outcome)).unwrap()),
+                )
+                .unwrap();
+        }
+        let batches = engine.report().batches;
+        gate.release();
+        let mut answers: Vec<_> = (0..3)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(10))
+                    .expect("a packed request was never answered")
+            })
+            .collect();
+        answers.sort_by_key(|&(key, _)| key);
+        let want: Vec<_> = (0..3).map(|key| (key, Err(ServeError::NoModel))).collect();
+        assert_eq!(answers, want);
+        assert!(
+            rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "a packed request was answered twice"
+        );
+        assert_eq!(engine.report().batches, batches + 1, "one shared batch");
+        // The engine keeps serving, dense and packed.
         assert_eq!(engine.predict(query(64, 1.0)).unwrap().prediction.class, 0);
-        engine.shutdown();
+        let served = engine.predict(BipolarHv::from_signs(&[1.0; 64])).unwrap();
+        assert_eq!(served.prediction.class, 0);
+        let report = engine.shutdown();
+        assert_eq!(
+            (report.completed, report.failed),
+            (2 + 1, 5),
+            "and the gate's one"
+        );
     }
 
     #[test]
@@ -1738,7 +1782,7 @@ pub(crate) mod tests {
 
     /// One parked worker, so a request whose callback panics rides first
     /// in the same batch as a healthy request: dense queries, or packed
-    /// ones scored as one block against float rows.
+    /// ones scored by one plan call against float rows.
     fn panicking_callback_is_contained(packed: bool) {
         let config = ServeConfig {
             workers: 1,
@@ -1747,10 +1791,7 @@ pub(crate) mod tests {
         let reg = registry(64);
         if packed {
             let snapshot = reg.get(&ModelId::default()).unwrap();
-            assert!(matches!(
-                snapshot.plan().kernel(),
-                privehd_core::PlanKernel::DenseTiled { .. }
-            ));
+            assert!(snapshot.plan().packed_memory_bytes().is_none());
         }
         let q = |sign: f64| {
             if packed {
@@ -1839,11 +1880,11 @@ pub(crate) mod tests {
             })
             .collect();
         let queries: Vec<BipolarHv> = (0..3).map(|i| BipolarHv::random(64, i)).collect();
-        let blocked: Vec<&Request> = requests.iter().collect();
+        let packed: Vec<&Request> = requests.iter().collect();
         let refs: Vec<&BipolarHv> = queries.iter().collect();
-        batch.serve_block(&blocked, &refs, |_| panic!("kernel fault"));
+        batch.serve_packed(&packed, &refs, |_| panic!("kernel fault"));
         let answers: Vec<_> = rx.try_iter().collect();
-        assert_eq!(answers.len(), 3, "each blocked request is answered once");
+        assert_eq!(answers.len(), 3, "each packed request is answered once");
         for (i, (key, outcome)) in answers.into_iter().enumerate() {
             assert_eq!((key, outcome), (i, Err(ServeError::Internal)));
         }

@@ -16,8 +16,8 @@
 //!   hot-swap (`Arc`-swap pattern) so retraining publishes a new
 //!   version without pausing inference, and in-flight batches finish on
 //!   the snapshot they started with. Publishing also compiles the
-//!   snapshot's [`privehd_core::ModelPlan`] — the one-time kernel
-//!   selection workers dispatch through. Single-model deployments
+//!   snapshot's [`privehd_core::ModelPlan`] — the class snapshots
+//!   workers score against. Single-model deployments
 //!   publish under [`ModelId::default`] with
 //!   [`ShardedRegistry::with_model`].
 //! * [`ServeEngine`] — per-tenant admission queues with quotas, served
@@ -28,10 +28,11 @@
 //!   while serving one request answers only that request, with
 //!   [`ServeError::Internal`]. One submit surface for every
 //!   representation: queries submitted bit-packed ([`QueryVec::Packed`])
-//!   stay packed end to end and are scored by the compiled plan's
-//!   `XOR`+popcount kernel ([`privehd_core::ModelPlan::predict_packed`]),
-//!   and dense submissions by its dense kernel
-//!   ([`privehd_core::ModelPlan::predict_dense`]).
+//!   stay packed end to end, and a batch's packed queries are scored by
+//!   one [`privehd_core::ModelPlan::predict_packed_batch`] call
+//!   (`XOR`+popcount against sign rows, sign select against float
+//!   rows); dense submissions go through
+//!   [`privehd_core::ModelPlan::predict_dense`].
 //! * [`ClientEdge`] — the device-side `ScalarEncoder` ∘ `Obfuscator`
 //!   composition, guaranteeing the server only ever sees obfuscated
 //!   queries.

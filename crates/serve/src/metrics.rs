@@ -25,11 +25,13 @@ use privehd_core::telemetry::{Stage, TraceCtx, Tracer};
 use crate::registry::ModelId;
 
 /// Number of latency buckets; the last bucket is the overflow
-/// catch-all. 96 buckets at 1.2× growth from 1 µs span up to ~33 s, so
-/// even deeply backed-up queues report honest tail quantiles.
-const LATENCY_BUCKETS: usize = 96;
-/// Lower edge of bucket 0 in nanoseconds (1 µs).
-const LATENCY_BASE_NS: f64 = 1_000.0;
+/// catch-all. 109 buckets at 1.2× growth from 100 ns span up to ~36 s,
+/// so even deeply backed-up queues report honest tail quantiles.
+const LATENCY_BUCKETS: usize = 109;
+/// Lower edge of bucket 0 in nanoseconds (100 ns): sub-microsecond
+/// stages such as `snapshot_resolve` get quantiles of their own instead
+/// of all reading bucket 0's upper edge.
+const LATENCY_BASE_NS: f64 = 100.0;
 /// Geometric growth factor between bucket edges (~20%).
 const LATENCY_GROWTH: f64 = 1.2;
 
@@ -241,10 +243,10 @@ pub(crate) struct ModelCounters {
     failed: AtomicU64,
     latency: LatencyHistogram,
     /// Snapshot footprint gauges, refreshed by workers at batch
-    /// dispatch: bytes held by the dense `ClassMatrix` and by the
-    /// bit-packed `PackedClassMatrix` (0 while the model has no exactly
-    /// packable representation). Gauges, not counters — each batch
-    /// overwrites them with the currently served snapshot's sizes.
+    /// dispatch: bytes held by the dense `ClassMatrix` and by the packed
+    /// snapshot (sign words plus one scale per class; 0 while the model
+    /// has no packed form). Gauges, not counters — each batch overwrites
+    /// them with the currently served snapshot's sizes.
     memory_dense_bytes: AtomicU64,
     memory_packed_bytes: AtomicU64,
 }
@@ -389,8 +391,8 @@ impl ServeMetrics {
 
     /// Overwrites the snapshot-footprint gauges of a pre-fetched
     /// per-model row with the served snapshot's matrix sizes (dense
-    /// `ClassMatrix` bytes, packed `PackedClassMatrix` bytes — 0 when
-    /// the model has no packed representation).
+    /// `ClassMatrix` bytes, packed snapshot bytes — 0 when the model has
+    /// no packed representation).
     pub(crate) fn set_model_memory(&self, counters: &ModelCounters, dense: u64, packed: u64) {
         // Relaxed: last-writer-wins gauges; no other memory published.
         counters.memory_dense_bytes.store(dense, Ordering::Relaxed);
@@ -561,10 +563,11 @@ pub struct ModelReport {
     /// (`privehd_core::ClassMatrix`), as of the last dispatched batch;
     /// 0 until this model serves its first batch.
     pub memory_dense_bytes: u64,
-    /// Bytes held by the served snapshot's bit-packed scoring matrix
-    /// (`privehd_core::PackedClassMatrix`); 0 when the model's rows do
-    /// not factor exactly into packed signs × per-word scales (or until
-    /// the first batch). For sign-only models this runs ~64× below
+    /// Bytes held by the served snapshot's packed scoring rows (sign
+    /// words plus one scale per class,
+    /// `privehd_core::ModelPlan::packed_memory_bytes`); 0 when the
+    /// model's rows are not each exactly `scale × sign` (or until the
+    /// first batch). For sign-only models this runs ~64× below
     /// [`ModelReport::memory_dense_bytes`] — the shrink the paper's
     /// 1-bit representation buys.
     pub memory_packed_bytes: u64,
@@ -831,6 +834,18 @@ mod tests {
         for w in edges.windows(2) {
             assert!(w[0] < w[1], "{w:?}");
         }
+    }
+
+    #[test]
+    fn sub_microsecond_samples_report_sub_microsecond_quantiles() {
+        let h = LatencyHistogram::new();
+        h.record(Duration::from_nanos(200));
+        let p50 = h.quantile(0.5);
+        assert!(p50 >= Duration::from_nanos(200), "{p50:?}");
+        assert!(p50 < Duration::from_micros(1), "{p50:?}");
+        // The top edge still reaches past half a minute.
+        let top = latency_edges()[LATENCY_BUCKETS - 1];
+        assert!(top >= 33_000_000_000, "{top} ns");
     }
 
     #[test]

@@ -156,9 +156,9 @@ pub fn prometheus_text(
     out.push_str("# TYPE privehd_serve_model_latency_p50_seconds gauge\n");
     out.push_str(
         "# HELP privehd_serve_model_memory_bytes Served snapshot footprint by \
-         representation: the dense f64 class matrix vs the bit-packed popcount \
-         matrix (0 until the model serves a batch, or when its rows have no \
-         exact packed form).\n",
+         representation: the dense f64 class matrix vs the packed popcount \
+         snapshot, which is sign words plus one scale per class (0 until the \
+         model serves a batch, or when its rows are not scale times sign).\n",
     );
     out.push_str("# TYPE privehd_serve_model_memory_bytes gauge\n");
     for m in &serve.per_model {

@@ -4,8 +4,10 @@
 //! the engine) with what only the transport can see: connections,
 //! frames, decode failures, and wire-level backpressure. All counters
 //! are atomic — the reactor threads and readers never contend on a
-//! lock, and the open-connection gauge is maintained as paired
-//! increments/decrements so it stays exact across reactors.
+//! lock. The open-connection gauge is also the server's connection
+//! cap: a slot is claimed by compare-exchange, so the gauge never
+//! passes `max_connections`, and every claim is paired with exactly one
+//! release, so it stays exact across reactors.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -42,14 +44,21 @@ impl WireMetrics {
         self.refused.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn on_conn_open(&self) {
-        // Relaxed: gauge increment; multiple reactors update it, every
-        // increment is paired with exactly one decrement.
-        self.open.fetch_add(1, Ordering::Relaxed);
+    /// Claims one open-connection slot and returns `true`, or returns
+    /// `false` when `max` connections are already open.
+    pub(crate) fn try_open(&self, max: usize) -> bool {
+        // Relaxed: the gauge publishes no data; the compare-exchange
+        // alone keeps concurrent claims from passing `max`.
+        let claim = |open: u64| (open < max as u64).then_some(open + 1);
+        self.open
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, claim)
+            .is_ok()
     }
 
+    /// Releases a slot claimed by [`WireMetrics::try_open`]; paired
+    /// one-to-one with every successful claim.
     pub(crate) fn on_conn_close(&self) {
-        // Relaxed: see on_conn_open — paired decrement.
+        // Relaxed: see try_open — paired decrement.
         self.open.fetch_sub(1, Ordering::Relaxed);
     }
 
@@ -182,9 +191,8 @@ mod tests {
         m.on_accept();
         m.on_accept();
         m.on_refuse();
-        m.on_conn_open();
-        m.on_conn_open();
-        m.on_conn_open();
+        assert!(m.try_open(3) && m.try_open(3) && m.try_open(3));
+        assert!(!m.try_open(3), "a claim past the cap is refused");
         m.on_conn_close();
         m.on_frame_in();
         m.on_response_out();

@@ -70,7 +70,7 @@ use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -282,7 +282,6 @@ struct ReactorCtx {
     handle: SubmitHandle,
     config: Arc<WireConfig>,
     metrics: Arc<WireMetrics>,
-    conn_count: Arc<AtomicUsize>,
     mailbox: Arc<Mailbox>,
     peers: Vec<Arc<Mailbox>>,
 }
@@ -325,7 +324,6 @@ pub struct WireServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     metrics: Arc<WireMetrics>,
-    conn_count: Arc<AtomicUsize>,
     mailboxes: Vec<Arc<Mailbox>>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -397,7 +395,6 @@ impl WireServer {
         let config = Arc::new(config);
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(WireMetrics::new());
-        let conn_count = Arc::new(AtomicUsize::new(0));
         let n = config.reactors;
         let mut mailboxes = Vec::with_capacity(n);
         for _ in 0..n {
@@ -417,7 +414,6 @@ impl WireServer {
                 handle: handle.clone(),
                 config: Arc::clone(&config),
                 metrics: Arc::clone(&metrics),
-                conn_count: Arc::clone(&conn_count),
                 mailbox: Arc::clone(mailbox),
                 peers: mailboxes.clone(),
             };
@@ -445,7 +441,6 @@ impl WireServer {
             addr: local,
             stop,
             metrics,
-            conn_count,
             mailboxes,
             threads,
         })
@@ -495,9 +490,6 @@ impl WireServer {
             let mut guard = mailbox.lock();
             for stream in guard.conns.drain(..) {
                 drop(stream);
-                // Relaxed: plain admission counter; no data is
-                // published through it.
-                self.conn_count.fetch_sub(1, Ordering::Relaxed);
                 self.metrics.on_conn_close();
             }
             guard.completions.clear();
@@ -1029,7 +1021,7 @@ fn run_reactor(rctx: ReactorCtx, stop: &AtomicBool) {
                 // Accepted before the stop, handed off after: close it
                 // instead of starting work we are draining away.
                 drop(stream);
-                release_conn_slot(&rctx);
+                rctx.metrics.on_conn_close();
                 continue;
             }
             register_conn(stream, &mut conns, &mut next_key, &rctx);
@@ -1059,7 +1051,7 @@ fn run_reactor(rctx: ReactorCtx, stop: &AtomicBool) {
     }
     for (_, conn) in conns.drain() {
         let _ = poller.delete(&conn.stream);
-        release_conn_slot(&rctx);
+        rctx.metrics.on_conn_close();
     }
 }
 
@@ -1070,28 +1062,20 @@ fn accept_new(conns: &mut HashMap<usize, Conn>, next_key: &mut usize, rctx: &Rea
     loop {
         match rctx.listener.accept() {
             Ok((stream, _peer)) => {
-                // Claim a connection slot optimistically; undo on
-                // refusal. Relaxed: plain admission counter racing
-                // only against itself — no data is published through
-                // it, and a transient over-claim just refuses one
-                // accept early.
-                let prev = rctx.conn_count.fetch_add(1, Ordering::Relaxed);
-                if prev >= rctx.config.max_connections {
-                    // Relaxed: see the claim above.
-                    rctx.conn_count.fetch_sub(1, Ordering::Relaxed);
+                // Claim a slot of the open-connection gauge, which
+                // never passes the cap; a server at its cap refuses.
+                if !rctx.metrics.try_open(rctx.config.max_connections) {
                     rctx.metrics.on_refuse();
                     drop(stream);
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
                 if stream.set_nonblocking(true).is_err() {
-                    // Relaxed: see the claim above.
-                    rctx.conn_count.fetch_sub(1, Ordering::Relaxed);
+                    rctx.metrics.on_conn_close();
                     drop(stream);
                     continue;
                 }
                 rctx.metrics.on_accept();
-                rctx.metrics.on_conn_open();
                 let target = stream.as_raw_fd() as usize % rctx.peers.len();
                 if target == rctx.index {
                     register_conn(stream, conns, next_key, rctx);
@@ -1127,7 +1111,7 @@ fn register_conn(
         .add(&conn.stream, Event::readable(key))
         .is_err()
     {
-        release_conn_slot(rctx);
+        rctx.metrics.on_conn_close();
         return;
     }
     conn.interest = (true, false);
@@ -1142,7 +1126,7 @@ fn reap_and_update(conns: &mut HashMap<usize, Conn>, rctx: &ReactorCtx, draining
     conns.retain(|_, conn| {
         if conn.dead {
             let _ = poller.delete(&conn.stream);
-            release_conn_slot(rctx);
+            rctx.metrics.on_conn_close();
             return false;
         }
         let want = conn.desired_interest(draining);
@@ -1152,7 +1136,7 @@ fn reap_and_update(conns: &mut HashMap<usize, Conn>, rctx: &ReactorCtx, draining
                 // The poller lost track of this socket; it can never
                 // wake us again, so reclaim the slot.
                 let _ = poller.delete(&conn.stream);
-                release_conn_slot(rctx);
+                rctx.metrics.on_conn_close();
                 return false;
             }
             conn.interest = want;
@@ -1161,14 +1145,6 @@ fn reap_and_update(conns: &mut HashMap<usize, Conn>, rctx: &ReactorCtx, draining
     });
 }
 
-/// Releases one claimed connection slot and decrements the open gauge;
-/// paired one-to-one with every `on_conn_open`.
-fn release_conn_slot(rctx: &ReactorCtx) {
-    // Relaxed: plain admission counter; no data is published through
-    // it.
-    rctx.conn_count.fetch_sub(1, Ordering::Relaxed);
-    rctx.metrics.on_conn_close();
-}
 // analyze: end-nonblocking-region
 
 #[cfg(test)]

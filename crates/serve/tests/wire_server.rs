@@ -421,9 +421,12 @@ fn connection_cap_refuses_extras() {
     c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut chunk = [0u8; 16];
     assert_eq!(c.read(&mut chunk).unwrap(), 0, "expected refusal EOF");
+    // The open gauge is the cap's one counter: the refusal left it at 2.
+    assert_eq!(server.report().open, 2);
     let report = server.shutdown();
     assert_eq!(report.refused, 1);
     assert_eq!(report.accepted, 2);
+    assert_eq!(report.open, 0, "shutdown releases every slot");
     engine.shutdown();
 }
 

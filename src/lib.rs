@@ -18,12 +18,12 @@
 //!   (LUT-6 majority, saturated adder trees) and platform performance
 //!   models.
 //! * [`privehd_serve`] — concurrent batched inference serving: a
-//!   versioned hot-swappable model registry (single-model, or sharded
-//!   multi-tenant with per-model batch routing), an adaptive
-//!   micro-batching queue with a worker pool, the edge-side
-//!   encode-and-obfuscate client pipeline, and serving metrics
-//!   (throughput, latency quantiles, batch-size distribution, global
-//!   and per model).
+//!   versioned, hot-swappable multi-tenant model registry, per-tenant
+//!   admission queues served round-robin by a worker pool (one turn
+//!   over a tenant's backlog is one batch), the edge-side
+//!   encode-and-obfuscate client pipeline, the TCP wire front-end, and
+//!   serving metrics (throughput, latency quantiles, mean batch size
+//!   and per-stage latency, global and per model).
 //!
 //! ## Quickstart
 //!
